@@ -163,7 +163,7 @@ class _PointsEntry(_Published):
 
 
 class _TableSet:
-    """The three CSR segments of one published neighbor table."""
+    """The four CSR segments (indptr, ids, dists, rev) of one published table."""
 
     def __init__(self, segments, points: np.ndarray, radius: float) -> None:
         self.segments = segments
@@ -284,8 +284,7 @@ def manifest_for_specs(specs) -> list | None:
         tset = _published.get(key)
         if tset is None:
             pts = _published[("points", n, seed)].array
-            indptr, ids, dists = neighbor_csr_arrays(pts, r)
-            segs = tuple(_create_segment(a) for a in (indptr, ids, dists))
+            segs = tuple(map(_create_segment, neighbor_csr_arrays(pts, r)))
             if any(s is None for s in segs):
                 for s in segs:
                     if s is not None:
@@ -298,7 +297,7 @@ def manifest_for_specs(specs) -> list | None:
             )
         _published.move_to_end(key)
         live.add(key)
-        ip, ids_seg, d_seg = tset.segments
+        ip, ids_seg, d_seg, rev_seg = tset.segments
         manifest.append(
             {
                 "kind": "table",
@@ -308,6 +307,7 @@ def manifest_for_specs(specs) -> list | None:
                 "shm_indptr": ip.shm.name,
                 "shm_ids": ids_seg.shm.name,
                 "shm_dists": d_seg.shm.name,
+                "shm_rev": rev_seg.shm.name,
                 "m": int(len(ids_seg.array)),
             }
         )
@@ -382,12 +382,15 @@ def attach_manifest(manifest) -> None:
             if pts is None:
                 continue  # table is only useful keyed to shared points
             n, m = entry["n"], entry["m"]
-            indptr = _attach_array(entry["shm_indptr"], (n + 1,), np.int64)
-            ids = _attach_array(entry["shm_ids"], (m,), np.int64)
-            dists = _attach_array(entry["shm_dists"], (m,), np.float64)
-            if indptr is None or ids is None or dists is None:
+            arrays = (
+                _attach_array(entry["shm_indptr"], (n + 1,), np.int64),
+                _attach_array(entry["shm_ids"], (m,), np.int64),
+                _attach_array(entry["shm_dists"], (m,), np.float64),
+                _attach_array(entry["shm_rev"], (m,), np.intp),
+            )
+            if any(a is None for a in arrays):
                 continue
-            table = make_neighbor_table(entry["radius"], indptr, ids, dists)
+            table = make_neighbor_table(entry["radius"], *arrays)
             _attached[key] = table
             _register_table(pts, entry["radius"], table)
 

@@ -34,13 +34,15 @@ def _check_points(points: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _region_vertices(s: float) -> np.ndarray:
-    """Vertices of the potential region ``{x + y > s}`` within the square."""
+def _region_vertices(x: float, y: float) -> np.ndarray:
+    """Vertices of the potential region ``{x' + y' > x + y}`` within the square."""
+    s = x + y
     if s <= 1.0:
         # Pentagon: (s,0)-(1,0)-(1,1)-(0,1)-(0,s).
         return np.array([[s, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, s]])
-    # Triangle: (1, s-1)-(1,1)-(s-1, 1).
-    return np.array([[1.0, s - 1.0], [1.0, 1.0], [s - 1.0, 1.0]])
+    # Triangle: (1, 1-t)-(1,1)-(1-t, 1), legs t as in potential_area.
+    t = (1.0 - x) + (1.0 - y)
+    return np.array([[1.0, 1.0 - t], [1.0, 1.0], [1.0 - t, 1.0]])
 
 
 def potential_area(points: np.ndarray) -> np.ndarray:
@@ -48,11 +50,13 @@ def potential_area(points: np.ndarray) -> np.ndarray:
 
     For ``s = x+y <= 1`` the excluded region is the triangle below the
     diagonal with area ``s^2/2``; for ``s > 1`` the potential region itself
-    is a triangle with legs ``2 - s``.
+    is a triangle with legs ``t = (1-x) + (1-y)``, not ``2 - s``: near the
+    corner ``x + y`` rounds to ``2.0`` and ``2 - s`` would empty the region.
     """
     pts = _check_points(points)
     s = pts[:, 0] + pts[:, 1]
-    return np.where(s <= 1.0, 1.0 - 0.5 * s * s, 0.5 * (2.0 - s) ** 2)
+    t = (1.0 - pts[:, 0]) + (1.0 - pts[:, 1])
+    return np.where(s <= 1.0, 1.0 - 0.5 * s * s, 0.5 * t * t)
 
 
 def potential_distance(points: np.ndarray) -> np.ndarray:
@@ -64,7 +68,7 @@ def potential_distance(points: np.ndarray) -> np.ndarray:
     pts = _check_points(points)
     out = np.empty(len(pts))
     for i, (x, y) in enumerate(pts):
-        verts = _region_vertices(x + y)
+        verts = _region_vertices(x, y)
         d = verts - np.array([x, y])
         out[i] = float(np.sqrt(np.max(np.sum(d * d, axis=1))))
     return out

@@ -21,8 +21,12 @@ Semantics (paper Sec. II):
 Hot-path layout (see docs/performance.md for the full story):
 
 * **Neighbor table** — a CSR array of (neighbor id, distance) per node,
-  sorted by distance, built lazily from one ``cKDTree.query_pairs`` call
-  and invalidated only when ``set_max_radius`` *raises* the power cap.
+  sorted by distance, plus the reverse-edge permutation ``rev`` that
+  flood planes use.  Built lazily from one ``cKDTree.query_pairs`` call:
+  one argsort ranks the pair distances, one argsort over unique
+  ``src * 2P + rank`` keys places every directed entry, and ``rev``
+  falls out of that permutation's inverse.  Invalidated only when
+  ``set_max_radius`` *raises* the power cap.
   ``local_broadcast`` becomes a cached-slice lookup plus one
   ``searchsorted`` cutoff; ``unicast`` reads a cached distance.  Kernels
   whose power cap covers nearly the whole square (Co-NNT, flooding) would
@@ -134,47 +138,101 @@ def table_within_budget(n: int, radius: float) -> bool:
 
 def neighbor_csr_arrays(
     points: np.ndarray, radius: float, *, tree: "cKDTree | None" = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The neighbor-table CSR payload ``(indptr, ids, dists)`` at ``radius``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The neighbor-table CSR payload ``(indptr, ids, dists, rev)`` at ``radius``.
 
-    Exactly the arrays :meth:`SynchronousKernel._build_neighbor_table`
-    assembles — same ``query_pairs`` enumeration, same float distance
-    expression, same ``(src, dist)`` lexsort — returned as plain arrays
-    so they can be staged in shared memory and rehydrated elsewhere via
-    :func:`make_neighbor_table`.
+    Each row lists a node's neighbors by distance; equal distances keep
+    ``query_pairs`` order, every ``i -> j`` entry of a pair ``(i, j)``
+    ahead of every ``j -> i`` one (a stable ``(src, dist)`` sort of the
+    ``[i->j | j->i]`` concatenation).  ``rev[e]`` is the index of the
+    reverse entry of ``e``.  One sort over unique ``src * 2P + rank``
+    keys places all ``2P`` directed entries, and ``rev`` falls out of
+    its inverse.  Plain arrays, so they can be staged in shared memory
+    and rehydrated elsewhere via :func:`make_neighbor_table`.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     if tree is None:
         tree = cKDTree(pts)
     pairs = tree.query_pairs(radius, output_type="ndarray")
-    if len(pairs):
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        diff = pts[src] - pts[dst]
-        dx, dy = diff[:, 0], diff[:, 1]
-        # Same float expression as the scalar unicast path, so the
-        # cached distances are bit-identical to recomputation.
-        dist = np.sqrt(dx * dx + dy * dy)
-        order = np.lexsort((dist, src))
-        src, dst, dist = src[order], dst[order], dist[order]
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
-        dist = np.zeros(0)
-    indptr = np.searchsorted(src, np.arange(n + 1))
-    return indptr.astype(np.int64), dst.astype(np.int64, copy=False), dist
+    p = len(pairs)
+    m = 2 * p
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs.ravel(), minlength=n), out=indptr[1:])
+    # Entry 2k + h of the flat pair list is pairs[k, h] -> pairs[k, 1 - h].
+    diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
+    dx, dy = diff[:, 0], diff[:, 1]
+    # Same float expression as the scalar unicast path, so the cached
+    # distances are bit-identical to recomputation (in both directions:
+    # fl(a - b) == -fl(b - a)).
+    d = np.sqrt(dx * dx + dy * dy)
+    del diff, dx, dy
+    # Need not be stable: _rank_ties orders each run of ties by pair index.
+    by_d = np.argsort(d)
+    rank = np.empty(p, dtype=np.int64)
+    rank[by_d] = np.arange(0, m, 2, dtype=np.int64)
+    key = pairs * m
+    key[:, 0] += rank
+    rank += 1
+    key[:, 1] += rank
+    del rank
+    d_sorted = d[by_d]
+    eq = d_sorted[1:] == d_sorted[:-1]
+    del d_sorted
+    if eq.any():
+        _rank_ties(key, pairs, by_d, eq)
+    del by_d, eq
+    # Keys are below n * 2P, which fits int64 for any table the density
+    # gate admits (2P ~ 128 n).
+    order = np.argsort(key.ravel())
+    del key
+    inv = np.empty_like(order)
+    inv[order] = np.arange(m, dtype=order.dtype)
+    dists = d[order >> 1]
+    del d
+    order ^= 1  # each slot's reverse entry
+    ids = pairs.ravel()[order]
+    rev = inv[order]
+    return indptr, ids, dists, rev
+
+
+def _rank_ties(
+    key: np.ndarray, pairs: np.ndarray, by_d: np.ndarray, eq: np.ndarray
+) -> None:
+    """Re-key, in place, the pairs whose distance ties with another pair's.
+
+    ``eq[q]`` says ``by_d`` positions ``q`` and ``q + 1`` hold equal
+    distances.  A run at positions ``s..s+g-1`` ranks by pair index, all
+    ``i -> j`` entries first: ``2s + h*g + t`` for the ``t``-th pair of
+    the run and half ``h``.
+    """
+    m = 2 * len(pairs)
+    tied = np.flatnonzero(eq)
+    q = np.union1d(tied, tied + 1)
+    first = np.ones(len(q), dtype=bool)
+    first[1:] = ~eq[q[1:] - 1]
+    run = np.cumsum(first) - 1
+    start = q[first][run]
+    size = np.diff(np.append(np.flatnonzero(first), len(q)))[run]
+    k = by_d[q]
+    k = k[np.lexsort((k, run))]
+    key[k, 0] = pairs[k, 0] * m + q + start
+    key[k, 1] = pairs[k, 1] * m + q + start + size
 
 
 def make_neighbor_table(
-    radius: float, indptr: np.ndarray, ids: np.ndarray, dists: np.ndarray
+    radius: float,
+    indptr: np.ndarray,
+    ids: np.ndarray,
+    dists: np.ndarray,
+    rev: np.ndarray,
 ) -> "_NeighborTable":
-    """Rehydrate a neighbor table from its CSR payload arrays.
+    """A neighbor table over its CSR payload arrays.
 
     The arrays may be views over shared memory; the table never writes
     to them (its lazy mirrors and caches are private side tables).
     """
-    return _NeighborTable(float(radius), list(indptr), ids, dists)
+    return _NeighborTable(float(radius), indptr, ids, dists, rev)
 
 
 #: Optional neighbor-table provider hook: ``fn(points, radius) ->
@@ -212,14 +270,17 @@ class _NeighborTable:
 
     ``ids``/``dists`` are the CSR payload arrays (``searchsorted`` radius
     cutoffs need the float64 array; broadcast descriptors keep views into
-    both).  ``ids_list``/``dists_list`` mirror them as plain Python lists
-    so the per-source ``{neighbor: distance}`` dicts (``dist_of``, built
-    lazily on a node's first unicast) hold native ints and floats.  The
-    mirrors are built lazily: at n=10^6 an RGG table holds ~10^8 entries
-    and the eager ``tolist()`` copies alone cost multiple GB, while the
-    only consumer of the full mirrors is the legacy kernel's flat
-    broadcast path (``tolist`` of a float64/intp array yields the same
-    native values either way, so laziness is unobservable).
+    both); ``rev`` maps every entry ``(src, dst)`` to the index of its
+    reverse ``(dst, src)`` — an involution that flood-plane delivery uses
+    to map a sender's CSR row onto the recipients' cache slots.
+    ``ids_list``/``dists_list`` mirror ``ids``/``dists`` as plain Python
+    lists so the per-source ``{neighbor: distance}`` dicts (``dist_of``,
+    built lazily on a node's first unicast) hold native ints and floats.
+    The mirrors are built lazily: at n=10^6 an RGG table holds ~10^8
+    entries and the eager ``tolist()`` copies alone cost multiple GB,
+    while the only consumer of the full mirrors is the legacy kernel's
+    flat broadcast path (``tolist`` of a float64/intp array yields the
+    same native values either way, so laziness is unobservable).
     """
 
     __slots__ = (
@@ -228,28 +289,29 @@ class _NeighborTable:
         "indptr_arr",
         "ids",
         "dists",
+        "rev",
         "_ids_list",
         "_dists_list",
         "dist_of",
-        "_rev",
     )
 
     def __init__(
         self,
         max_radius: float,
-        indptr: list[int],
+        indptr: np.ndarray,
         ids: np.ndarray,
         dists: np.ndarray,
+        rev: np.ndarray,
     ) -> None:
         self.max_radius = max_radius
-        self.indptr = indptr
         self.indptr_arr = np.asarray(indptr, dtype=np.intp)
+        self.indptr = self.indptr_arr.tolist()
         self.ids = ids
         self.dists = dists
+        self.rev = rev
         self._ids_list: list[int] | None = None
         self._dists_list: list[float] | None = None
-        self.dist_of: list[dict[int, float] | None] = [None] * (len(indptr) - 1)
-        self._rev: np.ndarray | None = None
+        self.dist_of: list[dict[int, float] | None] = [None] * (len(self.indptr) - 1)
 
     @property
     def ids_list(self) -> list[int]:
@@ -266,32 +328,6 @@ class _NeighborTable:
         if m is None:
             m = self._dists_list = self.dists.tolist()
         return m
-
-    @property
-    def rev(self) -> np.ndarray:
-        """Index of the reverse entry ``(dst, src)`` for every entry ``(src, dst)``.
-
-        The table holds both directions of every pair, so this is a
-        permutation (an involution); flood-plane delivery uses it to map
-        a sender's CSR row onto the recipients' cache slots.  Built
-        lazily — only plane-using runs pay for it.
-        """
-        r = self._rev
-        if r is None:
-            n = len(self.indptr) - 1
-            src = np.repeat(
-                np.arange(n, dtype=np.intp), np.diff(self.indptr_arr)
-            )
-            dst = self.ids
-            # k-th edge in (src, dst) order is the reverse of the k-th
-            # edge in (dst, src) order: the symmetric edge set enumerates
-            # the same ordered pairs either way.
-            fwd = np.lexsort((dst, src))
-            bwd = np.lexsort((src, dst))
-            r = np.empty(len(dst), dtype=np.intp)
-            r[fwd] = bwd
-            self._rev = r
-        return r
 
     def neighbors_of(self, src: int) -> dict[int, float]:
         """The (lazily built) ``{neighbor: distance}`` map for ``src``."""
@@ -492,8 +528,9 @@ class SynchronousKernel:
                     perf.add("kernel.nbr_table_provided")
                 return table
         with perf.timed("kernel.nbr_table_build"):
-            indptr, dst, dist = neighbor_csr_arrays(self.points, r, tree=self._tree)
-            table = _NeighborTable(r, indptr.tolist(), dst, dist)
+            table = make_neighbor_table(
+                r, *neighbor_csr_arrays(self.points, r, tree=self._tree)
+            )
         if perf.enabled:
             perf.add("kernel.nbr_table_builds")
             perf.add("kernel.nbr_table_entries", len(table.ids))

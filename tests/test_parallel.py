@@ -14,6 +14,17 @@ from repro.experiments.runner import sweep_energy
 CFG = SweepConfig(ns=(50, 100), seeds=(0, 1), algorithms=("EOPT", "Co-NNT"))
 
 
+def _attached_table_arrays(manifest, n, seed, radius):
+    """Pool-worker side: attach ``manifest``, copy out one table's payload."""
+    from repro.experiments import fabric
+
+    fabric.attach_manifest(manifest)
+    tbl = fabric._attached[("table", n, seed, float(radius))]
+    return tuple(
+        np.array(a) for a in (tbl.indptr_arr, tbl.ids, tbl.dists, tbl.rev)
+    )
+
+
 class TestParallelSweep:
     def test_matches_serial_exactly(self):
         """Every cell is deterministic, so parallel == serial bitwise."""
@@ -288,6 +299,42 @@ class TestInstanceFabric:
         rebuilt = get_points(123, 7)
         assert rebuilt is not shared
         assert np.array_equal(rebuilt, shared)
+
+    def test_worker_attached_table_carries_rev(self):
+        """A worker's attached table, ``rev`` included, equals the table a
+        kernel builds in-process for the same ``(n, seed, r)``."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.experiments import fabric
+        from repro.experiments.instances import get_points
+        from repro.runspec import RunSpec
+        from repro.sim import SynchronousKernel
+
+        shutdown()
+        spec = RunSpec(algorithm="MGHS", n=400, seed=3, kernel="turbo")
+        manifest = fabric.manifest_for_specs([spec])
+        if manifest is None:
+            pytest.skip("shared memory unavailable on this host")
+        (entry,) = [e for e in manifest if e["kind"] == "table"]
+        assert "shm_rev" in entry
+        r = entry["radius"]
+        # A copy of the points: the kernel builds its own table instead of
+        # being served the published one by the provider hook.
+        pts = np.array(get_points(400, 3))
+        built = SynchronousKernel(pts, max_radius=r).neighbor_table()
+        try:
+            ctx = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+                got = pool.submit(
+                    _attached_table_arrays, manifest, 400, 3, r
+                ).result()
+        finally:
+            shutdown()
+        want = (built.indptr_arr, built.ids, built.dists, built.rev)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
 
     def test_attach_of_missing_segment_degrades(self):
         """A worker racing an eviction just rebuilds locally."""
