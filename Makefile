@@ -55,8 +55,8 @@ bench:
 bench-planes:
 	$(PY) benchmarks/bench_flood_planes.py
 
-# Turbo-backend scaling run: nodes/sec + peak RSS at n up to 10^6 through
-# the chunked instance layout, plus the >=10x turbo-vs-legacy gate.
+# Scaling run: nodes/sec + peak RSS at n up to 10^6 through the chunked
+# instance layout, plus the fast-vs-legacy equivalence and >=10x gates.
 # Writes benchmarks/out/BENCH_scale.json.  The million-node cell takes
 # minutes; use `benchmarks/bench_scale.py --quick` for the n=10^4 cut.
 bench-scale:

@@ -1,22 +1,22 @@
 #!/usr/bin/env python
-"""Turbo-backend scaling benchmark: nodes/sec and peak RSS vs n.
+"""Scaling benchmark: nodes/sec and peak RSS vs n.
 
-Runs modified GHS through the turbo kernel (whole-round array programs)
-at n in {10^4, 10^5, 10^6}, recording wall time, throughput in nodes/sec,
+Runs modified GHS on the default kernel (whole-round phase engine) at
+n in {10^4, 10^5, 10^6}, recording wall time, throughput in nodes/sec,
 round counts and the peak-RSS counter sampled at round boundaries by
 ``repro.perf``.  The million-node instance is built through the
-layout-aware instance cache with the turbo backend's ``chunked`` CSR
-layout (memmap spill past the threshold), which is what lets it fit.
+layout-aware instance cache with the ``chunked`` CSR layout (memmap
+spill past the threshold), which is what lets it fit.
 
 Three gates, each fatal:
 
-* **equivalence** — turbo must be bit-identical to the fast kernel
-  (energy / messages / rounds) at the small-n config, with trace-diff
-  triage printed on divergence (exit 2);
-* **golden stats** — the n=10^4 turbo stats must match
+* **equivalence** — the default kernel must be bit-identical to the
+  frozen legacy kernel (energy / messages / rounds / tree size) at the
+  small-n config, with trace-diff triage printed on divergence (exit 2);
+* **golden stats** — the n=10^4 stats must match
   ``benchmarks/golden/scale.json`` (exit 1 on divergence);
-* **speedup** (``--gate`` or full mode) — turbo must be >= 10x the
-  frozen legacy kernel on MGHS n=2000 (exit 3 below the bar).
+* **speedup** (``--gate`` or full mode) — the default kernel must be
+  >= 10x the frozen legacy kernel on MGHS n=2000 (exit 3 below the bar).
 
 Usage::
 
@@ -47,7 +47,6 @@ from repro.geometry.radius import (  # noqa: E402
 )
 from repro.perf import PEAK_RSS_COUNTER  # noqa: E402
 from repro.runspec import RunSpec, execute  # noqa: E402
-from repro.sim import kernel_layout  # noqa: E402
 
 GOLDEN_PATH = REPO / "benchmarks" / "golden" / "scale.json"
 OUT_PATH = REPO / "benchmarks" / "out" / "BENCH_scale.json"
@@ -55,10 +54,10 @@ OUT_PATH = REPO / "benchmarks" / "out" / "BENCH_scale.json"
 SEED = 7
 QUICK_NS = [10_000]
 FULL_NS = [10_000, 100_000, 1_000_000]
-#: Speedup bar for the MGHS n=2000 turbo-vs-legacy gate.
+#: Speedup bar for the MGHS n=2000 fast-vs-legacy gate.
 SPEEDUP_BAR = 10.0
 GATE_N = 2000
-#: Small-n config for the bit-identical turbo-vs-fast equivalence gate.
+#: Small-n config for the bit-identical fast-vs-legacy equivalence gate.
 EQUIV_N = 600
 
 
@@ -72,7 +71,7 @@ def _stats_record(report) -> dict:
     }
 
 
-def _run(n: int, *, kernel: str = "turbo", **flags):
+def _run(n: int, *, kernel: str = "fast", **flags):
     spec = RunSpec(algorithm="MGHS", n=n, seed=SEED, kernel=kernel, **flags)
     t0 = time.perf_counter()
     report = execute(spec)
@@ -80,51 +79,51 @@ def _run(n: int, *, kernel: str = "turbo", **flags):
 
 
 def equivalence_gate() -> str | None:
-    """Turbo vs fast at small n: bit-identical or a trace-diff triage."""
+    """Fast vs legacy at small n: bit-identical or a trace-diff triage."""
+    legacy, _ = _run(EQUIV_N, kernel="legacy")
     fast, _ = _run(EQUIV_N, kernel="fast")
-    turbo, _ = _run(EQUIV_N, kernel="turbo")
-    if _stats_record(fast) == _stats_record(turbo):
+    if _stats_record(legacy) == _stats_record(fast):
         return None
     from repro.trace.diff import diff_traces, format_divergence
 
     streams = []
-    for kernel in ("fast", "turbo"):
+    for kernel in ("legacy", "fast"):
         rep, _ = _run(EQUIV_N, kernel=kernel, trace=True)
         streams.append(rep.trace)
     return (
-        f"turbo diverged from fast at MGHS n={EQUIV_N} seed={SEED}: "
-        f"{_stats_record(turbo)} != {_stats_record(fast)}\n"
-        + format_divergence(diff_traces(*streams), "fast", "turbo")
+        f"fast diverged from legacy at MGHS n={EQUIV_N} seed={SEED}: "
+        f"{_stats_record(fast)} != {_stats_record(legacy)}\n"
+        + format_divergence(diff_traces(*streams), "legacy", "fast")
     )
 
 
 def speedup_gate(reps: int) -> dict:
-    """MGHS n=2000 turbo vs the frozen legacy kernel, best-of-``reps``."""
+    """MGHS n=2000 fast vs the frozen legacy kernel, best-of-``reps``."""
     _run(GATE_N, kernel="legacy")  # warm
-    _run(GATE_N, kernel="turbo")
-    legacy_times, turbo_times = [], []
-    legacy_rep = turbo_rep = None
+    _run(GATE_N)
+    legacy_times, fast_times = [], []
+    legacy_rep = fast_rep = None
     for _ in range(reps):
         legacy_rep, dt = _run(GATE_N, kernel="legacy")
         legacy_times.append(dt)
-        turbo_rep, dt = _run(GATE_N, kernel="turbo")
-        turbo_times.append(dt)
-    legacy_s, turbo_s = min(legacy_times), min(turbo_times)
+        fast_rep, dt = _run(GATE_N)
+        fast_times.append(dt)
+    legacy_s, fast_s = min(legacy_times), min(fast_times)
     return {
         "n": GATE_N,
         "legacy_s": round(legacy_s, 4),
-        "turbo_s": round(turbo_s, 4),
-        "speedup": round(legacy_s / turbo_s, 2),
+        "fast_s": round(fast_s, 4),
+        "speedup": round(legacy_s / fast_s, 2),
         "bar": SPEEDUP_BAR,
-        "stats_identical": _stats_record(legacy_rep) == _stats_record(turbo_rep),
+        "stats_identical": _stats_record(legacy_rep) == _stats_record(fast_rep),
     }
 
 
 def scale_row(n: int) -> dict:
-    """Build the chunked instance, run MGHS on turbo, record throughput."""
+    """Build the chunked instance, run MGHS, record throughput."""
     from repro.experiments.instances import get_graph
 
-    layout = kernel_layout("turbo")
+    layout = "chunked"
     r = connectivity_radius(n, PAPER_GHS_RADIUS_CONST)
     t0 = time.perf_counter()
     g = get_graph(n, SEED, r, layout=layout)
@@ -178,11 +177,11 @@ def main(argv=None) -> int:
     gate = speedup_gate(args.reps)
     print(
         f"gate: MGHS n={GATE_N}  legacy {gate['legacy_s']:.3f}s  "
-        f"turbo {gate['turbo_s']:.3f}s  speedup {gate['speedup']:.2f}x "
+        f"fast {gate['fast_s']:.3f}s  speedup {gate['speedup']:.2f}x "
         f"(bar {SPEEDUP_BAR:.0f}x)"
     )
     if not gate["stats_identical"]:
-        print("FATAL: turbo diverged from legacy at the gate config", file=sys.stderr)
+        print("FATAL: fast diverged from legacy at the gate config", file=sys.stderr)
         return 2
     if gate["speedup"] < SPEEDUP_BAR:
         print(

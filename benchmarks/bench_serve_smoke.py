@@ -70,7 +70,6 @@ def _gold_spec(quick: bool) -> dict:
         "algorithm": "MGHS",
         "n": 200 if quick else 500,
         "seed": 0,
-        "kernel": "turbo",
     }
 
 

@@ -266,7 +266,7 @@ class GHSNode(NodeProcess):
         self._reset_phase(phase)
         self.parent = None
         # Sorted, not set order: the send sequence must be a pure function
-        # of protocol state so the turbo engine's array programs can
+        # of protocol state so the whole-round engine's array programs can
         # reproduce it (set iteration order is an implementation detail).
         self.children = tuple(sorted(self.tree_edges))
         self._maybe_announce(changed)

@@ -1,12 +1,14 @@
 """Whole-round array programs for the GHS family's Borůvka phases.
 
-This is the algorithm half of the turbo backend (the kernel half is
-:class:`repro.sim.turbo.TurboKernel`): when a run is *eligible* —
-modified-mode GHS/EOPT on a turbo kernel with flood planes live, no
+This is the optimized kernel's phase path (the paper's modified GHS,
+Sec. V-A: cached neighbour fragment ids, per-phase ANNOUNCE).  When a
+run is *eligible* — modified-mode GHS/EOPT with flood planes live, no
 fault plan, no reliable transport, no reception cost — the driver's
 per-message phase loop is replaced by :class:`TurboPhaseEngine`, which
 executes every round as a handful of numpy array operations instead of
-thousands of per-node handler calls.
+thousands of per-node handler calls.  The flat-delivery kernels
+(``legacy``, :class:`~repro.sim.interference.ContentionKernel`) never
+get flood planes, so they always run the per-message loop.
 
 The engine is an *observational clone* of the per-message path, not an
 approximation of it.  The contract (checked by the hot-path equivalence
@@ -62,11 +64,16 @@ import numpy as np
 from repro.errors import ProtocolError
 from repro.algorithms.ghs.node import GHSNode
 from repro.perf import perf
+from repro.sim._jit import HAVE_NUMBA, njit
 from repro.sim.kernel import concat_ranges as _concat_ranges
-from repro.sim.turbo import seq_energy_accumulate
 from repro.trace import trace
 
-__all__ = ["turbo_phase_engine", "run_phases_turbo", "TurboPhaseEngine"]
+__all__ = [
+    "turbo_phase_engine",
+    "run_phases_turbo",
+    "TurboPhaseEngine",
+    "seq_energy_accumulate",
+]
 
 # Emission kind codes (column values in the per-round emission table).
 _INITIATE, _ANNOUNCE, _REPORT, _CHANGEROOT, _CONNECT, _ABSORB = range(6)
@@ -75,24 +82,46 @@ _KIND_NAMES = ("INITIATE", "ANNOUNCE", "REPORT", "CHANGEROOT", "CONNECT", "ABSOR
 _INF = math.inf
 
 
+@njit(cache=True)
+def _seq_sum_jit(total: float, energies: np.ndarray) -> float:
+    total = float(total)
+    for i in range(energies.shape[0]):
+        total += energies[i]
+    return total
+
+
+def seq_energy_accumulate(total: float, energies: np.ndarray) -> float:
+    """``total`` advanced by every element of ``energies``, *in order*.
+
+    The ledger total must move through the exact left-to-right partial
+    sums the per-message kernel's ``+=`` loop produces, so
+    pairwise/compensated summation is off the table.  Under Numba this
+    is the jitted scalar loop itself; without it, a seeded
+    ``np.add.accumulate`` chain — ufunc accumulation is defined as
+    sequential application, so the two paths are bit-identical (pinned
+    by ``tests/test_turbo.py`` with and without ``REPRO_NO_NUMBA=1``).
+    """
+    if HAVE_NUMBA:
+        return float(_seq_sum_jit(float(total), np.ascontiguousarray(energies)))
+    return float(np.add.accumulate(np.concatenate(([total], energies)))[-1])
+
+
 def turbo_phase_engine(kernel, nodes: Sequence[GHSNode]) -> "TurboPhaseEngine | None":
     """Engine for this run, or ``None`` when ineligible.
 
     Eligibility is deliberately conservative — anything the array
     programs do not model bit-exactly falls back to the per-message
-    path (which a turbo kernel inherits unchanged from the fast one):
+    path:
 
-    * kernel opts in via the ``turbo_rounds`` capability flag;
     * no fault plan, no reception cost, nothing in flight;
     * flood planes live: neighbor table built (density gate passed),
       every node bound to one :class:`FloodCache` over that table, and
-      the cache registered as the kernel's plane handler;
+      the cache registered as the kernel's plane handler (flat-delivery
+      kernels never get one — ``FloodCache.ensure`` returns ``None``);
     * modified-mode protocol on plain :class:`GHSNode` instances
       (no TEST probes, no reliable-transport envelopes, ANNOUNCE on);
     * one uniform radio radius within the table's power cap.
     """
-    if not getattr(kernel, "turbo_rounds", False):
-        return None
     if kernel.faults is not None or kernel.rx_cost:
         return None
     if not nodes or kernel.in_flight:
@@ -513,16 +542,9 @@ class TurboPhaseEngine:
         return len(slots)
 
     def _end_round(self, delivered: int) -> None:
-        k = self.k
-        k.rounds += 1
         if perf.enabled:
-            perf.add("kernel.rounds")
-            perf.add("kernel.deliveries", delivered)
             perf.add("kernel.turbo_engine_rounds")
-            perf.sample_rss()
-        if trace.enabled:
-            k._trace_round()
-        k._round_advanced()
+        self.k._advance_round(delivered)
 
     @property
     def _pending(self) -> bool:
@@ -953,7 +975,7 @@ def run_phases_turbo(
     start_phase: int,
     max_phases: int,
 ) -> int | None:
-    """Run the phase loop on the turbo engine if eligible, else ``None``."""
+    """Run the phase loop on the whole-round engine if eligible, else ``None``."""
     eng = turbo_phase_engine(kernel, nodes)
     if eng is None:
         return None

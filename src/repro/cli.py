@@ -27,6 +27,7 @@ import sys
 from repro.experiments.config import BENCH_NS, SweepConfig
 from repro.experiments.report import format_table
 from repro.runspec import KERNEL_MODES, algorithm_names
+from repro.sim.backends import KERNEL_ALIASES
 
 
 def _parse_crash(spec: str) -> tuple[int, int, int | None]:
@@ -205,15 +206,12 @@ def _cmd_kernels(args) -> int:
     from repro.sim.backends import kernel_entries
 
     rows = [
-        (
-            e.name,
-            "yes" if e.reference else "no",
-            e.instance_layout,
-            e.summary,
-        )
+        (e.name, "yes" if e.reference else "no", e.summary)
         for e in kernel_entries()
     ]
-    print(format_table(["kernel", "reference", "layout", "summary"], rows))
+    print(format_table(["kernel", "reference", "summary"], rows))
+    for alias, target in KERNEL_ALIASES.items():
+        print(f"\nalias: {alias} -> {target}")
     return 0
 
 
@@ -484,10 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
         "--kernel",
-        choices=list(KERNEL_MODES),
+        choices=[*KERNEL_MODES, *KERNEL_ALIASES],
         default="fast",
         help="kernel implementation (legacy = frozen pre-optimization "
-        "reference; GHS family only)",
+        "reference; GHS family only; turbo = alias of fast)",
     )
     run.add_argument(
         "--spec",

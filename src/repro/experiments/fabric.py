@@ -2,16 +2,16 @@
 
 Without it, every pool worker re-derives each instance from ``(n,
 seed)``: the point set through ``uniform_points`` and — far more
-expensively for turbo-eligible runs — the kernel's CSR neighbor table
+expensively for GHS-family runs — the kernel's CSR neighbor table
 through a fresh ``cKDTree.query_pairs``.  With cell-major chunking one
 worker pays that once per cell, but every *worker* that ever touches the
-cell pays it again, and at the turbo backend's scale (``n`` up to
+cell pays it again, and at the whole-round engine's scale (``n`` up to
 ``10^6``) the duplicated CSR arrays dominate the fleet's resident
 footprint.
 
 The fabric removes the duplication: the **parent** builds each needed
 array exactly once per ``(n, seed)`` (points) and ``(n, seed, radius)``
-(neighbor-table CSR for turbo-layout runs), copies it into a
+(neighbor-table CSR for GHS-family runs), copies it into a
 :class:`multiprocessing.shared_memory.SharedMemory` segment, and ships a
 small JSON manifest with each task.  **Workers** attach the segments
 read-only, adopt the points view into the per-process instance cache
@@ -223,22 +223,19 @@ def _provider(points: np.ndarray, radius: float):
 def _table_specs(specs) -> "OrderedDict[tuple, None]":
     """The ``(n, seed, radius)`` CSR builds worth staging for ``specs``.
 
-    Turbo-layout GHS-family runs at the paper's connectivity radius;
-    anything with a dynamic radius schedule (EOPT's step transitions)
-    or a per-message reference kernel rebuilds locally.
+    GHS-family runs on the optimized kernel at the paper's connectivity
+    radius; anything with a dynamic radius schedule (EOPT's step
+    transitions) or on the per-message reference kernel rebuilds locally.
     """
     from repro.geometry.radius import connectivity_radius
-    from repro.sim.backends import kernel_layout
+    from repro.sim.backends import get_kernel
     from repro.sim.kernel import table_within_budget
 
     wanted: OrderedDict[tuple, None] = OrderedDict()
     for spec in specs:
         if spec.algorithm not in ("GHS", "MGHS"):
             continue
-        try:
-            if kernel_layout(spec.kernel) != "chunked":
-                continue
-        except Exception:
+        if get_kernel(spec.kernel).reference:
             continue
         r = connectivity_radius(spec.n, spec.ghs_radius_const)
         if not table_within_budget(spec.n, r):

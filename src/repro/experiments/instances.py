@@ -116,11 +116,10 @@ def get_graph(n: int, seed: int, radius: float, *, layout: str = "dense"):
     """The built RGG for ``(n, seed, radius)`` under ``layout``, cached.
 
     The cache key includes the layout: a ``chunked`` instance (memmap-
-    backed CSR for the turbo backend at scale) is a different object
-    from the ``dense`` one even though the arrays hold equal values, and
-    serving one where the other was requested would silently change the
-    memory profile the caller asked for.  Use
-    :func:`repro.sim.kernel_layout` to resolve a kernel mode's layout.
+    backed CSR for builds at scale) is a different object from the
+    ``dense`` one even though the arrays hold equal values, and serving
+    one where the other was requested would silently change the memory
+    profile the caller asked for.
     """
     global _hits, _misses
     from repro.rgg import LAYOUTS, build_rgg_layout

@@ -18,8 +18,8 @@ hello_round`, :func:`~repro.algorithms.ghs.driver.run_ghs_phases` and
 :meth:`~repro.algorithms.ghs.driver.GHSRecovery.settle` statement for
 statement (reusing the recovery repair primitives rather than copying
 them); ``tests/test_fuzz.py`` pins the harness against the production
-runner bit-for-bit, with and without faults.  The turbo whole-round
-phase engine is intentionally bypassed: the harness always drives the
+runner bit-for-bit, with and without faults.  The whole-round phase
+engine is intentionally bypassed: the harness always drives the
 scalar loop, which every kernel backend supports.
 """
 

@@ -18,7 +18,7 @@ Four machines:
 * :class:`MaintFuzzMachine` — one :class:`~repro.fuzz.maint_world.
   ScenarioFuzzWorld`: scenario-plane churn (crash/join/leave/move
   events punctuated by repair/rebuild checkpoints) driven across every
-  backend; fault-free cycles run the turbo whole-round phase engine in
+  backend; fault-free cycles run the whole-round phase engine in
   lockstep with the scalar paths, closing the harness's deliberate
   scalar-only gap.
 

@@ -6,9 +6,9 @@ instance, and applies every fuzz rule — crash (permanent or transient),
 join, leave, move, repair/rebuild checkpoints — to all of them.  This is
 the headroom the step harness deliberately leaves on the table: the
 harness drives only the scalar loop, while a fault-free maintenance
-cycle on the turbo backend satisfies the whole-round phase engine's
-eligibility, so every checkpoint here runs the turbo engine in lockstep
-with the scalar fast/legacy paths (and the plane fast path on and off).
+cycle on the fast kernel with planes on satisfies the whole-round phase
+engine's eligibility, so every checkpoint here runs the engine in
+lockstep with the scalar paths (fast with planes off, and legacy).
 
 Endgame invariants (:meth:`check_final`):
 

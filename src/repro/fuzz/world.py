@@ -1,8 +1,8 @@
 """Multi-backend lockstep world for GHS-family fuzzing.
 
 A :class:`GHSFuzzWorld` holds one :class:`~repro.fuzz.harness.
-StepHarness` per registered kernel configuration (fast/legacy/turbo ×
-planes on/off) over the *same* instance and fault plan, and applies
+StepHarness` per kernel configuration (fast with planes on and off,
+legacy) over the *same* instance and fault plan, and applies
 every fuzz rule — advance N rounds, open a transient crash window, move
 the power cap — to all of them.  Because equivalent configurations are
 bit-identical round for round (the kernel equivalence contract), the
@@ -33,7 +33,6 @@ from repro.experiments.instances import get_points
 from repro.mst.kruskal import kruskal_mst
 from repro.mst.quality import same_tree
 from repro.rgg.build import build_rgg
-from repro.sim.backends import kernel_names
 from repro.sim.faults import FaultPlan
 
 __all__ = ["GHSFuzzWorld", "default_configs"]
@@ -41,9 +40,7 @@ __all__ = ["GHSFuzzWorld", "default_configs"]
 
 def default_configs() -> list[tuple[str, bool]]:
     """Every registered backend in its interesting plane modes."""
-    registered = set(kernel_names())
-    wanted = [("fast", True), ("fast", False), ("legacy", False), ("turbo", True)]
-    return [(mode, planes) for mode, planes in wanted if mode in registered]
+    return [("fast", True), ("fast", False), ("legacy", False)]
 
 
 class GHSFuzzWorld:

@@ -31,7 +31,7 @@ order.  Three batch-level optimizations sit in front of the fan-out:
   :meth:`~RunSpec.spec_hash`) are computed once and the report fanned
   back to every position, preserving spec order.
 * **shared-memory instance fabric** — the parent publishes each unique
-  instance (points, and the CSR neighbor table for turbo-layout runs)
+  instance (points, and the CSR neighbor table for GHS-family runs)
   once via :mod:`repro.experiments.fabric`; workers attach read-only
   instead of rebuilding.  Unavailable shared memory degrades silently
   to per-worker rebuilds.

@@ -26,6 +26,7 @@ import numpy as np
 from repro.errors import ExperimentError
 from repro.geometry.radius import PAPER_EOPT_STEP1_CONST, PAPER_GHS_RADIUS_CONST
 from repro.scenario.plan import ScenarioPlan, scenarioplan_from_dict, scenarioplan_to_dict
+from repro.sim.backends import canonical_kernel
 from repro.sim.faults import FaultPlan
 
 __all__ = [
@@ -95,10 +96,11 @@ class _KernelModes(tuple):
         return repr(self._get())
 
 
-#: Accepted kernel implementations, in registry order: the optimized hot
-#: path, the frozen pre-optimization reference (benchmarks only) and the
-#: whole-round vectorized turbo backend.  Sourced from the kernel-backend
-#: registry (:mod:`repro.sim.backends`); resolves lazily on first use.
+#: Registered kernel implementations, in registry order: the optimized
+#: kernel and the frozen pre-optimization reference (benchmarks only).
+#: Sourced from the kernel-backend registry (:mod:`repro.sim.backends`);
+#: resolves lazily on first use.  Aliases (``"turbo"``) are accepted by
+#: :class:`RunSpec` but not listed here.
 KERNEL_MODES = _KernelModes()
 
 
@@ -205,9 +207,11 @@ class RunSpec:
     rx_cost:
         Optional constant reception cost (Sec. VIII extension).
     kernel:
-        A registered kernel mode: ``"fast"`` (default), ``"legacy"`` (the
-        frozen pre-optimization reference used by equivalence benchmarks)
-        or ``"turbo"`` (whole-round vectorized execution).
+        A registered kernel mode: ``"fast"`` (default: the optimized
+        kernel, whole-round phase engine included) or ``"legacy"`` (the
+        frozen pre-optimization reference used by equivalence
+        benchmarks).  The alias ``"turbo"`` is accepted and stored as
+        ``"fast"``, so both labels share one ``spec_hash``.
     planes:
         Flood-plane fast path for HELLO/ANNOUNCE (bit-identical either way).
     recover:
@@ -248,6 +252,7 @@ class RunSpec:
             raise ExperimentError("spec needs an algorithm label")
         if self.n < 2:
             raise ExperimentError(f"spec needs n >= 2, got {self.n}")
+        object.__setattr__(self, "kernel", canonical_kernel(self.kernel))
         if self.kernel not in KERNEL_MODES:
             raise ExperimentError(
                 f"unknown kernel mode {self.kernel!r}; registered kernels: "

@@ -16,7 +16,7 @@ Determinism contract (what the scenario tests pin):
   reports are invariant to backend choice and process placement.
 * The global clock advances in lockstep with kernel rounds through the
   kernel's round hook (``set_round_hook``) — one global round per kernel
-  round on every backend (fast/legacy/turbo), which is what makes event
+  round on every backend (fast/legacy), which is what makes event
   application a *round-boundary* notion on all kernel paths.
 * Checkpoint rounds are minimums: the kernel idles (``tick``) until the
   clock reaches the scheduled round, so transient crash windows land at
@@ -30,8 +30,8 @@ Determinism contract (what the scenario tests pin):
   merged :class:`~repro.sim.energy.SimStats` is bit-identical whenever
   every cycle is.
 
-Fault-free cycles on the turbo backend satisfy the whole-round phase
-engine's eligibility (the engine syncs pre-seeded fragment state in),
+Fault-free cycles on the fast kernel with planes on satisfy the
+whole-round phase engine's eligibility (the engine syncs pre-seeded fragment state in),
 so clean repair cycles run vectorized and still trace-diff clean
 against the scalar backends.
 """

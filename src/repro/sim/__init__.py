@@ -35,24 +35,20 @@ from repro.sim.kernel import (
     table_within_budget,
 )
 from repro.sim.legacy import LegacyKernel
-from repro.sim.turbo import TurboKernel, seq_energy_accumulate
 from repro.sim.backends import (
     KernelEntry,
     get_kernel,
     kernel_class,
     kernel_entries,
-    kernel_layout,
     kernel_names,
     register_kernel,
 )
 
 __all__ = [
     "KernelEntry",
-    "TurboKernel",
     "get_kernel",
     "kernel_class",
     "kernel_entries",
-    "kernel_layout",
     "kernel_names",
     "register_kernel",
     "PathLossModel",
@@ -68,7 +64,6 @@ __all__ = [
     "Context",
     "make_neighbor_table",
     "neighbor_csr_arrays",
-    "seq_energy_accumulate",
     "set_table_provider",
     "table_within_budget",
 ]

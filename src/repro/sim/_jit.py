@@ -1,6 +1,6 @@
 """Optional Numba acceleration shim.
 
-The turbo backend is pure numpy by policy: Numba is an *optional*
+The whole-round phase engine is pure numpy by policy: Numba is an *optional*
 accelerator, never a dependency.  This shim resolves the policy in one
 place — ``njit`` is Numba's decorator when the package is importable
 (and not disabled via ``REPRO_NO_NUMBA=1``), and an identity decorator

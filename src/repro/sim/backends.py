@@ -2,16 +2,18 @@
 
 Mirrors :mod:`repro.runspec.registry` (the algorithm registry): each
 kernel module self-registers a :class:`KernelEntry` at import time, and
-lookups lazily import the built-in kernel modules so ``kernel_class("turbo")``
+lookups lazily import the built-in kernel modules so ``kernel_class("fast")``
 works without the caller importing :mod:`repro.sim` first.  The registry
 is the single source of truth for:
 
-* which kernel modes exist (:func:`kernel_names`, canonical order);
-* how a mode label resolves to a kernel class (:func:`kernel_class`);
-* backend properties other layers key on — ``instance_layout`` tells the
-  sweep instance cache whether two modes can share a cached instance
-  (chunked-CSR vs dense layouts must not), ``reference`` marks the frozen
-  pre-optimization baseline that capability checks single out.
+* which kernel modes exist (:func:`kernel_names`, canonical order): the
+  one optimized kernel ``fast`` and the frozen reference ``legacy``;
+* how a mode label resolves to a kernel class (:func:`kernel_class`),
+  including the accepted aliases in :data:`KERNEL_ALIASES` (``turbo``
+  names ``fast``: the whole-round phase engine it once selected is now
+  the default kernel's behaviour);
+* backend properties other layers key on — ``reference`` marks the
+  frozen pre-optimization baseline that capability checks single out.
 
 ``repro.runspec.spec.KERNEL_MODES`` and ``kernel_class`` are thin views
 over this registry; the hardcoded tuple + if-chain they replaced lives
@@ -33,7 +35,8 @@ __all__ = [
     "kernel_names",
     "kernel_entries",
     "kernel_class",
-    "kernel_layout",
+    "canonical_kernel",
+    "KERNEL_ALIASES",
 ]
 
 
@@ -44,7 +47,7 @@ class KernelEntry:
     Attributes
     ----------
     name:
-        Canonical mode label (``"fast"``, ``"legacy"``, ``"turbo"``).
+        Canonical mode label (``"fast"``, ``"legacy"``).
     cls:
         The kernel class (a :class:`~repro.sim.kernel.SynchronousKernel`
         subclass, or the base class itself).
@@ -55,10 +58,6 @@ class KernelEntry:
     reference:
         True for the frozen pre-optimization baseline; algorithms whose
         runners cannot take ``kernel_cls`` reject every non-default mode.
-    instance_layout:
-        Instance-cache layout tag (``"dense"`` or ``"chunked"``).  The
-        sweep instance cache keys on this, so modes with different
-        instance layouts can never be served each other's cached builds.
     """
 
     name: str
@@ -66,15 +65,18 @@ class KernelEntry:
     order: int
     summary: str = ""
     reference: bool = False
-    instance_layout: str = "dense"
 
 
 #: Modules whose import registers the built-in kernels.
 _KERNEL_MODULES = (
     "repro.sim.kernel",
     "repro.sim.legacy",
-    "repro.sim.turbo",
 )
+
+#: Accepted alternate labels -> canonical mode.  Aliases resolve at
+#: parse time (``RunSpec`` stores the canonical label), so an aliased and
+#: a canonical spec share one ``spec_hash`` and one store entry.
+KERNEL_ALIASES = {"turbo": "fast"}
 
 _REGISTRY: dict[str, KernelEntry] = {}
 _loaded = False
@@ -87,7 +89,6 @@ def register_kernel(
     order: int,
     summary: str = "",
     reference: bool = False,
-    instance_layout: str = "dense",
 ) -> KernelEntry:
     """Register one kernel backend; called by kernel modules at import time.
 
@@ -100,7 +101,6 @@ def register_kernel(
         order=order,
         summary=summary,
         reference=reference,
-        instance_layout=instance_layout,
     )
     existing = _REGISTRY.get(name)
     if existing is not None and existing.cls is not cls:
@@ -136,10 +136,16 @@ def kernel_entries() -> tuple[KernelEntry, ...]:
     return tuple(sorted(_REGISTRY.values(), key=lambda e: (e.order, e.name)))
 
 
+def canonical_kernel(name: str) -> str:
+    """``name`` with any alias resolved (unknown labels pass through)."""
+    return KERNEL_ALIASES.get(name, name)
+
+
 def get_kernel(name: str) -> KernelEntry:
-    """The entry for ``name``; unknown labels list what *is* registered."""
+    """The entry for ``name`` (or its alias target); unknown labels list
+    what *is* registered."""
     _ensure_loaded()
-    entry = _REGISTRY.get(name)
+    entry = _REGISTRY.get(canonical_kernel(name))
     if entry is None:
         raise ExperimentError(
             f"unknown kernel mode {name!r}; registered kernels: "
@@ -151,8 +157,3 @@ def get_kernel(name: str) -> KernelEntry:
 def kernel_class(name: str) -> type:
     """Resolve a kernel-mode label to its kernel class."""
     return get_kernel(name).cls
-
-
-def kernel_layout(name: str) -> str:
-    """The instance-cache layout tag for kernel mode ``name``."""
-    return get_kernel(name).instance_layout

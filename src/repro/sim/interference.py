@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sim.kernel import SynchronousKernel
-from repro.trace import trace
 
 
 class ContentionKernel(SynchronousKernel):
@@ -136,10 +135,7 @@ class ContentionKernel(SynchronousKernel):
                 if rx:
                     ledger.charge_rx(dst, rx)
                 nodes[dst].on_message(msg, dist)
-            self.rounds += 1
-            if trace.enabled:
-                self._trace_round()
-            self._round_advanced()
+            self._advance_round(len(batch))
         return len(deliveries)
 
     @staticmethod

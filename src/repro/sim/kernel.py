@@ -61,6 +61,13 @@ Hot-path layout (see docs/performance.md for the full story):
   legacy kernel is that deliveries **within** a plane round are not
   interleaved per-message with that round's unicasts.  Energy totals,
   message counts, round counts and recipient sets stay bit-identical.
+* **Whole-round phase engine** — with planes live and no faults, the
+  GHS family's Borůvka phases skip per-message dispatch altogether:
+  :mod:`repro.algorithms.ghs.turbo` runs each round as array programs
+  over the same table and closes it through :meth:`_advance_round`,
+  the one place every delivery path advances the clock.  This kernel
+  (``"fast"``, alias ``"turbo"``) is the one optimized backend; the
+  flat-delivery subclasses never engage the planes or the engine.
 
 Delivery order (outside plane rounds), energy totals, message counts and
 round counts are bit-identical to the pre-optimization kernel (kept
@@ -955,14 +962,28 @@ class SynchronousKernel:
 
         This is the scenario plane's round-boundary anchor: every kernel
         path — scalar step, flat legacy step, plane-only rounds, idle
-        ticks and the turbo whole-round engine — reports through the
-        same hook, so a global clock driven by it is backend-invariant.
-        The hook must not send messages or mutate kernel state.
+        ticks, contention slots and the whole-round phase engine —
+        advances through :meth:`_advance_round`, so a global clock driven
+        by it is backend-invariant.  The hook must not send messages or
+        mutate kernel state.
         """
         self._round_hook = hook
 
-    def _round_advanced(self) -> None:
-        """Fire the round hook (round counter already incremented)."""
+    def _advance_round(self, delivered: int) -> None:
+        """Close one round: the single place the round clock moves.
+
+        Bumps ``rounds``, the ``kernel.rounds``/``kernel.deliveries``
+        perf counters and the RSS sample, emits the per-round trace
+        event, then fires the round hook — in that order, on every
+        delivery path.
+        """
+        self.rounds += 1
+        if perf.enabled:
+            perf.add("kernel.rounds")
+            perf.add("kernel.deliveries", delivered)
+            perf.sample_rss()
+        if trace.enabled:
+            self._trace_round()
         if self._round_hook is not None:
             self._round_hook(self.rounds)
 
@@ -976,10 +997,7 @@ class SynchronousKernel:
         if self.in_flight:
             self.step()
         else:
-            self.rounds += 1
-            if trace.enabled:
-                self._trace_round()
-            self._round_advanced()
+            self._advance_round(0)
 
     def step(self) -> int:
         """Deliver one round of messages; returns the number delivered.
@@ -1007,14 +1025,7 @@ class SynchronousKernel:
             # keeps the message loop below branch-free.
             delivered += self._deliver_planes()
         if not uni and not bc:
-            self.rounds += 1
-            if perf.enabled:
-                perf.add("kernel.rounds")
-                perf.add("kernel.deliveries", delivered)
-                perf.sample_rss()
-            if trace.enabled:
-                self._trace_round()
-            self._round_advanced()
+            self._advance_round(delivered)
             return delivered
         nodes = self.nodes
         rx = self.rx_cost
@@ -1101,14 +1112,7 @@ class SynchronousKernel:
                         on_message = nodes[dst].on_message
                         last = dst
                     on_message(msgs[mi], dist)
-        self.rounds += 1
-        if perf.enabled:
-            perf.add("kernel.rounds")
-            perf.add("kernel.deliveries", delivered)
-            perf.sample_rss()
-        if trace.enabled:
-            self._trace_round()
-        self._round_advanced()
+        self._advance_round(delivered)
         return delivered
 
     def _apply_faults_list(self, deliveries: list) -> list:
@@ -1152,10 +1156,7 @@ class SynchronousKernel:
             if rx:
                 led.charge_rx(dst, rx)
             nodes[dst].on_message(msg, dist)
-        self.rounds += 1
-        if trace.enabled:
-            self._trace_round()
-        self._round_advanced()
+        self._advance_round(len(deliveries))
         return len(deliveries)
 
     def run_until_quiescent(self, max_rounds: int = 1_000_000) -> int:
@@ -1190,5 +1191,5 @@ _register_kernel(
     "fast",
     cls=SynchronousKernel,
     order=0,
-    summary="vectorized per-message hot path with flood planes (default)",
+    summary="optimized: flood planes + whole-round phase engine (default)",
 )

@@ -44,6 +44,19 @@ class TestCommands:
         assert main(["run", "MGHS", "-n", "120"]) == 0
         assert "perf report:" not in capsys.readouterr().out
 
+    def test_kernels_lists_backends_and_alias(self, capsys):
+        assert main(["kernels"]) == 0
+        out = capsys.readouterr().out
+        assert "fast" in out and "legacy" in out
+        assert "alias: turbo -> fast" in out
+        assert "layout" not in out
+
+    def test_run_accepts_turbo_alias(self, capsys):
+        assert main(["run", "MGHS", "-n", "120", "--kernel", "turbo"]) == 0
+        aliased = capsys.readouterr().out
+        assert main(["run", "MGHS", "-n", "120"]) == 0
+        assert aliased == capsys.readouterr().out
+
     def test_fig3a(self, capsys):
         assert main(["fig3a", "--max-n", "100"]) == 0
         out = capsys.readouterr().out

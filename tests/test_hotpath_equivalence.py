@@ -14,10 +14,12 @@ pin that contract at two levels:
 
 The flood-plane fast path (``planes=True``, the default) rides the same
 contract: every algorithm run is checked with planes on *and* off
-against the legacy kernel, the two fast-kernel paths must agree on the
-complete ledger (including the batched breakdowns, which are summed in
-the same order), and the plane path must demonstrably engage — a test
-that silently fell back to per-message delivery would pin nothing.
+against the legacy kernel, and the plane path must demonstrably engage —
+a test that silently fell back to per-message delivery would pin
+nothing.  With planes on, modified GHS and EOPT also run their phases on
+the whole-round engine, which sums the energy breakdowns in a different
+association order; plain GHS never engages it, so its planes-on and
+planes-off breakdowns stay bit-equal.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ def test_algorithms_bit_identical(runner, n, seed):
         new = runner(pts)  # planes on (the default)
     finally:
         plane_sends = perf.counters.get("kernel.plane_sends", 0)
+        engine_rounds = perf.counters.get("kernel.turbo_engine_rounds", 0)
         perf.disable()
         perf.reset()
     off = runner(pts, planes=False)
@@ -79,10 +82,19 @@ def test_algorithms_bit_identical(runner, n, seed):
     assert plane_sends > 0
     _assert_same_result(old, new)
     _assert_same_result(old, off)
-    # Planes on/off share the fast kernel's charge order, so even the
-    # batched breakdowns are bit-identical between them (not just close).
-    assert new.stats.energy_by_kind == off.stats.energy_by_kind
-    assert new.stats.energy_by_stage == off.stats.energy_by_stage
+    if runner is run_ghs:
+        # Plain GHS never takes the whole-round engine: planes on/off share
+        # the per-message charge order, so even the batched breakdowns are
+        # bit-identical between them (not just close).
+        assert engine_rounds == 0
+        assert new.stats.energy_by_kind == off.stats.energy_by_kind
+        assert new.stats.energy_by_stage == off.stats.energy_by_stage
+    else:
+        # The engine reassociates the breakdown sums (headline stats above
+        # stay bit-exact), and it must demonstrably have engaged.
+        assert engine_rounds > 0
+        _assert_breakdown_close(new.stats.energy_by_kind, off.stats.energy_by_kind)
+        _assert_breakdown_close(new.stats.energy_by_stage, off.stats.energy_by_stage)
 
 
 @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faults"])
@@ -91,9 +103,9 @@ def test_algorithms_bit_identical(runner, n, seed):
 def test_registered_backends_match_reference(mode, planes, faulty):
     """Every registered backend honors the observational contract against
     the frozen legacy reference, across the planes x faults matrix.  The
-    turbo backend's whole-round engine must demonstrably engage on its
-    eligible combination (planes on, no faults) — a silently disengaged
-    engine would pin nothing."""
+    whole-round engine must demonstrably engage on its eligible
+    combination (planes on, no faults) — a silently disengaged engine
+    would pin nothing."""
     pts = uniform_points(250, seed=1)
     kwargs = {"planes": planes}
     if faulty:
@@ -108,8 +120,7 @@ def test_registered_backends_match_reference(mode, planes, faulty):
         perf.disable()
         perf.reset()
     _assert_same_result(ref, res)
-    if mode == "turbo" and planes and not faulty:
-        assert engine_rounds > 0
+    assert (engine_rounds > 0) == (planes and not faulty)
 
 
 def test_trace_streams_identical_with_triage_on_failure():

@@ -215,15 +215,21 @@ class TestInstanceFabric:
             for seed in (0, 1)
         ]
 
-    @pytest.mark.parametrize("kernel", ["fast", "turbo"])
+    @pytest.mark.parametrize("kernel", ["fast", "legacy"])
     def test_shm_and_rebuilt_paths_identical(self, kernel, monkeypatch):
         """The fabric is a pure accelerator: reports from SHM-attached
-        workers are byte-identical to per-worker-rebuilt ones."""
+        workers are byte-identical to per-worker-rebuilt ones — with
+        staged tables (the optimized kernel) and points only (the
+        reference kernel rebuilds its table path locally)."""
         from repro.experiments import fabric
         from repro.runspec import execute_batch
 
         specs = self._specs(kernel=kernel)
         shutdown()
+        manifest = fabric.manifest_for_specs(specs)
+        assert manifest is not None
+        has_table = any(e["kind"] == "table" for e in manifest)
+        assert has_table == (kernel == "fast")
         attached = execute_batch(specs, backend="process", workers=2)
         assert fabric.stats()["published_segments"] > 0
         shutdown()
@@ -312,7 +318,7 @@ class TestInstanceFabric:
         from repro.sim import SynchronousKernel
 
         shutdown()
-        spec = RunSpec(algorithm="MGHS", n=400, seed=3, kernel="turbo")
+        spec = RunSpec(algorithm="MGHS", n=400, seed=3)
         manifest = fabric.manifest_for_specs([spec])
         if manifest is None:
             pytest.skip("shared memory unavailable on this host")

@@ -6,6 +6,9 @@ import pytest
 
 from repro.geometry.points import uniform_points
 from repro.perf import PerfRegistry, _NULL_TIMED, perf
+from repro.sim import LegacyKernel
+from repro.sim.faults import FaultPlan
+from repro.sim.interference import ContentionKernel
 from repro.sim.kernel import SynchronousKernel
 from repro.sim.node import NodeProcess
 
@@ -65,6 +68,30 @@ def test_kernel_hooks_record_rounds_and_deliveries():
     assert snap["counters"]["kernel.nbr_table_builds"] == 1
     assert snap["counters"]["kernel.nbr_table_entries"] > 0
     assert snap["timers"]["kernel.nbr_table_build"]["calls"] == 1
+
+
+@pytest.mark.parametrize(
+    "kernel_cls, crashes",
+    [
+        (SynchronousKernel, ()),
+        (LegacyKernel, ()),
+        (ContentionKernel, ()),
+        (SynchronousKernel, ((4, 5, 40), (9, 3, 30))),
+    ],
+    ids=["fast", "legacy", "contention", "fast-crashes"],
+)
+def test_round_counter_matches_stats(kernel_cls, crashes):
+    """Every path that advances the clock — flat legacy delivery,
+    contention slots, idle recovery ticks, the whole-round engine —
+    feeds the ``kernel.rounds`` counter."""
+    from repro.algorithms.ghs import run_modified_ghs
+
+    faults = FaultPlan(crashes=crashes) if crashes else None
+    perf.enable()
+    res = run_modified_ghs(
+        uniform_points(200, seed=3), kernel_cls=kernel_cls, faults=faults
+    )
+    assert perf.snapshot()["counters"]["kernel.rounds"] == res.stats.rounds
 
 
 def test_kernel_silent_when_disabled():

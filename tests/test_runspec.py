@@ -115,9 +115,7 @@ class TestRunSpecRoundTrip:
     def test_kernel_class_resolution(self):
         assert kernel_class("fast") is SynchronousKernel
         assert kernel_class("legacy") is LegacyKernel
-        from repro.sim import TurboKernel
-
-        assert kernel_class("turbo") is TurboKernel
+        assert kernel_class("turbo") is SynchronousKernel  # alias of fast
         with pytest.raises(ExperimentError):
             kernel_class("warp9")
 

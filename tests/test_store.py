@@ -36,7 +36,19 @@ class TestSpecHash:
     def test_result_key_still_sees_semantic_fields(self):
         base = RunSpec(algorithm="GHS", n=100)
         assert base.result_key() != base.with_(rx_cost=0.5).result_key()
-        assert base.result_key() != base.with_(kernel="turbo").result_key()
+        assert base.result_key() != base.with_(kernel="legacy").result_key()
+
+    def test_report_stored_under_turbo_alias_loads(self):
+        from repro.runspec.spec import _canonical_hash
+
+        spec = RunSpec(algorithm="MGHS", n=60, seed=2)
+        data = execute(spec).to_dict()
+        data["spec"]["kernel"] = "turbo"  # as written before the alias
+        data["spec_hash"] = _canonical_hash(data["spec"])
+        assert RunReport.from_dict(data).spec == spec
+        data["spec_hash"] = spec.spec_hash()  # stamp of a different payload
+        with pytest.raises(ExperimentError, match="spec_hash stamp"):
+            RunReport.from_dict(data)
 
     def test_report_payload_stamped_and_validated(self):
         spec = RunSpec(algorithm="Co-NNT", n=60)
@@ -269,7 +281,7 @@ class TestStorePayloadIsCanonicalJson:
     def test_stored_payload_equals_fresh_serialization(self, tmp_path):
         """The cache must hand back byte-for-byte what the engine would
         have produced — pinned here and by the bench golden gate."""
-        spec = RunSpec(algorithm="MGHS", n=90, seed=5, kernel="turbo")
+        spec = RunSpec(algorithm="MGHS", n=90, seed=5)
         fresh = execute(spec)
         with make_store(tmp_path) as store:
             store.put_report(fresh)

@@ -1,16 +1,16 @@
-"""Turbo backend unit tests: batch semantics, chunked CSR, registry.
+"""Whole-round engine unit tests: chunked CSR, engagement, registry.
 
 The end-to-end observational contract lives in
 ``tests/test_hotpath_equivalence.py`` (parametrized over every registered
-backend).  This module pins the turbo-specific mechanisms in isolation:
+backend).  This module pins the engine's supporting mechanisms in
+isolation:
 
-* vectorized fault masking — ``unicast_batch`` under a seeded
-  :class:`FaultPlan` must reproduce the fast kernel's per-message fates,
-  delivery order (duplicates adjacent), tallies and charges exactly;
 * chunked / memory-mapped CSR builds round-trip bit-identically to the
   dense builder, and the instance cache keys on the layout;
-* the whole-round phase engine engages on eligible runs (and only then);
-* the kernel registry resolves modes, layouts and unknown-name errors.
+* the whole-round phase engine engages on eligible default-kernel runs
+  (and only then);
+* the kernel registry resolves modes, the ``turbo`` alias and
+  unknown-name errors.
 """
 
 from __future__ import annotations
@@ -22,106 +22,8 @@ from repro.errors import ExperimentError, GraphError
 from repro.geometry.points import uniform_points
 from repro.perf import PEAK_RSS_COUNTER, perf
 from repro.rgg import build_rgg, build_rgg_chunked, build_rgg_layout
-from repro.sim import (
-    NodeProcess,
-    SynchronousKernel,
-    TurboKernel,
-    kernel_class,
-    kernel_layout,
-    kernel_names,
-)
+from repro.sim import SynchronousKernel, kernel_class, kernel_names
 from repro.sim.faults import FaultPlan
-
-
-# -- vectorized fault masking -------------------------------------------------
-
-
-class _Echo(NodeProcess):
-    """Scripted node: sends its wake payload, logs every delivery."""
-
-    def __init__(self, node_id, ctx, log):
-        super().__init__(node_id, ctx)
-        self.log = log
-
-    def on_wake(self, signal, payload=()):
-        for dst, tag in payload[0]:
-            self.ctx.unicast(dst, "DATA", tag)
-
-    def on_message(self, msg, distance):
-        self.log.append((self.id, msg.src, msg.payload, distance))
-
-
-def _message_set(n, count, seed):
-    """A deterministic batch of (src, dst, tag) rows, grouped by sender."""
-    rng = np.random.default_rng(seed)
-    srcs = rng.integers(0, n, size=count)
-    dsts = rng.integers(0, n, size=count)
-    keep = srcs != dsts
-    srcs, dsts = srcs[keep], dsts[keep]
-    order = np.argsort(srcs, kind="stable")  # group by sender, stable
-    srcs, dsts = srcs[order], dsts[order]
-    tags = np.arange(len(srcs), dtype=np.int64)
-    return srcs, dsts, tags
-
-
-class TestBatchFaultMasking:
-    N = 40
-    PLAN = FaultPlan(seed=11, drop_rate=0.2, dup_rate=0.15)
-
-    def _fast_side(self, srcs, dsts, tags):
-        pts = uniform_points(self.N, seed=2)
-        log: list[tuple] = []
-        kernel = SynchronousKernel(
-            pts, max_radius=float(np.sqrt(2.0)), faults=self.PLAN
-        )
-        kernel.add_nodes(lambda i, ctx: _Echo(i, ctx, log))
-        kernel.start()
-        for u in np.unique(srcs):
-            rows = [(int(d), int(t)) for d, t in zip(dsts[srcs == u], tags[srcs == u])]
-            kernel.wake([int(u)], "send", (rows,))
-        kernel.run_until_quiescent()
-        return log, kernel.ledger
-
-    def _turbo_side(self, srcs, dsts, tags):
-        pts = uniform_points(self.N, seed=2)
-        log: list[tuple] = []
-        kernel = TurboKernel(pts, max_radius=float(np.sqrt(2.0)), faults=self.PLAN)
-        kernel.add_nodes(lambda i, ctx: _Echo(i, ctx, log))
-        kernel.start()
-
-        def handler(kind, s, d, dist, pl):
-            for i in range(len(s)):
-                log.append((int(d[i]), int(s[i]), (int(pl[i]),), float(dist[i])))
-
-        kernel.set_batch_handler("DATA", handler)
-        kernel.unicast_batch(srcs, dsts, "DATA", payloads=tags)
-        kernel.run_until_quiescent()
-        return log, kernel.ledger
-
-    def test_fates_order_and_charges_match_per_message(self):
-        srcs, dsts, tags = _message_set(self.N, 120, seed=3)
-        flog, fled = self._fast_side(srcs, dsts, tags)
-        tlog, tled = self._turbo_side(srcs, dsts, tags)
-        # Same survivors, same (recipient, seq) order, duplicates adjacent.
-        assert tlog == flog
-        # And strictly fewer deliveries than sends (drops really fired) plus
-        # at least one duplicate — otherwise the masks were never exercised.
-        assert dict(fled.drops_by_kind) and dict(fled.dup_deliveries_by_kind)
-        assert tled.energy_total == fled.energy_total
-        assert tled.messages_total == fled.messages_total
-        assert dict(tled.drops_by_kind) == dict(fled.drops_by_kind)
-        assert dict(tled.dup_deliveries_by_kind) == dict(fled.dup_deliveries_by_kind)
-        assert dict(tled.crash_drops_by_kind) == dict(fled.crash_drops_by_kind)
-
-    def test_batch_requires_registered_handler(self):
-        pts = uniform_points(10, seed=0)
-        kernel = TurboKernel(pts, max_radius=1.0)
-        kernel.add_nodes(lambda i, ctx: _Echo(i, ctx, []))
-        kernel.start()
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError, match="no batch handler"):
-            kernel.unicast_batch([0], [1], "NOPE")
 
 
 # -- chunked CSR round trips --------------------------------------------------
@@ -194,7 +96,7 @@ class TestPhaseEngine:
         perf.reset()
         perf.enable()
         try:
-            run_modified_ghs(get_points(300, 0), kernel_cls=TurboKernel, **kwargs)
+            run_modified_ghs(get_points(300, 0), **kwargs)
             return dict(perf.counters)
         finally:
             perf.disable()
@@ -221,13 +123,26 @@ class TestKernelRegistry:
     def test_canonical_modes(self):
         names = kernel_names()
         assert names[0] == "fast"  # default first
-        assert set(names) >= {"fast", "legacy", "turbo"}
+        assert names == ("fast", "legacy")  # aliases are not listed
 
-    def test_resolution_and_layouts(self):
-        assert kernel_class("turbo") is TurboKernel
-        assert kernel_layout("turbo") == "chunked"
-        assert kernel_layout("fast") == "dense"
-        assert kernel_layout("legacy") == "dense"
+    def test_resolution_and_alias(self):
+        from repro.runspec import RunSpec
+
+        assert kernel_class("fast") is SynchronousKernel
+        assert kernel_class("turbo") is SynchronousKernel
+        spec = RunSpec(algorithm="MGHS", n=500, seed=1)
+        # Pinned at the last revision with a separate turbo kernel: the
+        # default payload (and so every stored default spec) is unchanged.
+        assert spec.spec_hash() == (
+            "bc9ec8cc7dc987741ff90c8d24ece9293011cd9cbf1787957a145fe3f6c82f7c"
+        )
+        aliased = spec.with_(kernel="turbo")
+        assert aliased.kernel == "fast"
+        assert aliased == spec
+        assert aliased.spec_hash() == spec.spec_hash()
+        assert aliased.result_key() == spec.result_key()
+        payload = dict(spec.to_dict(), kernel="turbo")  # a stored turbo spec
+        assert RunSpec.from_dict(payload) == spec
 
     def test_unknown_mode_lists_backends(self):
         with pytest.raises(ExperimentError, match="fast") as ei:
@@ -240,7 +155,7 @@ class TestKernelRegistry:
 
 
 class TestSeqEnergyAccumulate:
-    """The turbo engines fold per-message energies into the ledger through
+    """The whole-round engine folds per-message energies into the ledger through
     :func:`seq_energy_accumulate`; it must be bit-identical to the scalar
     ``total += e`` loop whether or not numba is present."""
 
@@ -251,7 +166,7 @@ class TestSeqEnergyAccumulate:
         return total
 
     def test_matches_scalar_loop_bitwise(self):
-        from repro.sim import seq_energy_accumulate
+        from repro.algorithms.ghs.turbo import seq_energy_accumulate
 
         rng = np.random.default_rng(7)
         for size in (0, 1, 3, 100, 4097):
@@ -269,7 +184,7 @@ class TestSeqEnergyAccumulate:
 
         from repro.runspec import RunSpec, execute
 
-        spec = RunSpec(algorithm="MGHS", n=250, seed=3, kernel="turbo")
+        spec = RunSpec(algorithm="MGHS", n=250, seed=3)
         local = execute(spec).to_json(indent=None)
         code = (
             "import sys, json\n"
