@@ -12,7 +12,9 @@ Three gates, each fatal:
 
 * **equivalence** — the default kernel must be bit-identical to the
   frozen legacy kernel (energy / messages / rounds / tree size) at the
-  small-n config, with trace-diff triage printed on divergence (exit 2);
+  small-n config, and on an exact lattice (distance ties everywhere) in
+  stats and in the ``diff_traces`` event stream, with trace-diff triage
+  printed on divergence (exit 2);
 * **golden stats** — the n=10^4 stats must match
   ``benchmarks/golden/scale.json`` (exit 1 on divergence);
 * **speedup** (``--gate`` or full mode) — the default kernel must be
@@ -47,6 +49,7 @@ from repro.geometry.radius import (  # noqa: E402
 )
 from repro.perf import PEAK_RSS_COUNTER  # noqa: E402
 from repro.runspec import RunSpec, execute  # noqa: E402
+from repro.trace.diff import diff_traces, format_divergence  # noqa: E402
 
 GOLDEN_PATH = REPO / "benchmarks" / "golden" / "scale.json"
 OUT_PATH = REPO / "benchmarks" / "out" / "BENCH_scale.json"
@@ -59,10 +62,13 @@ SPEEDUP_BAR = 10.0
 GATE_N = 2000
 #: Small-n config for the bit-identical fast-vs-legacy equivalence gate.
 EQUIV_N = 600
+#: Side of the exact lattice in the equivalence gate (pitch 1/(side-1)
+#: is dyadic, so equal distances are bit-equal).
+LATTICE_SIDE = 33
 
 
-def _stats_record(report) -> dict:
-    res = report.result
+def _stats_record(res) -> dict:
+    """Headline stats of an ``AlgorithmResult`` (``report.result``)."""
     return {
         "energy_total": res.stats.energy_total,
         "messages_total": int(res.stats.messages_total),
@@ -82,18 +88,46 @@ def equivalence_gate() -> str | None:
     """Fast vs legacy at small n: bit-identical or a trace-diff triage."""
     legacy, _ = _run(EQUIV_N, kernel="legacy")
     fast, _ = _run(EQUIV_N, kernel="fast")
-    if _stats_record(legacy) == _stats_record(fast):
-        return None
-    from repro.trace.diff import diff_traces, format_divergence
+    if _stats_record(legacy.result) != _stats_record(fast.result):
+        streams = []
+        for kernel in ("legacy", "fast"):
+            rep, _ = _run(EQUIV_N, kernel=kernel, trace=True)
+            streams.append(rep.trace)
+        return (
+            f"fast diverged from legacy at MGHS n={EQUIV_N} seed={SEED}: "
+            f"{_stats_record(fast.result)} != {_stats_record(legacy.result)}\n"
+            + format_divergence(diff_traces(*streams), "legacy", "fast")
+        )
+    return lattice_gate()
 
-    streams = []
-    for kernel in ("legacy", "fast"):
-        rep, _ = _run(EQUIV_N, kernel=kernel, trace=True)
-        streams.append(rep.trace)
+
+def lattice_gate() -> str | None:
+    """MGHS on an exact lattice: same stats and trace events on both kernels."""
+    import numpy as np
+
+    from repro.algorithms.ghs import run_modified_ghs
+    from repro.sim import LegacyKernel, SynchronousKernel
+    from repro.trace import trace
+
+    g = np.arange(LATTICE_SIDE, dtype=float) / (LATTICE_SIDE - 1)
+    pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    runs = {}
+    for name, cls in (("legacy", LegacyKernel), ("fast", SynchronousKernel)):
+        trace.reset()
+        trace.enable()
+        try:
+            res = run_modified_ghs(pts, kernel_cls=cls)
+            runs[name] = (_stats_record(res), trace.snapshot())
+        finally:
+            trace.disable()
+            trace.reset()
+    (ls, lt), (fs, ft) = runs["legacy"], runs["fast"]
+    d = diff_traces(lt, ft)
+    if ls == fs and d is None:
+        return None
     return (
-        f"fast diverged from legacy at MGHS n={EQUIV_N} seed={SEED}: "
-        f"{_stats_record(fast)} != {_stats_record(legacy)}\n"
-        + format_divergence(diff_traces(*streams), "legacy", "fast")
+        f"fast diverged from legacy on the {LATTICE_SIDE}x{LATTICE_SIDE} "
+        f"lattice: {fs} != {ls}\n" + format_divergence(d, "legacy", "fast")
     )
 
 
@@ -115,7 +149,7 @@ def speedup_gate(reps: int) -> dict:
         "fast_s": round(fast_s, 4),
         "speedup": round(legacy_s / fast_s, 2),
         "bar": SPEEDUP_BAR,
-        "stats_identical": _stats_record(legacy_rep) == _stats_record(fast_rep),
+        "stats_identical": _stats_record(legacy_rep.result) == _stats_record(fast_rep.result),
     }
 
 
@@ -141,7 +175,7 @@ def scale_row(n: int) -> dict:
         "nodes_per_s": round(n / run_s, 1),
         "peak_rss_bytes": int(counters.get(PEAK_RSS_COUNTER, 0)),
         "engine_rounds": int(counters.get("kernel.turbo_engine_rounds", 0)),
-        "stats": _stats_record(report),
+        "stats": _stats_record(report.result),
     }
     print(
         f"n={n:8d}  build {row['build_s']:8.2f}s  run {row['run_s']:8.2f}s  "

@@ -26,6 +26,14 @@ that overwrite is all a HELLO/ANNOUNCE receiver ever does.  Modified-mode
 MOE search (:meth:`FloodCache.moe_batch`) becomes one masked segment-min
 over the participants' rows instead of a per-node Python scan.
 
+The whole-round phase engine (``repro.algorithms.ghs.turbo``) receives
+no ANNOUNCE deliveries here: it checks at entry that the cache holds
+every sender's current fragment id over the announce radius, counts its
+ANNOUNCEs instead of writing them, finds MOEs with its own cursor, and
+derives ``fid`` from the final fragment ids on exit.  Deliveries and
+``moe_batch`` serve the per-message phase loop, where faults can leave
+the cache stale.
+
 This module deliberately does not import ``repro.algorithms.ghs.node``
 (nodes hold cache views by duck-typing), so either side can be loaded
 without the other.

@@ -37,21 +37,32 @@ Design notes
 Stage A (the INITIATE flood) is a vectorized BFS over the fragment-tree
 CSR: one frontier array per round, announce + child-INITIATE emissions
 interleaved per node by construction.  Stage B vectorizes the two bulk
-kinds — the ``find_moe`` wake (one ``FloodCache.moe_batch`` segment-min
-for all participants) and the REPORT converge-cast (segment counts and
-lexicographic segment-min per recipient).  CONNECT / CHANGEROOT /
-ABSORB are low-volume (O(fragments) per phase) and deliberately stay
-scalar, processed in ``(recipient, seq)`` order, which sidesteps the
-same-round state interleavings a vectorized merge would have to prove
-commutative.  Every emission carries its trigger key ``(recipient id,
-trigger seq, intra-handler index)``; one lexsort per round recovers the
-global charge order.
+kinds — the ``find_moe`` wake (the MOE cursor below) and the REPORT
+converge-cast (segment counts and lexicographic segment-min per
+recipient).  CONNECT / CHANGEROOT / ABSORB are low-volume
+(O(fragments) per phase) and deliberately stay scalar, processed in
+``(recipient, seq)`` order, which sidesteps the same-round state
+interleavings a vectorized merge would have to prove commutative.
+Every emission carries its trigger key ``(recipient id, trigger seq,
+intra-handler index)``; one lexsort per round recovers the global
+charge order.
 
-ANNOUNCE floods reuse the flood-plane semantics directly: an announce
-emission is charged like any other send and its cache-row overwrite is
-applied at the next round boundary (planes deliver before unicasts, and
-slot sets of distinct senders are disjoint, so bulk assignment is
-order-free).
+The engine never writes the flood cache while it runs.  At entry it
+checks the *cache invariant*: every slot within the announce radius is
+known and holds its sender's current fragment id, and no slot beyond it
+is known (:meth:`TurboPhaseEngine.cache_in_sync`; a run that fails it
+takes the per-message path).  Every fragment-id change is announced,
+so the invariant holds again at every stage-B wake.  An ANNOUNCE is
+therefore charged like any other send and *counted* as delivered at the
+next round boundary (planes deliver before unicasts), and the cache is
+derived from ``fid`` once, on exit.
+
+GHS's edge rejection, in array form: ``cur[i]`` is the first slot of
+node ``i``'s distance-sorted row not yet known to be internal.
+Fragments only merge, so an internal slot stays internal and a cursor
+only moves forward; each wake advances the participants' cursors in
+fixed-width windows and reads the MOE under them.  The phases cost
+O(table entries) per run, not O(entries × phases).
 """
 
 from __future__ import annotations
@@ -106,6 +117,18 @@ def seq_energy_accumulate(total: float, energies: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate(([total], energies)))[-1])
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` for a 1-d array, by one sort and a neighbour mask.
+
+    Plain ``np.unique`` may take a hash-based path that is far slower
+    than sorting for int64 keys.
+    """
+    keys = np.sort(keys)
+    if len(keys) > 1:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys
+
+
 def turbo_phase_engine(kernel, nodes: Sequence[GHSNode]) -> "TurboPhaseEngine | None":
     """Engine for this run, or ``None`` when ineligible.
 
@@ -120,7 +143,9 @@ def turbo_phase_engine(kernel, nodes: Sequence[GHSNode]) -> "TurboPhaseEngine | 
       kernels never get one — ``FloodCache.ensure`` returns ``None``);
     * modified-mode protocol on plain :class:`GHSNode` instances
       (no TEST probes, no reliable-transport envelopes, ANNOUNCE on);
-    * one uniform radio radius within the table's power cap.
+    * one uniform radio radius within the table's power cap;
+    * the flood cache holds exactly the nodes' current fragment ids over
+      the announce radius (:meth:`TurboPhaseEngine.cache_in_sync`).
     """
     if kernel.faults is not None or kernel.rx_cost:
         return None
@@ -150,7 +175,8 @@ def turbo_phase_engine(kernel, nodes: Sequence[GHSNode]) -> "TurboPhaseEngine | 
             return None
         if nd.cache is not cache or nd.radio_radius != r:
             return None
-    return TurboPhaseEngine(kernel, nodes, cache, tbl)
+    eng = TurboPhaseEngine(kernel, nodes, cache, tbl)
+    return eng if eng.cache_in_sync() else None
 
 
 class _Emits:
@@ -161,7 +187,7 @@ class _Emits:
     transmission distance ``dist`` (the announce radius for ANNOUNCE),
     recipient ``dst`` (-1 for ANNOUNCE), and payload columns ``pf``
     (REPORT distance), ``p1`` (REPORT lo), ``p2`` (REPORT hi / fragment
-    id for ANNOUNCE, CONNECT and ABSORB).
+    id for CONNECT and ABSORB).
     """
 
     __slots__ = ("chunks", "k1", "k2", "k3", "node", "kind", "dist", "dst", "pf", "p1", "p2")
@@ -254,11 +280,17 @@ class TurboPhaseEngine:
         # (== the full row when r is the table's power cap).  Same closed
         # ball the kernel's searchsorted(..., side="right") cutoff keeps.
         ip = cache.indptr
-        if r >= tbl.max_radius:
+        #: Recipient-side announce slots (``None`` = every slot); the
+        #: same set as the senders' announce rows, distances being symmetric.
+        self.ann_mask = None if r >= tbl.max_radius else cache.dists <= r
+        if self.ann_mask is None:
             self.ann_ends = ip[1:]
         else:
-            within = np.concatenate(([0], np.cumsum(cache.dists <= r)))
+            within = np.concatenate(([0], np.cumsum(self.ann_mask)))
             self.ann_ends = ip[:-1] + (within[ip[1:]] - within[ip[:-1]])
+        self.ann_cnt = self.ann_ends - ip[:-1]
+        #: MOE cursor: first slot of each row not yet known internal.
+        self.cur = ip[:-1].copy()
         # -- protocol state, synced in from the node objects ----------------
         self.fid = np.fromiter((nd.fid for nd in nodes), dtype=np.int64, count=n)
         self.leader = np.fromiter((nd.leader for nd in nodes), dtype=bool, count=n)
@@ -309,11 +341,99 @@ class TurboPhaseEngine:
         # -- per-phase fragment-tree CSR -----------------------------------
         self.t_indptr: np.ndarray | None = None
         self.t_adj: np.ndarray | None = None
-        # -- pending deliveries / cache writes for the next round ----------
+        # -- pending deliveries for the next round ---------------------------
         self.pend_report: tuple | None = None
         self.pend_misc: tuple | None = None
-        self.pend_ann: tuple | None = None
+        #: ANNOUNCE senders (array or list), delivered as a count.
+        self.pend_ann = None
         self._seq = 0
+
+    # -- the flood cache ---------------------------------------------------
+
+    def cache_in_sync(self) -> bool:
+        """Whether the cache invariant holds (checked once per run, O(entries)).
+
+        Every slot within the announce radius is known and holds its
+        sender's current fragment id, and no slot beyond it is known.  A
+        HELLO at the radius leaves the cache so; a stale cache fails
+        the check and keeps the run on the per-message path.
+        """
+        c = self.cache
+        m = self.ann_mask
+        if m is None:
+            return bool(c.known.all()) and np.array_equal(c.fid, self.fid[c.ids])
+        return np.array_equal(c.known, m) and np.array_equal(
+            c.fid[m], self.fid[c.ids[m]]
+        )
+
+    def _write_cache(self) -> None:
+        """Derive ``cache.fid`` from ``fid``: each sender's last ANNOUNCE."""
+        c = self.cache
+        m = self.ann_mask
+        if m is None:
+            np.take(self.fid, c.ids, out=c.fid)
+        else:
+            c.fid[m] = self.fid[c.ids[m]]
+
+    #: Row slots one cursor step examines per still-scanning node.
+    _WINDOW = 8
+
+    def _cursor_moe(
+        self, parts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``FloodCache.moe_batch`` for the participants, by the MOE cursor.
+
+        Moves each cursor past the slots whose neighbour shares the
+        node's fragment, ``_WINDOW`` slots per step over the nodes still
+        scanning.  The MOE is the slot under the cursor; in a run of
+        exact distance ties it is the outgoing slot of least
+        ``(lo, hi)``.  Returns ``(cand, dist, lo, hi)``, ``cand = -1``
+        and ``dist = inf`` where no outgoing edge is in range.
+        """
+        c = self.cache
+        ids, fid, cur, ends = c.ids, self.fid, self.cur, self.ann_ends
+        k = len(parts)
+        cand = np.full(k, -1, dtype=np.int64)
+        kdist = np.full(k, _INF)
+        klo = np.full(k, -1, dtype=np.int64)
+        khi = np.full(k, -1, dtype=np.int64)
+        last = len(ids) - 1
+        if last < 0:
+            return cand, kdist, klo, khi
+        step = np.arange(self._WINDOW)
+        act = parts
+        while len(act):
+            pos = cur[act]
+            win = pos[:, None] + step
+            stop = win >= ends[act][:, None]
+            np.minimum(win, last, out=win)
+            stop |= fid[ids[win]] != fid[act][:, None]
+            hit = stop.any(axis=1)
+            cur[act] = pos + np.where(hit, stop.argmax(axis=1), self._WINDOW)
+            act = act[~hit]
+        pos = cur[parts]
+        end = ends[parts]
+        has = np.flatnonzero(pos < end)
+        j = pos[has]
+        d = c.dists[j]
+        cand[has] = ids[j]
+        kdist[has] = d
+        klo[has] = c.lo[j]
+        khi[has] = c.hi[j]
+        tied = (j + 1 < end[has]) & (c.dists[np.minimum(j + 1, last)] == d)
+        for t in np.flatnonzero(tied).tolist():
+            i = int(has[t])
+            f = fid[parts[i]]
+            best = None
+            s, e, dd = int(j[t]), int(end[i]), d[t]
+            while s < e and c.dists[s] == dd:
+                key = (int(c.lo[s]), int(c.hi[s]))
+                if fid[ids[s]] != f and (best is None or key < best[0]):
+                    best = (key, s)
+                s += 1
+            (klo[i], khi[i]), s = best
+            cand[i] = ids[s]
+        return cand, kdist, klo, khi
 
     # -- geometry ----------------------------------------------------------
 
@@ -359,7 +479,7 @@ class TurboPhaseEngine:
         # Dedup (protocol adds each direction at its own endpoint; the
         # reciprocal-CONNECT core adds one direction twice) and sort so
         # each row enumerates neighbours ascending.
-        keys = np.unique(allc[0] * n + allc[1])
+        keys = sorted_unique(allc[0] * n + allc[1])
         u = keys // n
         self.t_adj = keys % n
         self.t_indptr = np.zeros(n + 1, dtype=np.int64)
@@ -419,7 +539,7 @@ class TurboPhaseEngine:
         self._seq += k
         # Split into next round's pending sets.
         m = kind == _ANNOUNCE
-        self.pend_ann = (node[m], p2[m]) if counts[_ANNOUNCE] else None
+        self.pend_ann = node[m] if counts[_ANNOUNCE] else None
         # Deliveries are processed ascending (recipient, seq), exactly
         # like the per-message kernel's delivery sort.  Seqs ascend with
         # emission order, so a stable sort by recipient suffices.
@@ -471,7 +591,6 @@ class TurboPhaseEngine:
         rep_rows: list[tuple] = []
         misc_rows: list[tuple] = []
         ann_w: list[int] = []
-        ann_f: list[int] = []
         for j, i in enumerate(order):
             kd = em.kind[i]
             u = em.node[i]
@@ -484,7 +603,6 @@ class TurboPhaseEngine:
             m_kind[name] += 1
             if kd == _ANNOUNCE:
                 ann_w.append(u)
-                ann_f.append(em.p2[i])
             elif kd == _REPORT:
                 rep_rows.append((em.dst[i], base + j, u, em.pf[i], em.p1[i], em.p2[i]))
             elif kd != _INITIATE:
@@ -495,7 +613,7 @@ class TurboPhaseEngine:
         led.energy_by_stage[stage] += stage_e
         led.messages_by_stage[stage] += k
         if ann_w:
-            self.pend_ann = (ann_w, ann_f)
+            self.pend_ann = ann_w
             if perf.enabled:
                 perf.add("kernel.plane_sends", len(ann_w))
         if rep_rows:
@@ -507,39 +625,22 @@ class TurboPhaseEngine:
         return k
 
     def _apply_announces(self) -> int:
-        """Plane delivery: bulk cache-row overwrite for pending ANNOUNCEs."""
-        pend = self.pend_ann
-        if pend is None:
+        """Plane delivery of the pending ANNOUNCEs: counted, not written.
+
+        Nothing in the engine reads the cache, and under the cache
+        invariant (module notes) ``_write_cache`` rebuilds on exit what
+        the writes would have left, so only the delivery count moves:
+        each sender's announce-row length.
+        """
+        writers = self.pend_ann
+        if writers is None:
             return 0
-        writers, fids = pend
         self.pend_ann = None
-        if not isinstance(writers, np.ndarray):  # scalar-finalize rows
-            ip = self.cache.indptr
-            rev = self.tbl.rev
-            cfid = self.cache.fid
-            known = self.cache.known
-            delivered = 0
-            for w, f in zip(writers, fids):
-                s, e = ip[w], self.ann_ends[w]
-                slots = rev[s:e]
-                cfid[slots] = f
-                known[slots] = True
-                delivered += int(e - s)
-            if perf.enabled:
-                perf.add("kernel.plane_batches")
-                perf.add("kernel.plane_deliveries", delivered)
-            return delivered
-        starts = self.cache.indptr[writers]
-        ends = self.ann_ends[writers]
-        cnt = ends - starts
-        idx = _concat_ranges(starts, ends)
-        slots = self.tbl.rev[idx]
-        self.cache.fid[slots] = np.repeat(fids, cnt)
-        self.cache.known[slots] = True
+        delivered = int(self.ann_cnt[writers].sum())
         if perf.enabled:
             perf.add("kernel.plane_batches")
-            perf.add("kernel.plane_deliveries", len(slots))
-        return len(slots)
+            perf.add("kernel.plane_deliveries", delivered)
+        return delivered
 
     def _end_round(self, delivered: int) -> None:
         if perf.enabled:
@@ -603,7 +704,6 @@ class TurboPhaseEngine:
             np.full(len(aids), _ANNOUNCE, dtype=np.int64),
             np.full(len(aids), self.r),
             np.full(len(aids), -1, dtype=np.int64),
-            p2=fids[changed],
         )
         pos = idx - np.repeat(starts, cnt)  # position within the CSR row
         snd = ids[chseg]
@@ -739,7 +839,7 @@ class TurboPhaseEngine:
 
     def _stage_b_wake(self, phase: int, parts: np.ndarray) -> None:
         """Batched MOE search + ``apply_moe`` for every participant."""
-        cand, kdist, klo, khi = self.cache.moe_batch(parts, self.fid[parts])
+        cand, kdist, klo, khi = self._cursor_moe(parts)
         self.cand_nb[parts] = cand
         self.cand_d[parts] = kdist
         self.cand_lo[parts] = klo
@@ -850,7 +950,7 @@ class TurboPhaseEngine:
                 self.passive[u] = True
                 self.leader[u] = False
                 self.halted[u] = True
-                em.add(u, q, 0, u, _ANNOUNCE, self.r, -1, p2=pfid)
+                em.add(u, q, 0, u, _ANNOUNCE, self.r, -1)
                 row = self._tree_row(u)
                 for j, e in enumerate(row):
                     if e != s:
@@ -945,6 +1045,7 @@ class TurboPhaseEngine:
         ``children`` — nothing downstream reads them (the EOPT census
         runs between steps, when no node is passive yet).
         """
+        self._write_cache()
         self._build_tree_csr()
         fid = self.fid.tolist()
         leader = self.leader.tolist()

@@ -293,6 +293,7 @@ def _cmd_fuzz(args) -> int:
 def _cmd_serve(args) -> int:
     """Run the HTTP run service (docs/architecture.md, serve layer)."""
     import asyncio
+    import signal
 
     from repro.serve import serve
 
@@ -310,6 +311,11 @@ def _cmd_serve(args) -> int:
             flush=True,
         )
 
+    # SIGTERM takes the Ctrl-C path: asyncio.run cancels the server, the
+    # broker shuts its worker pool down, and the store closes.
+    prev_term = signal.signal(
+        signal.SIGTERM, lambda signum, frame: signal.raise_signal(signal.SIGINT)
+    )
     try:
         asyncio.run(
             serve(
@@ -324,6 +330,7 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:
         print("shutting down")
     finally:
+        signal.signal(signal.SIGTERM, prev_term)
         if store is not None:
             store.close()
     return 0

@@ -7,7 +7,8 @@ quality experiment (TAB1) and for verifying the distributed algorithms.
 
 Degenerate inputs (fewer than 4 points, or all points collinear) make
 Qhull fail; we fall back to the complete graph there, which is tiny in
-those cases.
+those cases.  Points Qhull leaves out of the triangulation (repeats of
+a point) are joined to every other point.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from repro.mst.kruskal import kruskal_mst
 def delaunay_edges(points: np.ndarray) -> np.ndarray:
     """Unique undirected edges ``(u < v)`` of the Delaunay triangulation.
 
-    Falls back to all pairs for degenerate inputs (n < 4 or collinear).
+    Falls back to all pairs for degenerate inputs (n < 4 or collinear);
+    a point left out of the triangulation is paired with every other.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -46,6 +48,14 @@ def delaunay_edges(points: np.ndarray) -> np.ndarray:
     pairs = np.concatenate(
         [simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]]
     )
+    # Qhull leaves repeated (or numerically coincident) points out of the
+    # triangulation.  An EMST edge between two triangulated points is an
+    # MST edge of those points alone (cycle property), so joining each
+    # left-out point to every other point keeps an EMST in the edge set.
+    out = np.flatnonzero(np.bincount(simplices.ravel(), minlength=n) == 0)
+    if len(out):
+        extra = np.stack([np.repeat(out, n), np.tile(np.arange(n), len(out))], axis=1)
+        pairs = np.concatenate([pairs, extra[extra[:, 0] != extra[:, 1]]])
     pairs = np.sort(pairs, axis=1)
     return np.unique(pairs, axis=0).astype(np.int64)
 

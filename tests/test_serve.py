@@ -11,8 +11,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -350,6 +357,80 @@ class TestBrokerUnit:
             assert status == 413
 
         run_served(scenario)
+
+
+def _descendants(pid: int) -> set[int]:
+    """Every process below ``pid``, read from ``/proc``."""
+    found: set[int] = set()
+    todo = [pid]
+    while todo:
+        for task in Path(f"/proc/{todo.pop()}/task").glob("*"):
+            try:
+                kids = (task / "children").read_text().split()
+            except OSError:
+                continue
+            for kid in map(int, kids):
+                if kid not in found:
+                    found.add(kid)
+                    todo.append(kid)
+    return found
+
+
+def _running(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"  # a zombie has exited
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/task"), reason="reads the process tree from /proc"
+)
+def test_sigterm_reaps_pool_workers(tmp_path):
+    """``repro serve`` stops on SIGTERM like on Ctrl-C: no child outlives it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1",
+            "--port", "0", "--cache-path", str(tmp_path / "s.sqlite"),
+            "--workers", "2",
+        ],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    kids: set[int] = set()
+    try:
+        m = re.search(r"http://([\d.]+:\d+)", proc.stdout.readline())
+        assert m, "server never printed its listening line"
+        base = f"http://{m.group(1)}"
+        status, body = _http(base, "POST", "/runs", {"algorithm": "MGHS", "n": 150, "seed": 2})
+        assert status == 201
+        job = json.loads(body)["id"]
+        for _ in range(600):
+            state = json.loads(_http(base, "GET", f"/runs/{job}")[1])["state"]
+            if state not in ("queued", "running"):
+                break
+            time.sleep(0.05)
+        assert state == "done"
+        kids = _descendants(proc.pid)
+        assert kids, "the process backend started no workers"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and any(map(_running, kids)):
+            time.sleep(0.1)
+        assert not [k for k in kids if _running(k)]
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for k in kids:
+            if _running(k):
+                os.kill(k, signal.SIGKILL)
+        proc.stdout.close()
 
 
 if __name__ == "__main__":
