@@ -11,10 +11,11 @@ spill past the threshold), which is what lets it fit.
 Three gates, each fatal:
 
 * **equivalence** — the default kernel must be bit-identical to the
-  frozen legacy kernel (energy / messages / rounds / tree size) at the
-  small-n config, and on an exact lattice (distance ties everywhere) in
-  stats and in the ``diff_traces`` event stream, with trace-diff triage
-  printed on divergence (exit 2);
+  frozen legacy kernel (energy / messages / rounds / tree size) for
+  MGHS and for classical GHS (TEST probes) at the small-n config, and
+  on an exact lattice (distance ties everywhere) in stats and in the
+  ``diff_traces`` event stream, with trace-diff triage printed on
+  divergence (exit 2);
 * **golden stats** — the n=10^4 stats must match
   ``benchmarks/golden/scale.json`` (exit 1 on divergence);
 * **speedup** (``--gate`` or full mode) — the default kernel must be
@@ -62,6 +63,8 @@ SPEEDUP_BAR = 10.0
 GATE_N = 2000
 #: Small-n config for the bit-identical fast-vs-legacy equivalence gate.
 EQUIV_N = 600
+#: Algorithms the equivalence gate runs (both whole-round engine modes).
+EQUIV_ALGORITHMS = ("MGHS", "GHS")
 #: Side of the exact lattice in the equivalence gate (pitch 1/(side-1)
 #: is dyadic, so equal distances are bit-equal).
 LATTICE_SIDE = 33
@@ -77,8 +80,8 @@ def _stats_record(res) -> dict:
     }
 
 
-def _run(n: int, *, kernel: str = "fast", **flags):
-    spec = RunSpec(algorithm="MGHS", n=n, seed=SEED, kernel=kernel, **flags)
+def _run(n: int, *, kernel: str = "fast", algorithm: str = "MGHS", **flags):
+    spec = RunSpec(algorithm=algorithm, n=n, seed=SEED, kernel=kernel, **flags)
     t0 = time.perf_counter()
     report = execute(spec)
     return report, time.perf_counter() - t0
@@ -86,29 +89,36 @@ def _run(n: int, *, kernel: str = "fast", **flags):
 
 def equivalence_gate() -> str | None:
     """Fast vs legacy at small n: bit-identical or a trace-diff triage."""
-    legacy, _ = _run(EQUIV_N, kernel="legacy")
-    fast, _ = _run(EQUIV_N, kernel="fast")
-    if _stats_record(legacy.result) != _stats_record(fast.result):
-        streams = []
-        for kernel in ("legacy", "fast"):
-            rep, _ = _run(EQUIV_N, kernel=kernel, trace=True)
-            streams.append(rep.trace)
-        return (
-            f"fast diverged from legacy at MGHS n={EQUIV_N} seed={SEED}: "
-            f"{_stats_record(fast.result)} != {_stats_record(legacy.result)}\n"
-            + format_divergence(diff_traces(*streams), "legacy", "fast")
-        )
-    return lattice_gate()
+    for algorithm in EQUIV_ALGORITHMS:
+        legacy, _ = _run(EQUIV_N, kernel="legacy", algorithm=algorithm)
+        fast, _ = _run(EQUIV_N, kernel="fast", algorithm=algorithm)
+        if _stats_record(legacy.result) != _stats_record(fast.result):
+            streams = []
+            for kernel in ("legacy", "fast"):
+                rep, _ = _run(EQUIV_N, kernel=kernel, algorithm=algorithm, trace=True)
+                streams.append(rep.trace)
+            return (
+                f"fast diverged from legacy at {algorithm} n={EQUIV_N} "
+                f"seed={SEED}: {_stats_record(fast.result)} != "
+                f"{_stats_record(legacy.result)}\n"
+                + format_divergence(diff_traces(*streams), "legacy", "fast")
+            )
+        failure = lattice_gate(algorithm)
+        if failure is not None:
+            return failure
+    return None
 
 
-def lattice_gate() -> str | None:
-    """MGHS on an exact lattice: same stats and trace events on both kernels."""
+def lattice_gate(algorithm: str) -> str | None:
+    """``algorithm`` on an exact lattice: same stats and trace events on
+    both kernels."""
     import numpy as np
 
-    from repro.algorithms.ghs import run_modified_ghs
+    from repro.runspec import registry
     from repro.sim import LegacyKernel, SynchronousKernel
     from repro.trace import trace
 
+    runner = registry.get(algorithm).runner
     g = np.arange(LATTICE_SIDE, dtype=float) / (LATTICE_SIDE - 1)
     pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
     runs = {}
@@ -116,7 +126,7 @@ def lattice_gate() -> str | None:
         trace.reset()
         trace.enable()
         try:
-            res = run_modified_ghs(pts, kernel_cls=cls)
+            res = runner(pts, kernel_cls=cls)
             runs[name] = (_stats_record(res), trace.snapshot())
         finally:
             trace.disable()
@@ -127,7 +137,8 @@ def lattice_gate() -> str | None:
         return None
     return (
         f"fast diverged from legacy on the {LATTICE_SIDE}x{LATTICE_SIDE} "
-        f"lattice: {fs} != {ls}\n" + format_divergence(d, "legacy", "fast")
+        f"lattice ({algorithm}): {fs} != {ls}\n"
+        + format_divergence(d, "legacy", "fast")
     )
 
 

@@ -352,7 +352,7 @@ def run_ghs_phases(
         # restarts and absorb-only phases.
         max_phases = 2 * int(math.log2(n)) + 20
     if recovery is None:
-        # Eligible configurations (modified mode, flood planes live, no
+        # Eligible configurations (either GHS mode, flood planes live, no
         # faults) run as whole-round array programs — an observational
         # clone of the loop below (see ghs/turbo.py).
         from repro.algorithms.ghs.turbo import run_phases_turbo

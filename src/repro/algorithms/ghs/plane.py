@@ -27,10 +27,12 @@ MOE search (:meth:`FloodCache.moe_batch`) becomes one masked segment-min
 over the participants' rows instead of a per-node Python scan.
 
 The whole-round phase engine (``repro.algorithms.ghs.turbo``) receives
-no ANNOUNCE deliveries here: it checks at entry that the cache holds
-every sender's current fragment id over the announce radius, counts its
-ANNOUNCEs instead of writing them, finds MOEs with its own cursor, and
-derives ``fid`` from the final fragment ids on exit.  Deliveries and
+no ANNOUNCE deliveries here: in modified mode it checks at entry that
+the cache holds every sender's current fragment id over the announce
+radius, counts its ANNOUNCEs instead of writing them, finds MOEs with
+its own cursor, and derives ``fid`` from the final fragment ids on exit
+(original-mode GHS announces nothing and leaves the cache as its HELLO
+flood wrote it).  Deliveries and
 ``moe_batch`` serve the per-message phase loop, where faults can leave
 the cache stale.
 

@@ -1,14 +1,16 @@
 """Whole-round array programs for the GHS family's Borůvka phases.
 
-This is the optimized kernel's phase path (the paper's modified GHS,
-Sec. V-A: cached neighbour fragment ids, per-phase ANNOUNCE).  When a
-run is *eligible* — modified-mode GHS/EOPT with flood planes live, no
-fault plan, no reliable transport, no reception cost — the driver's
-per-message phase loop is replaced by :class:`TurboPhaseEngine`, which
-executes every round as a handful of numpy array operations instead of
-thousands of per-node handler calls.  The flat-delivery kernels
-(``legacy``, :class:`~repro.sim.interference.ContentionKernel`) never
-get flood planes, so they always run the per-message loop.
+This is the optimized kernel's phase path for both GHS modes of the
+paper: *modified* GHS (Sec. V-A: cached neighbour fragment ids,
+per-phase ANNOUNCE; MGHS and both EOPT steps) and *original* GHS
+(TEST/ACCEPT/REJECT probes, the Sec. V baseline).  When a run is
+*eligible* — flood planes live, no fault plan, no reliable transport,
+no reception cost — the driver's per-message phase loop is replaced by
+:class:`TurboPhaseEngine`, which executes every round as a handful of
+numpy array operations instead of thousands of per-node handler calls.
+The flat-delivery kernels (``legacy``,
+:class:`~repro.sim.interference.ContentionKernel`) never get flood
+planes, so they always run the per-message loop.
 
 The engine is an *observational clone* of the per-message path, not an
 approximation of it.  The contract (checked by the hot-path equivalence
@@ -25,7 +27,7 @@ suite and ``trace/diff.py`` triage) is:
   ledger contract already allows that); ``energy_by_node`` likewise;
 * node objects are synced back on exit, so census/giant-declaration
   stages and result collection see the same state the per-message loop
-  would have left.
+  would have left (original mode: each node's ``rejected`` set too).
 
 To make send order a pure function of protocol state,
 :mod:`repro.algorithms.ghs.node` iterates tree edges in sorted order —
@@ -36,33 +38,46 @@ Design notes
 
 Stage A (the INITIATE flood) is a vectorized BFS over the fragment-tree
 CSR: one frontier array per round, announce + child-INITIATE emissions
-interleaved per node by construction.  Stage B vectorizes the two bulk
-kinds — the ``find_moe`` wake (the MOE cursor below) and the REPORT
-converge-cast (segment counts and lexicographic segment-min per
-recipient).  CONNECT / CHANGEROOT / ABSORB are low-volume
-(O(fragments) per phase) and deliberately stay scalar, processed in
-``(recipient, seq)`` order, which sidesteps the same-round state
-interleavings a vectorized merge would have to prove commutative.
-Every emission carries its trigger key ``(recipient id, trigger seq,
-intra-handler index)``; one lexsort per round recovers the global
-charge order.
+interleaved per node by construction.  Stage B vectorizes the bulk
+kinds — the ``find_moe`` wake, the TEST/ACCEPT/REJECT probes (the MOE
+cursor below) and the REPORT converge-cast (segment counts and
+lexicographic segment-min per recipient).  CONNECT / CHANGEROOT /
+ABSORB are low-volume (O(fragments) per phase) and deliberately stay
+scalar, processed in ``(recipient, seq)`` order, which sidesteps the
+same-round state interleavings a vectorized merge would have to prove
+commutative.  Every emission carries its trigger key ``(recipient id,
+trigger seq, intra-handler index)``; one lexsort per round recovers the
+global charge order.
 
-The engine never writes the flood cache while it runs.  At entry it
-checks the *cache invariant*: every slot within the announce radius is
-known and holds its sender's current fragment id, and no slot beyond it
-is known (:meth:`TurboPhaseEngine.cache_in_sync`; a run that fails it
-takes the per-message path).  Every fragment-id change is announced,
-so the invariant holds again at every stage-B wake.  An ANNOUNCE is
-therefore charged like any other send and *counted* as delivered at the
-next round boundary (planes deliver before unicasts), and the cache is
-derived from ``fid`` once, on exit.
+In modified mode the engine never writes the flood cache while it
+runs.  At entry it checks the *cache invariant*: every slot within the
+announce radius is known and holds its sender's current fragment id,
+and no slot beyond it is known (:meth:`TurboPhaseEngine.cache_in_sync`;
+a run that fails it takes the per-message path).  Every fragment-id
+change is announced, so the invariant holds again at every stage-B
+wake.  An ANNOUNCE is therefore charged like any other send and
+*counted* as delivered at the next round boundary (planes deliver
+before unicasts), and the cache is derived from ``fid`` once, on exit.
+Original mode never reads cached fragment ids (membership is what the
+TEST probes ask), so it only needs every in-radius slot known, and it
+leaves the cache exactly as the HELLO flood wrote it.
 
-GHS's edge rejection, in array form: ``cur[i]`` is the first slot of
-node ``i``'s distance-sorted row not yet known to be internal.
-Fragments only merge, so an internal slot stays internal and a cursor
-only moves forward; each wake advances the participants' cursors in
-fixed-width windows and reads the MOE under them.  The phases cost
-O(table entries) per run, not O(entries × phases).
+The MOE cursor: ``cur[i]`` is a position in node ``i``'s *walk* — its
+CSR row in ``(d, lo, hi)`` edge-key order, which is the table's
+distance order with each run of exact ties reordered by ascending
+neighbour id.  Every position before the cursor is known to be internal
+for good (fragments only merge).  Modified mode moves the cursor past
+slots whose neighbour shares the node's fragment and reads the MOE
+under it.  Original mode moves it, at no charge, past the phase-start
+tree slots and the slots of a ``rejected`` mask over the CSR, then
+sends one TEST at the slot under it; the recipient answers from its
+fragment id, and a REJECT marks the edge on both sides (the recipient's
+slot through the table's ``rev`` permutation), exactly as the TEST
+handler does.  A REJECT recipient's next step sees only the marks of
+TESTs delivered to it earlier — at a lower seq — in the same round.
+Either way each cursor step is a fixed-width window over the nodes
+still scanning, and the phases cost O(table entries) per run, not
+O(entries × phases).
 """
 
 from __future__ import annotations
@@ -87,8 +102,14 @@ __all__ = [
 ]
 
 # Emission kind codes (column values in the per-round emission table).
-_INITIATE, _ANNOUNCE, _REPORT, _CHANGEROOT, _CONNECT, _ABSORB = range(6)
-_KIND_NAMES = ("INITIATE", "ANNOUNCE", "REPORT", "CHANGEROOT", "CONNECT", "ABSORB")
+(
+    _INITIATE, _ANNOUNCE, _REPORT, _CHANGEROOT, _CONNECT, _ABSORB,
+    _TEST, _ACCEPT, _REJECT,
+) = range(9)
+_KIND_NAMES = (
+    "INITIATE", "ANNOUNCE", "REPORT", "CHANGEROOT", "CONNECT", "ABSORB",
+    "TEST", "ACCEPT", "REJECT",
+)
 
 _INF = math.inf
 
@@ -129,6 +150,28 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys
 
 
+def walk_order(
+    indptr: np.ndarray, ids: np.ndarray, dists: np.ndarray
+) -> np.ndarray | None:
+    """Each CSR row in edge-key ``(d, lo, hi)`` order, as a slot permutation.
+
+    Rows are distance-sorted, so only runs of exact distance ties move:
+    within one row ``(d, lo, hi)`` orders a tie run by ascending
+    neighbour id.  ``None`` when no row holds a tie run out of that
+    order (uniform random instances).
+    """
+    m = len(ids)
+    if m < 2:
+        return None
+    tie = dists[1:] == dists[:-1]
+    bounds = indptr[1:-1]
+    tie[bounds[(bounds > 0) & (bounds < m)] - 1] = False  # runs never span rows
+    if not (tie & (ids[1:] < ids[:-1])).any():
+        return None
+    row = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+    return np.lexsort((ids, dists, row))
+
+
 def turbo_phase_engine(kernel, nodes: Sequence[GHSNode]) -> "TurboPhaseEngine | None":
     """Engine for this run, or ``None`` when ineligible.
 
@@ -141,11 +184,18 @@ def turbo_phase_engine(kernel, nodes: Sequence[GHSNode]) -> "TurboPhaseEngine | 
       every node bound to one :class:`FloodCache` over that table, and
       the cache registered as the kernel's plane handler (flat-delivery
       kernels never get one — ``FloodCache.ensure`` returns ``None``);
-    * modified-mode protocol on plain :class:`GHSNode` instances
-      (no TEST probes, no reliable-transport envelopes, ANNOUNCE on);
+    * plain :class:`GHSNode` instances without reliable-transport
+      envelopes, all in one protocol mode: modified (no TEST probes,
+      ANNOUNCE on) or original (TEST probes, no ANNOUNCE);
     * one uniform radio radius within the table's power cap;
-    * the flood cache holds exactly the nodes' current fragment ids over
-      the announce radius (:meth:`TurboPhaseEngine.cache_in_sync`).
+    * modified mode: the flood cache holds exactly the nodes' current
+      fragment ids over the announce radius
+      (:meth:`TurboPhaseEngine.cache_in_sync`);
+    * original mode: every slot within the radius is known and none
+      beyond it, every node is a singleton fragment with nothing
+      rejected (the state ``run_ghs`` starts from), and none is passive,
+      so no ABSORB can change a fragment id while TESTs are in flight
+      (:meth:`TurboPhaseEngine.probes_ready`).
     """
     if kernel.faults is not None or kernel.rx_cost:
         return None
@@ -168,15 +218,19 @@ def turbo_phase_engine(kernel, nodes: Sequence[GHSNode]) -> "TurboPhaseEngine | 
     r = nd0.radio_radius
     if not (0.0 < r <= tbl.max_radius):
         return None
+    tests = nd0.use_tests
     for nd in nodes:
         if type(nd) is not GHSNode:
             return None
-        if nd.use_tests or nd.reliable or not nd.announce or nd.retry is not None:
+        if nd.reliable or nd.retry is not None:
+            return None
+        if nd.use_tests != tests or nd.announce == tests:
             return None
         if nd.cache is not cache or nd.radio_radius != r:
             return None
     eng = TurboPhaseEngine(kernel, nodes, cache, tbl)
-    return eng if eng.cache_in_sync() else None
+    ok = eng.probes_ready() if tests else eng.cache_in_sync()
+    return eng if ok else None
 
 
 class _Emits:
@@ -243,6 +297,17 @@ class _Emits:
     def __len__(self) -> int:
         return len(self.node) + sum(len(c[3]) for c in self.chunks)
 
+    def fold_chunks(self) -> None:
+        """Move the chunks into the scalar row lists, ahead of the rows
+        added one by one — the order :meth:`columns` concatenates in."""
+        if not self.chunks:
+            return
+        cols = (self.k1, self.k2, self.k3, self.node, self.kind,
+                self.dist, self.dst, self.pf, self.p1, self.p2)
+        for i, col in enumerate(cols):
+            col[:0] = [x for c in self.chunks for x in c[i].tolist()]
+        self.chunks = []
+
     def columns(self) -> tuple | None:
         """All emissions in global trigger order, or ``None`` if empty."""
         chunks = self.chunks
@@ -289,8 +354,25 @@ class TurboPhaseEngine:
             within = np.concatenate(([0], np.cumsum(self.ann_mask)))
             self.ann_ends = ip[:-1] + (within[ip[1:]] - within[ip[:-1]])
         self.ann_cnt = self.ann_ends - ip[:-1]
-        #: MOE cursor: first slot of each row not yet known internal.
+        #: Original (TEST-probing) mode; only modified mode announces.
+        self.tests = bool(nodes[0].use_tests)
+        #: Walk position -> CSR slot (``None``: the table order already is
+        #: the edge-key order).
+        self.walk = walk_order(ip, cache.ids, cache.dists)
+        #: MOE cursor: first walk position of each row not yet known internal.
         self.cur = ip[:-1].copy()
+        #: Slots the cursors examined, and cursor wakes (participants
+        #: summed over phases): ``cursor_steps <= entries + cursor_wakes``.
+        self.cursor_steps = 0
+        self.cursor_wakes = 0
+        #: Original mode (built by :meth:`probes_ready`): ``rejected`` marks
+        #: same-fragment slots found by probes, ``dead`` adds the
+        #: phase-start tree slots — the slots a cursor skips for free.
+        self.rejected: np.ndarray | None = None
+        self.dead: np.ndarray | None = None
+        #: Slots (both directions) of this phase's CONNECT edges; they
+        #: join ``dead`` at the next phase start.
+        self.tree_new: list[int] = []
         # -- protocol state, synced in from the node objects ----------------
         self.fid = np.fromiter((nd.fid for nd in nodes), dtype=np.int64, count=n)
         self.leader = np.fromiter((nd.leader for nd in nodes), dtype=bool, count=n)
@@ -335,6 +417,13 @@ class TurboPhaseEngine:
         self.final_from = np.full(n, -1, dtype=np.int64)
         self.sent_connect_to = np.full(n, -1, dtype=np.int64)
         self.connects_in: dict[int, set[int]] = {}
+        self.search_done = np.zeros(n, dtype=bool)
+        #: Seq of the REPORT that completed each node's count while its
+        #: search was still running.  Seqs only grow, so a value left from
+        #: an earlier round is below every seq delivered now.
+        self.rep_seq = np.full(n, -1, dtype=np.int64)
+        #: Seq of each node's REJECT in the round being processed.
+        self.rej_at = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
         #: This-phase tree adds per node, maintained only while a passive
         #: node exists (= an ABSORB flood is possible; EOPT step 2).
         self.extras: dict[int, list[int]] | None = None
@@ -344,6 +433,7 @@ class TurboPhaseEngine:
         # -- pending deliveries for the next round ---------------------------
         self.pend_report: tuple | None = None
         self.pend_misc: tuple | None = None
+        self.pend_probe: tuple | None = None
         #: ANNOUNCE senders (array or list), delivered as a count.
         self.pend_ann = None
         self._seq = 0
@@ -366,6 +456,27 @@ class TurboPhaseEngine:
             c.fid[m], self.fid[c.ids[m]]
         )
 
+    def probes_ready(self) -> bool:
+        """Original-mode entry check; builds the ``rejected``/``dead`` masks.
+
+        The probe walk covers exactly the known slots, so every slot
+        within the radius must be known and none beyond it (a HELLO at
+        the radius leaves the cache so).  The run must start from
+        singleton fragments with nothing rejected, as ``run_ghs`` does;
+        anything else keeps the per-message path.
+        """
+        c = self.cache
+        m = self.ann_mask
+        if not (c.known.all() if m is None else np.array_equal(c.known, m)):
+            return False
+        if self.passive.any():
+            return False
+        if any(nd.rejected or nd.tree_edges for nd in self.nodes):
+            return False
+        self.rejected = np.zeros(len(c.ids), dtype=bool)
+        self.dead = np.zeros(len(c.ids), dtype=bool)
+        return True
+
     def _write_cache(self) -> None:
         """Derive ``cache.fid`` from ``fid``: each sender's last ANNOUNCE."""
         c = self.cache
@@ -375,64 +486,79 @@ class TurboPhaseEngine:
         else:
             c.fid[m] = self.fid[c.ids[m]]
 
-    #: Row slots one cursor step examines per still-scanning node.
+    #: Walk positions one cursor step examines per still-scanning node.
     _WINDOW = 8
+
+    def _walk(
+        self, us: np.ndarray, pos: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Advance the cursors of ``us`` from walk positions ``pos``.
+
+        Stops each cursor at the first position whose slot is live —
+        an outgoing neighbour (modified mode), or not ``dead`` (original
+        mode) — or at its row's announce end.  Returns the new positions
+        (also stored in ``cur``) and whether each stopped on a live slot.
+        A position is examined at most once per call, and each cursor
+        only moves forward.
+        """
+        c = self.cache
+        ids, walk, dead = c.ids, self.walk, self.dead
+        fid, ends = self.fid, self.ann_ends
+        out = pos.copy()
+        last = len(ids) - 1
+        if last >= 0:
+            step = np.arange(self._WINDOW)
+            act = np.arange(len(us))
+            while len(act):
+                p = out[act]
+                u = us[act]
+                win = p[:, None] + step
+                stop = win >= ends[u][:, None]
+                np.minimum(win, last, out=win)
+                if walk is not None:
+                    win = walk[win]
+                if dead is None:
+                    stop |= fid[ids[win]] != fid[u][:, None]
+                else:
+                    stop |= ~dead[win]
+                hit = stop.any(axis=1)
+                out[act] = p + np.where(hit, stop.argmax(axis=1), self._WINDOW)
+                act = act[~hit]
+        self.cur[us] = out
+        found = out < ends[us]
+        self.cursor_steps += int((out - pos).sum()) + int(np.count_nonzero(found))
+        return out, found
+
+    def _slot(self, pos):
+        """CSR slot(s) at walk position(s) ``pos``."""
+        return pos if self.walk is None else self.walk[pos]
 
     def _cursor_moe(
         self, parts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``FloodCache.moe_batch`` for the participants, by the MOE cursor.
 
-        Moves each cursor past the slots whose neighbour shares the
-        node's fragment, ``_WINDOW`` slots per step over the nodes still
-        scanning.  The MOE is the slot under the cursor; in a run of
-        exact distance ties it is the outgoing slot of least
-        ``(lo, hi)``.  Returns ``(cand, dist, lo, hi)``, ``cand = -1``
-        and ``dist = inf`` where no outgoing edge is in range.
+        Walks each cursor past the slots whose neighbour shares the
+        node's fragment; the MOE is the slot under it (the walk follows
+        the edge key, so in a run of exact distance ties that is the
+        outgoing slot of least ``(lo, hi)``).  Returns ``(cand, dist,
+        lo, hi)``, ``cand = -1`` and ``dist = inf`` where no outgoing
+        edge is in range.
         """
         c = self.cache
-        ids, fid, cur, ends = c.ids, self.fid, self.cur, self.ann_ends
         k = len(parts)
         cand = np.full(k, -1, dtype=np.int64)
         kdist = np.full(k, _INF)
         klo = np.full(k, -1, dtype=np.int64)
         khi = np.full(k, -1, dtype=np.int64)
-        last = len(ids) - 1
-        if last < 0:
-            return cand, kdist, klo, khi
-        step = np.arange(self._WINDOW)
-        act = parts
-        while len(act):
-            pos = cur[act]
-            win = pos[:, None] + step
-            stop = win >= ends[act][:, None]
-            np.minimum(win, last, out=win)
-            stop |= fid[ids[win]] != fid[act][:, None]
-            hit = stop.any(axis=1)
-            cur[act] = pos + np.where(hit, stop.argmax(axis=1), self._WINDOW)
-            act = act[~hit]
-        pos = cur[parts]
-        end = ends[parts]
-        has = np.flatnonzero(pos < end)
-        j = pos[has]
-        d = c.dists[j]
-        cand[has] = ids[j]
-        kdist[has] = d
+        self.cursor_wakes += k
+        pos, found = self._walk(parts, self.cur[parts])
+        has = np.flatnonzero(found)
+        j = self._slot(pos[has])
+        cand[has] = c.ids[j]
+        kdist[has] = c.dists[j]
         klo[has] = c.lo[j]
         khi[has] = c.hi[j]
-        tied = (j + 1 < end[has]) & (c.dists[np.minimum(j + 1, last)] == d)
-        for t in np.flatnonzero(tied).tolist():
-            i = int(has[t])
-            f = fid[parts[i]]
-            best = None
-            s, e, dd = int(j[t]), int(end[i]), d[t]
-            while s < e and c.dists[s] == dd:
-                key = (int(c.lo[s]), int(c.hi[s]))
-                if fid[ids[s]] != f and (best is None or key < best[0]):
-                    best = (key, s)
-                s += 1
-            (klo[i], khi[i]), s = best
-            cand[i] = ids[s]
         return cand, kdist, klo, khi
 
     # -- geometry ----------------------------------------------------------
@@ -511,13 +637,15 @@ class TurboPhaseEngine:
         counters take the same integer counts, and each send lands in
         next round's pending set keyed ``(recipient, seq)``.
         """
-        if not em.chunks and len(em.node) <= 64:
+        if len(em) <= 64:
+            em.fold_chunks()
             return self._finalize_scalar(em)
         cols = em.columns()
         led = self.k._ledger
         if cols is None:
             self.pend_report = None
             self.pend_misc = None
+            self.pend_probe = None
             self.pend_ann = None
             return 0
         _, _, _, node, kind, dist, dst, pf, p1, p2 = cols
@@ -526,8 +654,8 @@ class TurboPhaseEngine:
         led.energy_total = seq_energy_accumulate(led.energy_total, energies)
         led.messages_total += k
         np.add.at(led.energy_by_node, node, energies)
-        counts = np.bincount(kind, minlength=6)
-        esums = np.bincount(kind, weights=energies, minlength=6)
+        counts = np.bincount(kind, minlength=len(_KIND_NAMES))
+        esums = np.bincount(kind, weights=energies, minlength=len(_KIND_NAMES))
         stage = self.k.stage
         led.energy_by_stage[stage] += float(energies.sum())
         led.messages_by_stage[stage] += k
@@ -559,6 +687,14 @@ class TurboPhaseEngine:
             )
         else:
             self.pend_misc = None
+        if counts[_TEST:].any():
+            m = kind >= _TEST
+            o = np.argsort(dst[m], kind="stable")
+            self.pend_probe = (
+                dst[m][o], seqs[m][o], node[m][o], kind[m][o], p1[m][o], p2[m][o]
+            )
+        else:
+            self.pend_probe = None
         if perf.enabled and counts[_ANNOUNCE]:
             perf.add("kernel.plane_sends", int(counts[_ANNOUNCE]))
         return k
@@ -574,6 +710,7 @@ class TurboPhaseEngine:
         """
         self.pend_report = None
         self.pend_misc = None
+        self.pend_probe = None
         self.pend_ann = None
         k = len(em.node)
         if k == 0:
@@ -590,6 +727,7 @@ class TurboPhaseEngine:
         self._seq += k
         rep_rows: list[tuple] = []
         misc_rows: list[tuple] = []
+        probe_rows: list[tuple] = []
         ann_w: list[int] = []
         for j, i in enumerate(order):
             kd = em.kind[i]
@@ -605,6 +743,8 @@ class TurboPhaseEngine:
                 ann_w.append(u)
             elif kd == _REPORT:
                 rep_rows.append((em.dst[i], base + j, u, em.pf[i], em.p1[i], em.p2[i]))
+            elif kd >= _TEST:
+                probe_rows.append((em.dst[i], base + j, u, kd, em.p1[i], em.p2[i]))
             elif kd != _INITIATE:
                 misc_rows.append((em.dst[i], base + j, u, kd, em.p2[i]))
         led.energy_total = total
@@ -622,6 +762,9 @@ class TurboPhaseEngine:
         if misc_rows:
             misc_rows.sort(key=lambda t: t[0])
             self.pend_misc = tuple(zip(*misc_rows))
+        if probe_rows:
+            probe_rows.sort(key=lambda t: t[0])
+            self.pend_probe = tuple(zip(*probe_rows))
         return k
 
     def _apply_announces(self) -> int:
@@ -652,6 +795,7 @@ class TurboPhaseEngine:
         return (
             self.pend_report is not None
             or self.pend_misc is not None
+            or self.pend_probe is not None
             or self.pend_ann is not None
         )
 
@@ -695,7 +839,7 @@ class TurboPhaseEngine:
         # Emissions: per node, ANNOUNCE (intra 0) then INITIATEs in row
         # order (intra 1 + position in row — gaps where the parent sat
         # do not disturb the ordering).
-        aids = ids[changed]
+        aids = ids[:0] if self.tests else ids[changed]
         em.add_chunk(
             aids,
             np.zeros(len(aids), dtype=np.int64),
@@ -830,6 +974,9 @@ class TurboPhaseEngine:
                 raise ProtocolError(f"node {u}: CHANGEROOT with no candidate")
             self.sent_connect_to[u] = nb
             self._add_edge(u, nb)
+            if self.dead is not None:
+                j = int(self._slot(self.cur[u]))
+                self.tree_new += (j, int(self.tbl.rev[j]))
             em.add(k1, k2, 0, u, _CONNECT, float(self.cand_d[u]), nb, p2=int(self.fid[u]))
             # The reciprocal CONNECT may already have arrived this phase.
             if u > nb and nb in self.connects_in.get(u, ()):
@@ -840,6 +987,7 @@ class TurboPhaseEngine:
     def _stage_b_wake(self, phase: int, parts: np.ndarray) -> None:
         """Batched MOE search + ``apply_moe`` for every participant."""
         cand, kdist, klo, khi = self._cursor_moe(parts)
+        self.search_done[parts] = True
         self.cand_nb[parts] = cand
         self.cand_d[parts] = kdist
         self.cand_lo[parts] = klo
@@ -850,6 +998,112 @@ class TurboPhaseEngine:
         ready = parts[self.n_children[parts] == 0]
         self._complete(em, ready, ready, np.zeros(len(ready), dtype=np.int64))
         self._finalize(em)
+
+    def _emit_tests(
+        self, em: _Emits, us: np.ndarray, k2: np.ndarray, pos: np.ndarray
+    ) -> None:
+        """One TEST per node of ``us``, at the slot under its cursor ``pos``."""
+        c = self.cache
+        j = self._slot(pos)
+        em.add_chunk(
+            us, k2, np.zeros(len(us), dtype=np.int64), us,
+            np.full(len(us), _TEST, dtype=np.int64), c.dists[j], c.ids[j],
+            p1=j, p2=self.fid[us],
+        )
+
+    def _probe_wake(self, parts: np.ndarray) -> None:
+        """Original-mode ``find_moe`` wake: each participant's first TEST.
+
+        A participant whose walk finds no live slot has searched; a
+        childless one of those reports (or, as a leader, acts) at once.
+        Original-mode runs have no passive node (only EOPT's step 2
+        declares a giant, in modified mode), so no ABSORB re-labels a
+        fragment while TESTs are in flight; checked, not assumed.
+        """
+        if self.passive.any():
+            raise ProtocolError(
+                "passive node in original-mode GHS: fragment ids could "
+                "change while TESTs are in flight"
+            )
+        self.cursor_wakes += len(parts)
+        pos, found = self._walk(parts, self.cur[parts])
+        zeros = np.zeros(len(parts), dtype=np.int64)
+        em = _Emits()
+        self._emit_tests(em, parts[found], zeros[found], pos[found])
+        done = parts[~found]
+        self.search_done[done] = True
+        ready = done[self.n_children[done] == 0]
+        self._complete(em, ready, ready, zeros[: len(ready)])
+        self._finalize(em)
+
+    def _mark(self, slots: np.ndarray) -> None:
+        self.rejected[slots] = True
+        self.dead[slots] = True
+
+    def _proc_probes(self, em: _Emits, pend: tuple) -> int:
+        """One round's TEST/ACCEPT/REJECT deliveries (original mode).
+
+        TEST: the recipient answers from its fragment id (ACCEPT when it
+        differs from the probe's), and a same-fragment probe marks the
+        edge at the recipient, whose slot is ``rev`` of the sender's.
+        REJECT: the recipient marks the slot under its cursor and walks
+        on, sending its next TEST or ending its search; its walk sees a
+        same-round mark only if that TEST reached it first (lower seq).
+        ACCEPT: the slot under the cursor is the node's candidate.
+        A search that ends here reports at the later of this delivery
+        and the node's last REPORT (``_try_report``).
+        """
+        dst, seq, src, kind, slot, pfid = (
+            np.asarray(col, dtype=np.int64) for col in pend
+        )
+        c = self.cache
+        t = kind == _TEST
+        tv = dst[t]
+        marks = marks_at = marks_seq = None
+        if len(tv):
+            tq, ts = seq[t], slot[t]
+            same = pfid[t] == self.fid[tv]
+            em.add_chunk(
+                tv, tq, np.zeros(len(tv), dtype=np.int64), tv,
+                np.where(same, _REJECT, _ACCEPT), c.dists[ts], src[t],
+            )
+            if same.any():
+                marks = self.tbl.rev[ts[same]]
+                marks_at, marks_seq = tv[same], tq[same]
+        r = kind == _REJECT
+        ru, rq = dst[r], seq[r]
+        end_u, end_q = ru[:0], rq[:0]
+        if len(ru):
+            self._mark(self._slot(self.cur[ru]))
+            if marks is not None:
+                self.rej_at[ru] = rq
+                early = marks_seq < self.rej_at[marks_at]
+                self.rej_at[ru] = np.iinfo(np.int64).max
+                self._mark(marks[early])
+                marks = marks[~early]
+            pos, found = self._walk(ru, self.cur[ru] + 1)
+            self._emit_tests(em, ru[found], rq[found], pos[found])
+            end_u, end_q = ru[~found], rq[~found]
+        if marks is not None:
+            self._mark(marks)
+        a = kind == _ACCEPT
+        au = dst[a]
+        if len(au):
+            j = self._slot(self.cur[au])
+            self.cand_nb[au] = c.ids[j]
+            self.cand_d[au] = c.dists[j]
+            self.cand_lo[au] = c.lo[j]
+            self.cand_hi[au] = c.hi[j]
+            end_u = np.concatenate((end_u, au))
+            end_q = np.concatenate((end_q, seq[a]))
+        if len(end_u):
+            self.search_done[end_u] = True
+            ready = (~self.reported[end_u]) & (
+                self.reports_recv[end_u] >= self.n_children[end_u]
+            )
+            ids = end_u[ready]
+            self._complete(em, ids, ids, np.maximum(end_q[ready], self.rep_seq[ids]))
+        return len(dst)
 
     def _proc_reports(self, em: _Emits, pend: tuple) -> int:
         """One round's REPORT deliveries: segment counts + segment-min."""
@@ -879,12 +1133,18 @@ class TurboPhaseEngine:
         self.best_child[upd] = src[mi[lt]]
         # Completions fire on the last report (children report exactly
         # once per phase, so the count reaches len(children) on this
-        # round's final delivery — deliveries are (dst, seq)-sorted).
-        comp = (~self.reported[uds]) & (
-            self.reports_recv[uds] >= self.n_children[uds]
+        # round's final delivery — deliveries are (dst, seq)-sorted) if
+        # the search is done.  Probes are processed after reports, so a
+        # search done by now ended in an earlier round; one still running
+        # fires at its end, at the later of its seq and ``rep_seq``.
+        last_seq = seq[first + cnt - 1]
+        self.rep_seq[uds] = last_seq
+        comp = (
+            (~self.reported[uds])
+            & self.search_done[uds]
+            & (self.reports_recv[uds] >= self.n_children[uds])
         )
         ids = uds[comp]
-        last_seq = seq[first + cnt - 1]
         self._complete(em, ids, ids, last_seq[comp])
         return len(dst)
 
@@ -913,7 +1173,10 @@ class TurboPhaseEngine:
                 self.best_hi[u] = nd_hi
                 self.best_child[u] = int(src[i])
             if not self.reported[u] and recv[u] >= self.n_children[u]:
-                self._complete_one(em, u, u, int(seq[i]))
+                if self.search_done[u]:
+                    self._complete_one(em, u, u, int(seq[i]))
+                else:
+                    self.rep_seq[u] = int(seq[i])
         return len(dst)
 
     def _proc_misc(self, em: _Emits, pend: tuple) -> int:
@@ -950,7 +1213,8 @@ class TurboPhaseEngine:
                 self.passive[u] = True
                 self.leader[u] = False
                 self.halted[u] = True
-                em.add(u, q, 0, u, _ANNOUNCE, self.r, -1)
+                if not self.tests:
+                    em.add(u, q, 0, u, _ANNOUNCE, self.r, -1)
                 row = self._tree_row(u)
                 for j, e in enumerate(row):
                     if e != s:
@@ -959,12 +1223,17 @@ class TurboPhaseEngine:
 
     def _stage_b_rounds(self) -> None:
         while self._pending:
-            rep, misc = self.pend_report, self.pend_misc
-            self.pend_report = self.pend_misc = None
+            rep, misc, probe = self.pend_report, self.pend_misc, self.pend_probe
+            self.pend_report = self.pend_misc = self.pend_probe = None
             delivered = self._apply_announces()
             em = _Emits()
+            # Reports before probes (see _proc_reports).  Completions
+            # route before the round's CONNECTs land: whichever comes
+            # first, the core endpoint with the higher id leads (_route).
             if rep is not None:
                 delivered += self._proc_reports(em, rep)
+            if probe is not None:
+                delivered += self._proc_probes(em, probe)
             if misc is not None:
                 delivered += self._proc_misc(em, misc)
             self._finalize(em)
@@ -989,6 +1258,10 @@ class TurboPhaseEngine:
         self.final_from.fill(-1)
         self.sent_connect_to.fill(-1)
         self.connects_in = {}
+        self.search_done.fill(False)
+        if self.tree_new:
+            self.dead[self.tree_new] = True  # now phase-start tree slots
+            self.tree_new = []
         self.extras = {} if bool(self.passive.any()) else None
 
     def run(self, start_phase: int, max_phases: int) -> int:
@@ -1018,7 +1291,10 @@ class TurboPhaseEngine:
                 self._build_tree_csr()
                 self._reset_phase_arrays()
                 parts = self._stage_a(phase, leaders)
-                self._stage_b_wake(phase, parts)
+                if self.tests:
+                    self._probe_wake(parts)
+                else:
+                    self._stage_b_wake(phase, parts)
                 self._stage_b_rounds()
                 if trace.enabled:
                     uniq, sizes = np.unique(self.fid, return_counts=True)
@@ -1043,9 +1319,13 @@ class TurboPhaseEngine:
         each non-passive node's last-set children are exactly its sorted
         tree row minus its parent.  Passive nodes keep their pre-engine
         ``children`` — nothing downstream reads them (the EOPT census
-        runs between steps, when no node is passive yet).
+        runs between steps, when no node is passive yet).  Original mode
+        leaves the flood cache as the HELLO flood wrote it (its
+        per-message path never writes it) and writes each node's
+        ``rejected`` set.
         """
-        self._write_cache()
+        if not self.tests:
+            self._write_cache()
         self._build_tree_csr()
         fid = self.fid.tolist()
         leader = self.leader.tolist()
@@ -1067,6 +1347,12 @@ class TurboPhaseEngine:
             nd.tree_edges = set(row)
             if not passive[i]:
                 nd.children = tuple(e for e in row if e != p)
+        if self.rejected is not None:
+            sl = np.flatnonzero(self.rejected)
+            bounds = np.searchsorted(sl, self.cache.indptr).tolist()
+            nbrs = self.cache.ids[sl].tolist()
+            for i, nd in enumerate(self.nodes):
+                nd.rejected = set(nbrs[bounds[i] : bounds[i + 1]])
 
 
 def run_phases_turbo(

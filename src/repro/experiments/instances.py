@@ -15,11 +15,12 @@ state: with cell-major task ordering and a chunk per cell, one worker
 sees all algorithms of a cell back to back.
 
 Graph-shaped instances additionally key on the **instance layout**
-(``dense`` vs ``chunked`` CSR — see :data:`repro.rgg.LAYOUTS`): kernel
-backends declare the layout they expect through the kernel registry, and
-a mixed-kernel sweep must never be served a cached instance assembled
-for a different backend's layout.  Point sets are layout-independent, so
-:func:`get_points` stays keyed on ``(n, seed)`` alone.
+(``dense`` vs ``chunked`` CSR — see :data:`repro.rgg.LAYOUTS`): the
+caller names the layout it wants (``get_graph(..., layout=...)``; only
+the scaling benchmark asks for ``chunked``), and a request for one
+layout is never served an instance cached for the other.  Point sets
+are layout-independent, so :func:`get_points` stays keyed on
+``(n, seed)`` alone.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Co-NNT reliable-layer fuzzing world (ROADMAP item 4 headroom).
+"""Co-NNT reliable-layer fuzzing world.
 
 The retry world fuzzes :class:`~repro.sim.faults.RetryBuffer` bare; this
 world fuzzes it *embedded* — the REPLY/CONNECTION traffic of a real

@@ -32,6 +32,7 @@ from repro.geometry.radius import connectivity_radius
 from repro.experiments.instances import get_points
 from repro.mst.kruskal import kruskal_mst
 from repro.mst.quality import same_tree
+from repro.perf import perf
 from repro.rgg.build import build_rgg
 from repro.sim.faults import FaultPlan
 
@@ -244,35 +245,61 @@ class GHSFuzzWorld:
             edges, lengths = edges[keep], lengths[keep]
         return kruskal_mst(g.n, edges, lengths)[0]
 
+    @staticmethod
+    def _check_same(ref, other, ref_label: str, label: str) -> None:
+        """Same tree and headline stats, or a :class:`ProtocolError`."""
+        (ref_edges, ref_stats), (edges, stats) = ref, other
+        if not same_tree(edges, ref_edges):
+            raise ProtocolError(
+                f"backends computed different trees: {ref_label} vs {label}"
+            )
+        mismatched = [
+            name
+            for name in ("energy_total", "messages_total", "rounds", "messages_by_kind")
+            if getattr(ref_stats, name) != getattr(stats, name)
+        ]
+        if mismatched:
+            raise ProtocolError(
+                f"backend stats diverged ({ref_label} vs {label}): "
+                + ", ".join(mismatched)
+            )
+
+    def engine_result(self):
+        """``(tree_edges, stats)`` of the production GHS runner on the
+        default kernel, which must take the whole-round phase engine."""
+        from repro.algorithms.ghs import run_ghs
+
+        was_on, prev = perf.enabled, perf.snapshot()
+        perf.reset()
+        perf.enable()
+        try:
+            res = run_ghs(self.points, radius=self.radius)
+            engaged = perf.counters.get("kernel.turbo_engine_rounds", 0) > 0
+        finally:
+            perf.disable()
+            perf.reset()
+            perf.merge(prev)
+            if was_on:
+                perf.enable()
+        if not engaged:
+            raise ProtocolError("fault-free GHS did not engage the whole-round engine")
+        return res.tree_edges, res.stats
+
     def check_final(self) -> None:
         results = [h.result() for h in self.harnesses]
         ref_edges, ref_stats = results[0]
         ref_label = f"{self.configs[0][0]}/planes={self.configs[0][1]}"
-        for (mode, planes), (edges, stats) in zip(self.configs[1:], results[1:]):
-            label = f"{mode}/planes={planes}"
-            if not same_tree(edges, ref_edges):
-                raise ProtocolError(
-                    f"backends computed different trees: {ref_label} vs {label}"
-                )
-            mismatched = [
-                name
-                for name, a, b in (
-                    ("energy_total", ref_stats.energy_total, stats.energy_total),
-                    ("messages_total", ref_stats.messages_total, stats.messages_total),
-                    ("rounds", ref_stats.rounds, stats.rounds),
-                    (
-                        "messages_by_kind",
-                        ref_stats.messages_by_kind,
-                        stats.messages_by_kind,
-                    ),
-                )
-                if a != b
-            ]
-            if mismatched:
-                raise ProtocolError(
-                    f"backend stats diverged ({ref_label} vs {label}): "
-                    + ", ".join(mismatched)
-                )
+        for (mode, planes), res in zip(self.configs[1:], results[1:]):
+            self._check_same(results[0], res, ref_label, f"{mode}/planes={planes}")
+        # The harnesses always drive the per-message phase loop; a
+        # fault-free GHS world also pins the engine against them.
+        # (Cap moves are result-neutral but out of the runner's reach.)
+        if (
+            self.algorithm == "GHS"
+            and self.effective_plan() is None
+            and not any(op[0] == "set_cap" for op in self.ops)
+        ):
+            self._check_same(results[0], self.engine_result(), ref_label, "engine")
         oracle = self.oracle_forest()
         if not same_tree(ref_edges, oracle):
             raise ProtocolError(

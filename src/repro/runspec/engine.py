@@ -72,7 +72,9 @@ from repro.runspec.report import RunReport
 from repro.runspec.spec import RunSpec
 from repro.trace import trace
 
-__all__ = ["execute", "execute_batch", "dispatch", "pool_state", "shutdown"]
+__all__ = [
+    "execute", "execute_batch", "dispatch", "pool_state", "shutdown", "warm_pool",
+]
 
 #: Batch backends accepted by :func:`execute_batch`.
 BACKENDS = ("serial", "process")
@@ -220,6 +222,31 @@ def _shutdown_pool() -> None:
             _pool.shutdown()
             _pool = None
             _pool_workers = 0
+
+
+def warm_pool(workers: int | None = None) -> None:
+    """Start the shared pool's workers now.
+
+    Under the ``fork`` start method the first submit launches every
+    worker, so one no-op round trip starts them all.  A server calls this
+    before it accepts connections: a worker forked later inherits every
+    open socket, and a client stream the server has closed would then
+    never reach end of file.  A host that cannot spawn a pool is left to
+    the batch path, which degrades to serial (warn-once).
+
+    The shared-memory resource tracker starts first: workers forked
+    before it exists would each start their own when they attach a
+    fabric segment.
+    """
+    if workers is None:
+        workers = os.cpu_count() or 1
+    try:
+        from multiprocessing import resource_tracker
+
+        resource_tracker.ensure_running()
+        _executor(workers).submit(os.getpid).result()
+    except _POOL_FAILURES:
+        _shutdown_pool()
 
 
 def pool_state() -> dict:

@@ -1,9 +1,9 @@
 """``repro.serve`` — the HTTP run service over broker, engine and store.
 
-The service front from ROADMAP item 1: specs arrive as JSON over HTTP,
-dedupe against in-flight jobs by ``spec_hash``, short-circuit through
-the :class:`~repro.store.ResultStore`, and fan onto the shared process
-pool via ``execute_batch(store=...)``.  Results are served as the
+The service front: specs arrive as JSON over HTTP, dedupe against
+in-flight jobs by ``spec_hash``, short-circuit through the
+:class:`~repro.store.ResultStore`, and fan onto the shared process pool
+via ``execute_batch(store=...)``.  Results are served as the
 engine's canonical report bytes — byte-identical whether computed or
 replayed from the store.
 

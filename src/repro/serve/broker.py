@@ -1,9 +1,9 @@
 """The job broker: dedupe, store consult, fan-out onto the engine.
 
 :class:`InMemoryBroker` is the whole queue story today, kept behind the
-small :class:`Broker` interface named in ROADMAP item 1 so a redis/NATS
-backend can drop in later without touching the HTTP layer: the router
-only ever calls ``submit`` / ``get`` / ``cancel`` / ``stats``.
+small :class:`Broker` interface so a redis/NATS backend can drop in
+later without touching the HTTP layer: the router only ever calls
+``submit`` / ``get`` / ``cancel`` / ``stats``.
 
 Three layers of "never compute twice" stack up, cheapest first:
 
@@ -38,6 +38,7 @@ import asyncio
 from functools import partial
 
 from repro.runspec import execute_batch
+from repro.runspec.engine import warm_pool
 from repro.runspec.spec import RunSpec
 from repro.serve.jobs import CANCELLED, FAILED, QUEUED, Job
 
@@ -112,7 +113,17 @@ class InMemoryBroker(Broker):
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
+        """Start consuming; with the process backend, fork the pool first.
+
+        Call before the HTTP server accepts connections, so no pool
+        worker inherits a client socket (an inherited ``/events``
+        connection would never see end of stream).
+        """
         if self._consumer is None:
+            if self.backend == "process":
+                # Blocks the loop for one fork and round trip; nothing
+                # is being served yet.
+                warm_pool(self.workers)
             self._consumer = asyncio.ensure_future(self._consume())
 
     async def close(self) -> None:

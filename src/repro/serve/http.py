@@ -10,9 +10,8 @@ reuse (the warm path is store-bound, not connection-bound — see
 ``benchmarks/bench_serve_smoke.py`` for the measured latencies).
 
 Kept free of any knowledge of jobs/brokers: :class:`Request` in,
-:class:`Response` out, and an app callable between them.  That is the
-router/transport split the FastAPI-style layout in ROADMAP item 1 asks
-for, minus the framework.
+:class:`Response` out, and an app callable between them: a
+FastAPI-style router/transport split, minus the framework.
 """
 
 from __future__ import annotations

@@ -124,6 +124,38 @@ class TestGHSFuzzWorld:
         w.finish()
         assert w.finished and not w.failed
 
+    def test_clean_ghs_world_cross_checks_engine(self, monkeypatch):
+        calls = []
+        orig = GHSFuzzWorld.engine_result
+
+        def engine_result(self):
+            calls.append(self.algorithm)
+            return orig(self)
+
+        monkeypatch.setattr(GHSFuzzWorld, "engine_result", engine_result)
+        w = GHSFuzzWorld(n=40, seed=5, algorithm="GHS")
+        w.advance(30)
+        w.finish()
+        assert w.finished and not w.failed
+        assert calls == ["GHS"]
+        # Faulted and cap-moving worlds stay off the engine cross-check.
+        faulted = GHSFuzzWorld(n=16, seed=2, algorithm="GHS", drop_rate=0.1, fault_seed=3)
+        faulted.finish()
+        w = GHSFuzzWorld(n=16, seed=2, algorithm="GHS", cap_slack=1.25)
+        w.set_cap(0.5)
+        w.finish()
+        assert calls == ["GHS"]
+
+    def test_engine_divergence_is_reported(self, monkeypatch):
+        w = GHSFuzzWorld(n=24, seed=1, algorithm="GHS")
+        import dataclasses
+
+        edges, stats = w.engine_result()
+        stats = dataclasses.replace(stats, messages_total=stats.messages_total + 1)
+        monkeypatch.setattr(GHSFuzzWorld, "engine_result", lambda self: (edges, stats))
+        with pytest.raises(ProtocolError, match=r"vs engine\): messages_total"):
+            w.finish()
+
     def test_faulted_world_with_midrun_crash(self):
         w = GHSFuzzWorld(
             n=18, seed=1, drop_rate=0.15, dup_rate=0.1, fault_seed=9, cap_slack=1.25

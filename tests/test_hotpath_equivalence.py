@@ -16,10 +16,9 @@ The flood-plane fast path (``planes=True``, the default) rides the same
 contract: every algorithm run is checked with planes on *and* off
 against the legacy kernel, and the plane path must demonstrably engage —
 a test that silently fell back to per-message delivery would pin
-nothing.  With planes on, modified GHS and EOPT also run their phases on
-the whole-round engine, which sums the energy breakdowns in a different
-association order; plain GHS never engages it, so its planes-on and
-planes-off breakdowns stay bit-equal.
+nothing.  With planes on, GHS, modified GHS and EOPT also run their
+phases on the whole-round engine, which sums the energy breakdowns in a
+different association order.
 """
 
 from __future__ import annotations
@@ -82,19 +81,13 @@ def test_algorithms_bit_identical(runner, n, seed):
     assert plane_sends > 0
     _assert_same_result(old, new)
     _assert_same_result(old, off)
-    if runner is run_ghs:
-        # Plain GHS never takes the whole-round engine: planes on/off share
-        # the per-message charge order, so even the batched breakdowns are
-        # bit-identical between them (not just close).
-        assert engine_rounds == 0
-        assert new.stats.energy_by_kind == off.stats.energy_by_kind
-        assert new.stats.energy_by_stage == off.stats.energy_by_stage
-    else:
-        # The engine reassociates the breakdown sums (headline stats above
-        # stay bit-exact), and it must demonstrably have engaged.
-        assert engine_rounds > 0
-        _assert_breakdown_close(new.stats.energy_by_kind, off.stats.energy_by_kind)
-        _assert_breakdown_close(new.stats.energy_by_stage, off.stats.energy_by_stage)
+    # Every family member (original GHS's TEST probes included) runs its
+    # phases on the whole-round engine, which reassociates the breakdown
+    # sums (headline stats above stay bit-exact); it must demonstrably
+    # have engaged.
+    assert engine_rounds > 0
+    _assert_breakdown_close(new.stats.energy_by_kind, off.stats.energy_by_kind)
+    _assert_breakdown_close(new.stats.energy_by_stage, off.stats.energy_by_stage)
 
 
 @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faults"])

@@ -283,6 +283,65 @@ class TestEventsStream:
         assert "running" not in warm
 
 
+def test_events_stream_ends_across_first_pool_compute(monkeypatch):
+    """An ``/events`` stream open while the first compute runs on the
+    process pool still reaches end of stream after ``done``: the pool is
+    forked before the server accepts connections, so no worker holds a
+    copy of the client socket."""
+    import http.client
+    import threading
+
+    from repro.runspec import engine as engine_mod
+    from repro.serve import broker as broker_mod
+
+    opened = threading.Event()
+    real = broker_mod.execute_batch
+
+    def after_stream_opens(*args, **kwargs):
+        assert opened.wait(30), "the /events stream never opened"
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(broker_mod, "execute_batch", after_stream_opens)
+
+    def stream(port: int, job_id: str) -> list[str]:
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=15)
+        try:
+            conn.request("GET", f"/runs/{job_id}/events")
+            resp = conn.getresponse()
+            first = resp.readline()  # the server now holds this socket
+            opened.set()
+            rest = resp.read()  # returns at end of stream; times out if hung
+        finally:
+            conn.close()
+        lines = (first + rest).decode().splitlines()
+        return [json.loads(line)["event"] for line in lines]
+
+    async def main():
+        server, app = await create_app("127.0.0.1", 0, backend="process", workers=1)
+        port = server.sockets[0].getsockname()[1]
+        base = f"http://127.0.0.1:{port}"
+        loop = asyncio.get_event_loop()
+        try:
+            assert engine_mod.pool_state()["alive"]  # forked before listening
+            spec = {"algorithm": "MGHS", "n": 60, "seed": 4}
+            status, body = await loop.run_in_executor(
+                None, _http, base, "POST", "/runs", spec
+            )
+            assert status == 201
+            job_id = json.loads(body)["id"]
+            return await loop.run_in_executor(None, stream, port, job_id)
+        finally:
+            server.close()
+            await server.wait_closed()
+            await app.broker.close()
+
+    try:
+        kinds = asyncio.run(main())
+    finally:
+        engine_mod.shutdown()
+    assert kinds[0] == "queued" and kinds[-1] == "done"
+
+
 class TestCancellation:
     def test_cancel_queued_job_via_http(self):
         # A broker that was never started keeps jobs QUEUED forever —

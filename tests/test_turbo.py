@@ -11,6 +11,9 @@ isolation:
   (and only then); its MOE cursor agrees with ``FloodCache.moe_batch``,
   it leaves the same flood cache as the per-message phase loop, and a
   stale cache makes the run ineligible;
+* classical GHS runs its TEST/ACCEPT/REJECT probes on the engine with
+  legacy-identical traces and ``rejected`` sets, same-round probe
+  deliveries in per-message order, and each slot examined O(1) times;
 * the kernel registry resolves modes, the ``turbo`` alias and
   unknown-name errors.
 """
@@ -294,6 +297,171 @@ class TestEngineCache:
             want = np.unique(keys)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+
+class TestOriginalMode:
+    """Classical GHS (TEST/ACCEPT/REJECT probes) on the whole-round engine."""
+
+    @staticmethod
+    def _traced(pts, **kwargs):
+        from repro.algorithms.ghs import run_ghs
+        from repro.trace import trace
+
+        perf.reset()
+        perf.enable()
+        trace.reset()
+        trace.enable()
+        try:
+            res = run_ghs(pts, **kwargs)
+            rounds = perf.counters.get("kernel.turbo_engine_rounds", 0)
+            return res, trace.snapshot(), rounds
+        finally:
+            trace.disable()
+            trace.reset()
+            perf.disable()
+            perf.reset()
+
+    @pytest.mark.parametrize("instance", ["u600", "u2000", "lattice33"])
+    def test_trace_identical_to_legacy(self, instance):
+        from repro.sim import LegacyKernel
+        from repro.trace.diff import diff_traces, format_divergence
+
+        if instance == "lattice33":
+            pts = _dyadic_lattice(33)
+        else:
+            pts = uniform_points(int(instance[1:]), seed=3)
+        legacy, lt, _ = self._traced(pts, kernel_cls=LegacyKernel)
+        fast, ft, engine_rounds = self._traced(pts)
+        assert engine_rounds > 0
+        d = diff_traces(lt, ft)
+        assert d is None, format_divergence(d, "legacy", "fast")
+        assert fast.stats.energy_total == legacy.stats.energy_total
+        assert fast.stats.messages_by_kind == legacy.stats.messages_by_kind
+        assert fast.stats.messages_by_kind["REJECT"] > 0
+        assert np.array_equal(fast.tree_edges, legacy.tree_edges)
+
+    @staticmethod
+    def _hello(pts, cap: float):
+        """GHS nodes after a plane HELLO at the connectivity radius, under
+        a power cap (and table) ``cap`` times wider."""
+        from repro.algorithms.ghs import GHSNode
+        from repro.algorithms.ghs.driver import hello_round
+        from repro.geometry.radius import PAPER_GHS_RADIUS_CONST, connectivity_radius
+
+        r = connectivity_radius(len(pts), PAPER_GHS_RADIUS_CONST)
+        kernel = SynchronousKernel(pts, max_radius=r * cap)
+        kernel.add_nodes(lambda i, ctx: GHSNode(i, ctx, use_tests=True, announce=False))
+        kernel.start()
+        hello_round(kernel, r)
+        return kernel
+
+    @pytest.mark.parametrize(
+        "instance, cap", [("uniform", 1.0), ("lattice", 1.0), ("uniform", 1.3)]
+    )
+    def test_rejected_sets_and_cursor_bound(self, monkeypatch, instance, cap):
+        from repro.algorithms.ghs import turbo
+        from repro.algorithms.ghs.driver import run_ghs_phases
+
+        lattice = instance == "lattice"
+        pts = _dyadic_lattice(33) if lattice else uniform_points(800, seed=6)
+        off = self._hello(pts, cap)
+        with monkeypatch.context() as mp:
+            mp.setattr(turbo, "turbo_phase_engine", lambda kernel, nodes: None)
+            phases = run_ghs_phases(off, off.nodes)
+        on = self._hello(pts, cap)
+        eng = turbo.turbo_phase_engine(on, on.nodes)
+        assert eng is not None
+        assert (eng.ann_mask is not None) == (cap > 1.0)  # walks stop at the radius
+        assert eng.run(1, 100) == phases
+        assert (eng.walk is not None) == lattice  # exact ties reorder the walk
+        a, b = off.stats(), on.stats()
+        assert (a.energy_total, a.rounds, a.messages_by_kind) == (
+            b.energy_total, b.rounds, b.messages_by_kind
+        )
+        marked = 0
+        for a, b in zip(off.nodes, on.nodes):
+            assert a.rejected == b.rejected
+            assert (a.fid, a.tree_edges, a.parent, a.children) == (
+                b.fid, b.tree_edges, b.parent, b.children
+            )
+            marked += len(a.rejected)
+        assert marked > 0
+        # Original mode leaves the cache as the HELLO flood wrote it.
+        np.testing.assert_array_equal(off.nodes[0].cache.fid, on.nodes[0].cache.fid)
+        # Forward-only: each slot is examined O(1) times per run.
+        assert eng.cursor_steps <= len(eng.cache.ids) + eng.cursor_wakes
+
+    def test_ineligible_unless_fresh(self):
+        from repro.algorithms.ghs.turbo import turbo_phase_engine
+
+        kernel = self._hello(uniform_points(200, seed=2), 1.0)
+        nd = kernel.nodes[0]
+        nb = int(nd.nb_ids[0])
+        assert turbo_phase_engine(kernel, kernel.nodes) is not None
+        for held in (nd.rejected, nd.tree_edges):
+            held.add(nb)  # the engine only starts GHS from its initial state
+            assert turbo_phase_engine(kernel, kernel.nodes) is None
+            held.clear()
+        nd.cache.known[0] = False  # an in-radius neighbour never heard
+        assert turbo_phase_engine(kernel, kernel.nodes) is None
+
+    @pytest.mark.parametrize("test_first", [True, False])
+    def test_same_round_reject_and_test(self, test_first):
+        """Node 0 holds a TEST out to 1; 1's REJECT and 2's TEST reach it
+        in one round.  0's next probe skips 2 only if 2's TEST came first."""
+        from repro.algorithms.ghs import GHSNode
+        from repro.algorithms.ghs.driver import hello_round
+        from repro.algorithms.ghs.turbo import (
+            _REJECT, _TEST, _KIND_NAMES, _Emits, turbo_phase_engine,
+        )
+
+        pts = np.array([[0.5, 0.5], [0.55, 0.5], [0.5, 0.57], [0.41, 0.5]])
+        fids = [0, 0, 0, 3]  # 0, 1 and 2 share a fragment; 3 is outside
+        q_test, q_rej = (5, 7) if test_first else (7, 5)
+
+        def kernel():
+            k = SynchronousKernel(pts, max_radius=0.2)
+            k.add_nodes(lambda i, ctx: GHSNode(i, ctx, use_tests=True, announce=False))
+            k.start()
+            hello_round(k, 0.2)
+            for nd, f in zip(k.nodes, fids):
+                nd.fid = f
+            return k
+
+        # Per-message handlers, in seq order.
+        k = kernel()
+        nd = k.nodes[0]
+        assert nd.nb_ids.tolist() == [1, 2, 3]  # by distance
+        nd._reset_phase(1)
+        nd._test_queue, nd._test_idx = [1, 2, 3], 1  # TEST to 1 in flight
+        msgs = [(q_rej, "REJECT", 1, ()), (q_test, "TEST", 2, (0,))]
+        for _, kind, src, payload in sorted(msgs):
+            nd._dispatch(kind, src, payload, nd._dist_to(src))
+        want = [(m.kind, dst) for dst, m, _, _ in k._uni]
+
+        # The engine, from the same state.
+        k = kernel()
+        eng = turbo_phase_engine(k, k.nodes)
+        assert eng is not None
+        ip = eng.cache.indptr
+        eng.cur[0] = ip[0]  # cursor on the slot of 1
+        w_slot = int(ip[2] + eng.cache.ids[ip[2] : ip[3]].tolist().index(0))
+        rows = sorted(
+            [(0, q_rej, 1, _REJECT, 0, 0), (0, q_test, 2, _TEST, w_slot, 0)],
+            key=lambda t: t[1],
+        )
+        em = _Emits()
+        eng._proc_probes(em, tuple(np.array(c) for c in zip(*rows)))
+        cols = em.columns()
+        got = [(_KIND_NAMES[kd], int(d)) for kd, d in zip(cols[4], cols[6])]
+
+        assert got == want
+        if test_first:  # 2 is marked before 0 walks on: 0 skips it
+            assert want == [("REJECT", 2), ("TEST", 3)]
+        else:  # 0 walks on to 2, then rejects 2's probe
+            assert want == [("TEST", 2), ("REJECT", 2)]
+        row = eng.cache.ids[ip[0] : ip[1]]
+        assert set(row[eng.rejected[ip[0] : ip[1]]].tolist()) == nd.rejected == {1, 2}
 
 
 # -- registry ----------------------------------------------------------------
