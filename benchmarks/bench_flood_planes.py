@@ -2,9 +2,11 @@
 """Flood-plane benchmark: plane vs per-message HELLO/ANNOUNCE delivery.
 
 Runs modified GHS and EOPT on fixed (n, seed) instances through the fast
-kernel twice — ``planes=False`` (per-message ``Message`` dispatch, the
-PR-1 hot path) and ``planes=True`` (vectorized flood planes) —
-interleaved and best-of-``--reps`` timed.  Alongside wall-clock it reads
+kernel twice — per-message (``Message`` dispatch of every HELLO and
+ANNOUNCE over the same neighbor table, whole-round engine off: the
+baseline forces ``FloodCache.ensure`` to decline, as it does on a
+density-gated table) and with vectorized flood planes (the default
+run) — interleaved and best-of-``--reps`` timed.  Alongside wall-clock it reads
 the ``repro.perf`` stage timers to isolate the *flood-dominated* stages
 (hello + phases; for EOPT, both steps' hello + phases).  Checks, each
 fatal:
@@ -43,6 +45,7 @@ if str(REPO / "src") not in sys.path:
 
 from repro.algorithms.eopt import run_eopt  # noqa: E402
 from repro.algorithms.ghs import run_modified_ghs  # noqa: E402
+from repro.algorithms.ghs.plane import FloodCache  # noqa: E402
 from repro.geometry.points import uniform_points  # noqa: E402
 from repro.perf import perf  # noqa: E402
 
@@ -81,12 +84,22 @@ def _stats_record(res) -> dict:
 
 
 def _run_once(alg: str, pts, planes: bool):
-    """One instrumented run: (result, wall_s, flood_s, plane_sends)."""
+    """One instrumented run: (result, wall_s, flood_s, plane_sends).
+
+    ``planes=False`` is the per-message baseline: the flood cache is
+    refused for this run only, so nodes keep their dict caches.
+    """
+    ensure = FloodCache.__dict__["ensure"]
+    if not planes:
+        FloodCache.ensure = classmethod(lambda cls, kernel: None)
     perf.reset()
     perf.enable()
-    t0 = time.perf_counter()
-    res = RUNNERS[alg](pts, planes=planes)
-    wall = time.perf_counter() - t0
+    try:
+        t0 = time.perf_counter()
+        res = RUNNERS[alg](pts)
+        wall = time.perf_counter() - t0
+    finally:
+        FloodCache.ensure = ensure
     snap = perf.snapshot()
     perf.disable()
     flood = sum(

@@ -74,7 +74,6 @@ def run_eopt(
     power: PathLossModel | None = None,
     rx_cost: float = 0.0,
     kernel_cls: type[SynchronousKernel] = SynchronousKernel,
-    planes: bool = True,
     faults: FaultPlan | None = None,
     recover: bool = True,
     audit: bool = False,
@@ -96,10 +95,6 @@ def run_eopt(
     kernel_cls:
         Kernel implementation (benchmarks pass
         :class:`~repro.sim.legacy.LegacyKernel` for the pre-PR baseline).
-    planes:
-        Use the flood-plane fast path for HELLO/ANNOUNCE when the kernel
-        supports it (``False`` forces per-message delivery; results are
-        bit-identical either way).
     faults:
         Optional :class:`~repro.sim.faults.FaultPlan`; see
         :func:`repro.algorithms.ghs.runner.run_ghs` for the matching
@@ -138,7 +133,7 @@ def run_eopt(
     # ---- Step 1: modified GHS at the giant-component radius -----------------
     kernel.set_stage("step1:hello")
     with perf.timed("eopt.step1.hello"):
-        hello_round(kernel, r1, planes=planes, recovery=recovery)
+        hello_round(kernel, r1, recovery=recovery)
     kernel.set_stage("step1:ghs")
     with perf.timed("eopt.step1.phases"):
         phases1 = run_ghs_phases(kernel, nodes, recovery=recovery)
@@ -225,7 +220,7 @@ def run_eopt(
     kernel.set_max_radius(r2)
     kernel.set_stage("step2:hello")
     with perf.timed("eopt.step2.hello"):
-        hello_round(kernel, r2, planes=planes, recovery=recovery)
+        hello_round(kernel, r2, recovery=recovery)
     kernel.set_stage("step2:ghs")
     if recovery is None:
         small_leaders = [nd.id for nd in nodes if nd.leader and not nd.passive]
@@ -315,7 +310,6 @@ def _eopt_adapter(points, spec):
         "beta": spec.eopt_beta,
         "rx_cost": spec.rx_cost,
         "kernel_cls": kernel_class(spec.kernel),
-        "planes": spec.planes,
         "recover": spec.recover,
     }
     if spec.faults is not None:

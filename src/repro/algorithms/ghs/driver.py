@@ -31,13 +31,22 @@ participates and *then* crashes forever is reported as a
 :class:`~repro.errors.ProtocolError` (by retry exhaustion, settle
 non-convergence, or the explicit leader check) — never as a silently
 wrong tree.
+
+**Stepping.**  Every per-message stage is a generator that yields once
+per advanced round (``kernel.step`` or ``kernel.tick``) and yields
+:data:`BARRIER` when a stage barrier settles: :func:`hello_round_steps`,
+:func:`ghs_phase_steps` and :meth:`GHSRecovery.settle_steps`.  The
+runners drain them (:func:`hello_round`, :func:`run_ghs_phases`,
+:meth:`GHSRecovery.settle`); the fuzz harness
+(:class:`repro.fuzz.harness.StepHarness`) advances the same generators
+round by round and interleaves fault mutations between rounds.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Sequence
+from typing import Generator, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +55,20 @@ from repro.algorithms.ghs.node import GHSNode
 from repro.algorithms.ghs.plane import FloodCache
 from repro.sim.kernel import SynchronousKernel
 from repro.trace import trace
+
+
+#: Yielded by the stepping generators when a stage barrier has settled;
+#: every other yield marks one advanced round.
+BARRIER = object()
+
+
+def _drain(steps: Iterator):
+    """Run a stepping generator to its end; returns its return value."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            return stop.value
 
 
 def active_leaders(nodes: Sequence[GHSNode]) -> list[int]:
@@ -207,9 +230,10 @@ class GHSRecovery:
 
     # -- the settle loop ---------------------------------------------------
 
-    def settle(self, phase: int | None = None) -> None:
+    def settle_steps(self, phase: int | None = None) -> Iterator[None]:
         """Run to quiescence *and* repaired: retries drained, floods
-        fresh, (stage B) every participant searched.
+        fresh, (stage B) every participant searched.  Yields once per
+        advanced round.
 
         ``phase`` enables the stage-B straggler re-wake; ``None`` (hello
         rounds, stage A) skips it.
@@ -218,10 +242,10 @@ class GHSRecovery:
         nodes = self.nodes
         fp = kernel.faults
         if fp is None:
-            kernel.run_until_quiescent()
+            yield from kernel.quiescence_steps()
         else:
             for _ in range(self.max_iters):
-                kernel.run_until_quiescent()
+                yield from kernel.quiescence_steps()
                 rnd = kernel.rounds
                 holders = [
                     nd.id
@@ -247,8 +271,10 @@ class GHSRecovery:
                         kernel.wake(alive, "retry_tick")
                         if not kernel.in_flight:
                             kernel.tick()  # backoff armed: let a round pass
+                            yield
                     else:
                         kernel.tick()  # every live holder is down: wait
+                        yield
                     continue
                 ready, blocked = self._stale_floods(rnd)
                 if ready:
@@ -261,6 +287,7 @@ class GHSRecovery:
                         continue
                 if blocked:
                     kernel.tick()
+                    yield
                     continue
                 if phase is not None:
                     todo, waiting = self._unsearched(phase, rnd)
@@ -273,6 +300,7 @@ class GHSRecovery:
                         continue
                     if waiting:
                         kernel.tick()
+                        yield
                         continue
                 break
             else:
@@ -287,10 +315,28 @@ class GHSRecovery:
 
             audit_recovery(nodes, kernel=kernel)
 
+    def settle(self, phase: int | None = None) -> None:
+        """:meth:`settle_steps` run to its end."""
+        _drain(self.settle_steps(phase))
+
+
+def _barrier_steps(
+    kernel: SynchronousKernel,
+    recovery: GHSRecovery | None,
+    phase: int | None = None,
+) -> Iterator:
+    """One stage barrier: quiescence (or the recovery settle), then
+    :data:`BARRIER`."""
+    if recovery is None:
+        yield from kernel.quiescence_steps()
+    else:
+        yield from recovery.settle_steps(phase)
+    yield BARRIER
+
 
 def _live_leaders(
     kernel: SynchronousKernel, nodes: Sequence[GHSNode]
-) -> list[int]:
+) -> Generator[None, None, list[int]]:
     """Active leaders, fault-aware: waits out transient crash windows,
     drops never-started nodes, rejects mid-run permanent leader deaths.
 
@@ -300,8 +346,9 @@ def _live_leaders(
     the phase loop.  A leader that *participated* and then died forever
     would leave its whole fragment silently orphaned; that is out of
     recovery scope and raised as an error instead.  Transiently crashed
-    leaders gate the phase barrier: the clock idles until every surviving
-    leader can hear its ``initiate`` wake.
+    leaders gate the phase barrier: the clock idles (one yield per idle
+    round) until every surviving leader can hear its ``initiate`` wake.
+    The leader list is the generator's return value.
     """
     leaders = active_leaders(nodes)
     fp = kernel.faults
@@ -322,6 +369,7 @@ def _live_leaders(
     waited = 0
     while any(fp.crashed(i, kernel.rounds) for i in alive):
         kernel.tick()
+        yield
         waited += 1
         if waited > 1_000_000:
             raise ProtocolError(
@@ -331,42 +379,29 @@ def _live_leaders(
     return alive
 
 
-def run_ghs_phases(
+def _phase_budget(nodes: Sequence[GHSNode]) -> int:
+    # Fragments at least halve every phase; the slack covers step-2
+    # restarts and absorb-only phases.
+    return 2 * int(math.log2(max(len(nodes), 2))) + 20
+
+
+def ghs_phase_steps(
     kernel: SynchronousKernel,
     nodes: Sequence[GHSNode],
     *,
     start_phase: int = 1,
     max_phases: int | None = None,
     recovery: GHSRecovery | None = None,
-) -> int:
-    """Run Borůvka phases until no active fragment remains.
-
-    Returns the number of phases executed.  ``start_phase`` offsets the
-    phase counter so EOPT's step 2 continues the numbering of step 1
-    (phase numbers only need to be fresh, never dense).  ``recovery``
-    (fault runs) replaces each stage barrier with a settle/repair loop.
-    """
-    n = max(len(nodes), 2)
+) -> Generator[object, None, int]:
+    """The per-message Borůvka phase loop, stepped (see the module
+    docstring); the number of phases executed is its return value."""
     if max_phases is None:
-        # Fragments at least halve every phase; the slack covers step-2
-        # restarts and absorb-only phases.
-        max_phases = 2 * int(math.log2(n)) + 20
-    if recovery is None:
-        # Eligible configurations (either GHS mode, flood planes live, no
-        # faults) run as whole-round array programs — an observational
-        # clone of the loop below (see ghs/turbo.py).
-        from repro.algorithms.ghs.turbo import run_phases_turbo
-
-        ran = run_phases_turbo(
-            kernel, nodes, start_phase=start_phase, max_phases=max_phases
-        )
-        if ran is not None:
-            return ran
+        max_phases = _phase_budget(nodes)
     phase = start_phase - 1
     executed = 0
     fp = kernel.faults
     while True:
-        leaders = _live_leaders(kernel, nodes)
+        leaders = yield from _live_leaders(kernel, nodes)
         if not leaders:
             return executed
         phase += 1
@@ -384,10 +419,7 @@ def run_ghs_phases(
                 active=len(leaders),
             )
         kernel.wake(leaders, "initiate", (phase,))
-        if recovery is not None:
-            recovery.settle()
-        else:
-            kernel.run_until_quiescent()
+        yield from _barrier_steps(kernel, recovery)
         participants = [
             nd.id for nd in nodes if nd.cur_phase == phase and not nd.passive
         ]
@@ -419,10 +451,7 @@ def run_ghs_phases(
                     nd.apply_moe(cand_l[idx], kd_l[idx], klo_l[idx], khi_l[idx])
         else:
             kernel.wake(participants, "find_moe", (phase,))
-        if recovery is not None:
-            recovery.settle(phase=phase)
-        else:
-            kernel.run_until_quiescent()
+        yield from _barrier_steps(kernel, recovery, phase)
         if trace.enabled:
             fragments, sizes = fragment_histogram(nodes)
             trace.emit(
@@ -434,26 +463,64 @@ def run_ghs_phases(
             )
 
 
-def hello_round(
+def run_ghs_phases(
+    kernel: SynchronousKernel,
+    nodes: Sequence[GHSNode],
+    *,
+    start_phase: int = 1,
+    max_phases: int | None = None,
+    recovery: GHSRecovery | None = None,
+) -> int:
+    """Run Borůvka phases until no active fragment remains.
+
+    Returns the number of phases executed.  ``start_phase`` offsets the
+    phase counter so EOPT's step 2 continues the numbering of step 1
+    (phase numbers only need to be fresh, never dense).  ``recovery``
+    (fault runs) replaces each stage barrier with a settle/repair loop.
+    """
+    if max_phases is None:
+        max_phases = _phase_budget(nodes)
+    if recovery is None:
+        # Eligible configurations (either GHS mode, flood planes live, no
+        # faults) run as whole-round array programs — an observational
+        # clone of ghs_phase_steps (see ghs/turbo.py).
+        from repro.algorithms.ghs.turbo import run_phases_turbo
+
+        ran = run_phases_turbo(
+            kernel, nodes, start_phase=start_phase, max_phases=max_phases
+        )
+        if ran is not None:
+            return ran
+    return _drain(
+        ghs_phase_steps(
+            kernel,
+            nodes,
+            start_phase=start_phase,
+            max_phases=max_phases,
+            recovery=recovery,
+        )
+    )
+
+
+def hello_round_steps(
     kernel: SynchronousKernel,
     radius: float,
     *,
-    planes: bool = True,
     recovery: GHSRecovery | None = None,
-) -> None:
-    """Make every node broadcast HELLO(fid) at ``radius`` and settle.
+) -> Iterator:
+    """Make every node broadcast HELLO(fid) at ``radius`` and settle,
+    stepped (see the module docstring).
 
     This is the neighbour-discovery step: receivers learn (id, distance,
     fragment id) for everyone in range.  One local broadcast per node.
 
-    When ``planes`` is true and the kernel supports it (non-flat kernel,
-    neighbor table built), the whole round runs as one flood plane: a
-    fresh :class:`FloodCache` is attached to every node, one
-    ``broadcast_plane`` call registers all n HELLOs (charged in node-id
-    order, exactly like the per-node wake), and delivery is a single
-    vectorized cache update.  Otherwise — legacy/contention kernels,
-    density-gated tables, or ``planes=False`` — the classic per-node
-    wake path runs and nodes fall back to their dict caches.
+    When the kernel supports it (non-flat kernel, neighbor table built),
+    the whole round runs as one flood plane: a fresh :class:`FloodCache`
+    is attached to every node, one ``broadcast_plane`` call registers all
+    n HELLOs (charged in node-id order, exactly like the per-node wake),
+    and delivery is a single vectorized cache update.  Otherwise —
+    legacy/contention kernels or density-gated tables — the classic
+    per-node wake path runs and nodes fall back to their dict caches.
     """
     nodes = kernel.nodes
     fp = kernel.faults
@@ -464,7 +531,7 @@ def hello_round(
     if trace.enabled:
         trace.emit("hello", round=kernel.rounds, radius=r)
     cache = None
-    if planes and nodes and all(isinstance(nd, GHSNode) for nd in nodes):
+    if nodes and all(isinstance(nd, GHSNode) for nd in nodes):
         cache = FloodCache.ensure(kernel)
     if cache is not None:
         kernel.set_plane_handler(cache.on_plane)
@@ -493,6 +560,14 @@ def hello_round(
         kernel.wake(range(kernel.n), "hello", (radius,))
     if recovery is not None:
         recovery._radius = r
-        recovery.settle()
-    else:
-        kernel.run_until_quiescent()
+    yield from _barrier_steps(kernel, recovery)
+
+
+def hello_round(
+    kernel: SynchronousKernel,
+    radius: float,
+    *,
+    recovery: GHSRecovery | None = None,
+) -> None:
+    """:func:`hello_round_steps` run to its end."""
+    _drain(hello_round_steps(kernel, radius, recovery=recovery))

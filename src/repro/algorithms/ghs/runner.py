@@ -32,7 +32,6 @@ def _run_family(
     power: PathLossModel | None,
     rx_cost: float = 0.0,
     kernel_cls: type[SynchronousKernel] = SynchronousKernel,
-    planes: bool = True,
     faults: FaultPlan | None = None,
     recover: bool = True,
     audit: bool = False,
@@ -63,7 +62,7 @@ def _run_family(
         trace.emit("run_start", alg=name, n=n, radius=r)
     kernel.set_stage("hello")
     with perf.timed(f"{name.lower()}.hello"):
-        hello_round(kernel, r, planes=planes, recovery=recovery)
+        hello_round(kernel, r, recovery=recovery)
     kernel.set_stage("phases")
     with perf.timed(f"{name.lower()}.phases"):
         phases = run_ghs_phases(kernel, kernel.nodes, recovery=recovery)
@@ -100,7 +99,6 @@ def run_ghs(
     power: PathLossModel | None = None,
     rx_cost: float = 0.0,
     kernel_cls: type[SynchronousKernel] = SynchronousKernel,
-    planes: bool = True,
     faults: FaultPlan | None = None,
     recover: bool = True,
     audit: bool = False,
@@ -125,10 +123,6 @@ def run_ghs(
     kernel_cls:
         Kernel implementation (benchmarks pass
         :class:`~repro.sim.legacy.LegacyKernel` for the pre-PR baseline).
-    planes:
-        Use the flood-plane fast path for HELLO/ANNOUNCE when the kernel
-        supports it (``False`` forces per-message delivery; results are
-        bit-identical either way).
     faults:
         Optional :class:`~repro.sim.faults.FaultPlan` injecting message
         loss, duplication and crash windows.
@@ -151,7 +145,6 @@ def run_ghs(
         power=power,
         rx_cost=rx_cost,
         kernel_cls=kernel_cls,
-        planes=planes,
         faults=faults,
         recover=recover,
         audit=audit,
@@ -166,7 +159,6 @@ def run_modified_ghs(
     power: PathLossModel | None = None,
     rx_cost: float = 0.0,
     kernel_cls: type[SynchronousKernel] = SynchronousKernel,
-    planes: bool = True,
     faults: FaultPlan | None = None,
     recover: bool = True,
     audit: bool = False,
@@ -187,7 +179,6 @@ def run_modified_ghs(
         power=power,
         rx_cost=rx_cost,
         kernel_cls=kernel_cls,
-        planes=planes,
         faults=faults,
         recover=recover,
         audit=audit,
@@ -204,7 +195,6 @@ def _spec_kwargs(spec) -> dict:
         "radius_const": spec.ghs_radius_const,
         "rx_cost": spec.rx_cost,
         "kernel_cls": kernel_class(spec.kernel),
-        "planes": spec.planes,
         "recover": spec.recover,
     }
     if spec.faults is not None:

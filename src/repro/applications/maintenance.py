@@ -159,7 +159,6 @@ def run_maintenance(
     power: PathLossModel | None = None,
     rx_cost: float = 0.0,
     kernel_cls: type[SynchronousKernel] = SynchronousKernel,
-    planes: bool = True,
     faults: FaultPlan | None = None,
     recover: bool = True,
 ) -> AlgorithmResult:
@@ -184,7 +183,6 @@ def run_maintenance(
         power=power,
         rx_cost=rx_cost,
         kernel_cls=kernel_cls,
-        planes=planes,
         faults=faults,
         recover=recover,
     )
@@ -208,7 +206,6 @@ def _maint_adapter(points, spec):
         radius_const=spec.ghs_radius_const,
         rx_cost=spec.rx_cost,
         kernel_cls=kernel_class(spec.kernel),
-        planes=spec.planes,
         faults=spec.faults,
         recover=spec.recover,
     )

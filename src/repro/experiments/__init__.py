@@ -22,10 +22,9 @@ from repro.experiments.instances import (
     cache_info,
     clear_cache,
     evict_points,
-    get_graph,
     get_points,
 )
-from repro.experiments.runner import run_algorithm, sweep_energy, EnergySweep
+from repro.experiments.runner import sweep_energy, EnergySweep
 from repro.experiments.parallel import sweep_energy_parallel
 from repro.experiments.figures import (
     fig1_percolation,
@@ -42,12 +41,10 @@ __all__ = [
     "PAPER_NS",
     "SMOKE_NS",
     "BENCH_NS",
-    "run_algorithm",
     "sweep_energy",
     "sweep_energy_parallel",
     "EnergySweep",
     "get_points",
-    "get_graph",
     "adopt_points",
     "evict_points",
     "cache_info",

@@ -36,7 +36,7 @@ class SweepConfig:
     seeds:
         Seeds; each (n, seed) pair is one independent uniform instance.
     algorithms:
-        Labels accepted by :func:`repro.experiments.runner.run_algorithm`.
+        Registered algorithm labels (:func:`repro.runspec.registry.names`).
     ghs_radius_const / eopt_c1 / eopt_c2 / eopt_beta:
         The paper's experimental constants (Sec. VII).
     """

@@ -19,8 +19,7 @@ start-up and a cold instance cache on every call otherwise);
 ``atexit`` hook reaps it at interpreter exit, and a host that cannot
 spawn a pool at all (sandboxed CI) degrades to the serial backend with a
 single :class:`RuntimeWarning` — every cell is deterministic, so the
-results are identical, only slower.  ``_pool`` / ``_pool_workers`` remain
-readable here as aliases of the engine's pool state.
+results are identical, only slower.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import atexit
 
 from repro.experiments.config import SweepConfig
 from repro.experiments.runner import EnergySweep, sweep_from_reports, sweep_specs
-from repro.runspec import engine as _engine
 from repro.runspec.engine import execute_batch, shutdown
 
 __all__ = ["sweep_energy_parallel", "shutdown"]
@@ -39,15 +37,6 @@ __all__ = ["sweep_energy_parallel", "shutdown"]
 # shutdown here as well preserves this module's historical contract that
 # importing it alone makes sweep-and-exit safe.
 atexit.register(shutdown)
-
-
-def __getattr__(name: str):
-    # The pool state lives in the engine now; keep the long-standing
-    # ``parallel._pool`` / ``parallel._pool_workers`` introspection
-    # surface (tests, debugging) aliased to it.
-    if name in ("_pool", "_pool_workers"):
-        return getattr(_engine, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def sweep_energy_parallel(

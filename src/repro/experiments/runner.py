@@ -1,8 +1,6 @@
 """Seeded sweep execution on top of the runspec engine.
 
-``run_algorithm`` is the single dispatch point from an algorithm label to
-a runner, so benches, tables and tests agree on what "GHS at n = 1000"
-means; it resolves the label through the algorithm registry
+An algorithm label resolves through the algorithm registry
 (:mod:`repro.runspec.registry`) — the accepted labels are whatever is
 registered, in canonical order.  ``sweep_energy`` runs a full
 (algorithm x n x seed) grid by generating one :class:`RunSpec` per cell
@@ -17,14 +15,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.algorithms.base import AlgorithmResult
 from repro.experiments.config import SweepConfig
 from repro.perf import perf
-from repro.runspec.engine import dispatch, execute_batch
-from repro.runspec.registry import get as get_algorithm
+from repro.runspec.engine import execute_batch
 from repro.runspec.report import RunReport
 from repro.runspec.spec import RunSpec
-from repro.sim.faults import FaultPlan
 from repro.trace import trace
 
 
@@ -34,7 +29,6 @@ def spec_from_config(
     *,
     n: int,
     seed: int = 0,
-    faults: FaultPlan | None = None,
     perf: bool = False,
     trace: bool = False,
 ) -> RunSpec:
@@ -47,34 +41,9 @@ def spec_from_config(
         eopt_c1=cfg.eopt_c1,
         eopt_c2=cfg.eopt_c2,
         eopt_beta=cfg.eopt_beta,
-        faults=faults,
         perf=perf,
         trace=trace,
     )
-
-
-def run_algorithm(
-    name: str,
-    points: np.ndarray,
-    config: SweepConfig | None = None,
-    *,
-    faults: FaultPlan | None = None,
-) -> AlgorithmResult:
-    """Run the algorithm labelled ``name`` with the sweep's constants.
-
-    ``name`` is resolved through the algorithm registry
-    (:func:`repro.runspec.registry.names` lists what is accepted; an
-    unknown label raises with the registered labels spelled out).
-
-    ``faults`` threads a seeded :class:`FaultPlan` into the runner; the
-    GHS family and Co-NNT recover (ACK/retry), Rand-NNT has no recovery
-    layer and rejects a non-null plan.
-    """
-    cfg = config or SweepConfig()
-    pts = np.asarray(points, dtype=float)
-    entry = get_algorithm(name)
-    spec = spec_from_config(name, cfg, n=len(pts), faults=faults)
-    return dispatch(entry, pts, spec)
 
 
 @dataclass(frozen=True)

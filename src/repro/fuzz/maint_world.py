@@ -5,10 +5,10 @@ ScenarioScheduler` per registered kernel configuration over the *same*
 instance, and applies every fuzz rule — crash (permanent or transient),
 join, leave, move, repair/rebuild checkpoints — to all of them.  This is
 the headroom the step harness deliberately leaves on the table: the
-harness drives only the scalar loop, while a fault-free maintenance
-cycle on the fast kernel with planes on satisfies the whole-round phase
-engine's eligibility, so every checkpoint here runs the engine in
-lockstep with the scalar paths (fast with planes off, and legacy).
+harness drives only the per-message loop, while a fault-free maintenance
+cycle on the fast kernel satisfies the whole-round phase engine's
+eligibility, so every checkpoint here runs the engine in lockstep with
+the legacy kernel's per-message path.
 
 Endgame invariants (:meth:`check_final`):
 
@@ -54,17 +54,15 @@ class ScenarioFuzzWorld:
         *,
         n: int,
         seed: int,
-        configs: list[tuple[str, bool]] | None = None,
+        configs: list[str] | None = None,
     ) -> None:
         self.n = int(n)
         self.seed = int(seed)
         self.points = get_points(self.n, self.seed)
         self.configs = list(configs) if configs is not None else default_configs()
         self.scheds = [
-            ScenarioScheduler(
-                self.points, kernel_cls=kernel_class(mode), planes=planes
-            )
-            for mode, planes in self.configs
+            ScenarioScheduler(self.points, kernel_cls=kernel_class(mode))
+            for mode in self.configs
         ]
         self.ops: list[list] = []
         #: Events recorded at their global firing round -> to_runspec().
@@ -90,8 +88,7 @@ class ScenarioFuzzWorld:
         return exc
 
     def _label(self, i: int) -> str:
-        mode, planes = self.configs[i]
-        return f"{mode}/planes={planes}"
+        return self.configs[i]
 
     def alive_nodes(self) -> list[int]:
         return [int(g) for g in self.ref.alive_ids()]
@@ -303,7 +300,6 @@ class ScenarioFuzzWorld:
             n=self.n,
             seed=self.seed,
             kernel="fast",
-            planes=True,
             scenario=ScenarioPlan(events=tuple(self.events)),
         )
 

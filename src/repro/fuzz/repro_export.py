@@ -16,7 +16,7 @@ into a directory of artifacts:
     The exception that ended the run.
 ``trace_diff.txt`` / ``trace_diff.json``
     First-divergence report between two traced replays of the scenario:
-    fast/planes vs legacy/flat for GHS worlds (where did the backends
+    fast vs legacy kernel for GHS worlds (where did the backends
     split?), replay-vs-replay for retry worlds (is the failure even
     deterministic?).  Replays are expected to fail again — the traces
     captured up to the failure are exactly the interesting part.
@@ -58,9 +58,9 @@ def _trace_report(world) -> tuple[str, dict | None]:
     """(human report, divergence payload) for the failing scenario."""
     scenario = world.to_scenario()
     if scenario["machine"] == "ghs":
-        label_a, label_b = "fast/planes", "legacy/flat"
-        a = _traced_replay(scenario, configs=[("fast", True)])
-        b = _traced_replay(scenario, configs=[("legacy", False)])
+        label_a, label_b = "fast", "legacy"
+        a = _traced_replay(scenario, configs=["fast"])
+        b = _traced_replay(scenario, configs=["legacy"])
     else:
         # One machine, two replays: a non-empty diff here means the
         # failure itself is nondeterministic — the worst kind of bug.

@@ -1,8 +1,8 @@
 """Multi-backend lockstep world for GHS-family fuzzing.
 
 A :class:`GHSFuzzWorld` holds one :class:`~repro.fuzz.harness.
-StepHarness` per kernel configuration (fast with planes on and off,
-legacy) over the *same* instance and fault plan, and applies
+StepHarness` per registered kernel mode (``fast`` and ``legacy``)
+over the *same* instance and fault plan, and applies
 every fuzz rule — advance N rounds, open a transient crash window, move
 the power cap — to all of them.  Because equivalent configurations are
 bit-identical round for round (the kernel equivalence contract), the
@@ -39,9 +39,9 @@ from repro.sim.faults import FaultPlan
 __all__ = ["GHSFuzzWorld", "default_configs"]
 
 
-def default_configs() -> list[tuple[str, bool]]:
-    """Every registered backend in its interesting plane modes."""
-    return [("fast", True), ("fast", False), ("legacy", False)]
+def default_configs() -> list[str]:
+    """Every registered kernel mode."""
+    return ["fast", "legacy"]
 
 
 class GHSFuzzWorld:
@@ -59,7 +59,7 @@ class GHSFuzzWorld:
         link_loss: tuple = (),
         dead_nodes: tuple = (),
         cap_slack: float = 1.0,
-        configs: list[tuple[str, bool]] | None = None,
+        configs: list[str] | None = None,
         audit_barriers: bool = True,
         record_fates: bool = True,
     ) -> None:
@@ -98,13 +98,12 @@ class GHSFuzzWorld:
                 self.points,
                 radius=self.radius,
                 kernel_mode=mode,
-                planes=planes,
                 use_tests=(algorithm == "GHS"),
                 faults=self.plan,
                 max_radius=self.cap_max,
                 audit_barriers=audit_barriers,
             )
-            for mode, planes in self.configs
+            for mode in self.configs
         ]
         for h in self.harnesses:
             # Build the neighbor table at the widest cap now, so later cap
@@ -129,8 +128,8 @@ class GHSFuzzWorld:
                 ProtocolError(
                     "backends lost lockstep: rounds "
                     + ", ".join(
-                        f"{m}/planes={p}: {h.kernel.rounds}"
-                        for (m, p), h in zip(self.configs, self.harnesses)
+                        f"{m}: {h.kernel.rounds}"
+                        for m, h in zip(self.configs, self.harnesses)
                     )
                 )
             )
@@ -141,21 +140,21 @@ class GHSFuzzWorld:
         return fp.inner if isinstance(fp, RecordingFaultPlane) else fp
 
     def check_alignment(self) -> None:
-        """Cross-backend lockstep: rounds, cumulative stats, barrier state."""
+        """Cross-backend lockstep: rounds, cumulative stats, barrier count."""
         self.common_round()
         ref = None
-        for (mode, planes), h in zip(self.configs, self.harnesses):
+        for mode, h in zip(self.configs, self.harnesses):
             st = h.kernel.stats()
-            key = (st.messages_total, st.energy_total, h.finished, h.at_barrier)
+            key = (st.messages_total, st.energy_total, h.finished, h.barriers)
             if ref is None:
                 ref = key
-                ref_label = f"{mode}/planes={planes}"
+                ref_label = mode
             elif key != ref:
                 raise self._fail(
                     ProtocolError(
                         f"backends diverged: {ref_label} has "
-                        f"(messages, energy, finished, barrier)={ref} but "
-                        f"{mode}/planes={planes} has {key}"
+                        f"(messages, energy, finished, barriers)={ref} but "
+                        f"{mode} has {key}"
                     )
                 )
 
@@ -288,9 +287,9 @@ class GHSFuzzWorld:
     def check_final(self) -> None:
         results = [h.result() for h in self.harnesses]
         ref_edges, ref_stats = results[0]
-        ref_label = f"{self.configs[0][0]}/planes={self.configs[0][1]}"
-        for (mode, planes), res in zip(self.configs[1:], results[1:]):
-            self._check_same(results[0], res, ref_label, f"{mode}/planes={planes}")
+        ref_label = self.configs[0]
+        for mode, res in zip(self.configs[1:], results[1:]):
+            self._check_same(results[0], res, ref_label, mode)
         # The harnesses always drive the per-message phase loop; a
         # fault-free GHS world also pins the engine against them.
         # (Cap moves are result-neutral but out of the runner's reach.)
@@ -306,7 +305,7 @@ class GHSFuzzWorld:
                 "run did not recover the oracle MST of the surviving topology "
                 f"({len(np.asarray(ref_edges))} vs {len(np.asarray(oracle))} edges)"
             )
-        for (mode, planes), h in zip(self.configs, self.harnesses):
+        for h in self.harnesses:
             fp = h.kernel.faults
             if isinstance(fp, RecordingFaultPlane):
                 verify_fate_determinism(fp)
@@ -342,7 +341,6 @@ class GHSFuzzWorld:
             n=self.n,
             seed=self.seed,
             kernel="fast",
-            planes=True,
             recover=True,
             faults=self.effective_plan(),
         )

@@ -6,13 +6,7 @@ Construction uses a KD-tree, so the cost is O(n log n + |E|) rather than
 O(n^2).
 """
 
-from repro.rgg.build import (
-    LAYOUTS,
-    GeometricGraph,
-    build_rgg,
-    build_rgg_chunked,
-    build_rgg_layout,
-)
+from repro.rgg.build import GeometricGraph, build_rgg, build_rgg_chunked
 from repro.rgg.components import connected_components, component_sizes, is_connected
 from repro.rgg.connectivity import (
     critical_connectivity_radius,
@@ -22,10 +16,8 @@ from repro.rgg.knn import knn_graph, knn_equivalent_radius
 
 __all__ = [
     "GeometricGraph",
-    "LAYOUTS",
     "build_rgg",
     "build_rgg_chunked",
-    "build_rgg_layout",
     "connected_components",
     "component_sizes",
     "is_connected",

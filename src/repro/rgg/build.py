@@ -18,13 +18,6 @@ from scipy.spatial import cKDTree
 
 from repro.errors import GeometryError, GraphError
 
-#: Instance layouts the builders can produce.  ``dense`` materialises all
-#: pairs at once (fastest below ~10^5 nodes); ``chunked`` streams the
-#: CSR through fixed-size node blocks and spills the big arrays to
-#: anonymous memory-mapped scratch files past a byte threshold, so
-#: million-node RGGs build within a bounded resident footprint.
-LAYOUTS = ("dense", "chunked")
-
 
 @dataclass(frozen=True)
 class GeometricGraph:
@@ -281,17 +274,6 @@ def build_rgg_chunked(
         lengths=len_sink.finish(),
         indptr=indptr,
         indices=ind_sink.finish(),
-    )
-
-
-def build_rgg_layout(points: np.ndarray, radius: float, layout: str) -> GeometricGraph:
-    """Build with the named instance layout (see :data:`LAYOUTS`)."""
-    if layout == "dense":
-        return build_rgg(points, radius)
-    if layout == "chunked":
-        return build_rgg_chunked(points, radius)
-    raise GraphError(
-        f"unknown instance layout {layout!r}; expected one of {', '.join(LAYOUTS)}"
     )
 
 

@@ -83,9 +83,9 @@ BACKENDS = ("serial", "process")
 def dispatch(entry: AlgorithmEntry, points, spec: RunSpec):
     """Run ``entry`` on explicit ``points`` under ``spec``'s knobs.
 
-    The capability checks live here — one place — so the legacy
-    :func:`repro.experiments.runner.run_algorithm` surface and the spec
-    engine reject unsupported combinations with identical errors.
+    The capability checks live here — one place — so every spec reaching
+    a runner is rejected with the same errors for unsupported
+    combinations.
     """
     if spec.kernel != "fast" and not entry.supports_kernel_mode:
         raise ExperimentError(

@@ -212,8 +212,6 @@ class RunSpec:
         frozen pre-optimization reference used by equivalence
         benchmarks).  The alias ``"turbo"`` is accepted and stored as
         ``"fast"``, so both labels share one ``spec_hash``.
-    planes:
-        Flood-plane fast path for HELLO/ANNOUNCE (bit-identical either way).
     recover:
         Enable the reliable-unicast recovery layer when faults are injected.
     faults:
@@ -240,7 +238,6 @@ class RunSpec:
     eopt_beta: float = 1.0
     rx_cost: float = 0.0
     kernel: str = "fast"
-    planes: bool = True
     recover: bool = True
     faults: FaultPlan | None = field(default=None)
     scenario: ScenarioPlan | None = field(default=None)
@@ -324,7 +321,9 @@ class RunSpec:
             "eopt_beta": self.eopt_beta,
             "rx_cost": self.rx_cost,
             "kernel": self.kernel,
-            "planes": self.planes,
+            # Retired flood-plane switch: the constant key keeps every
+            # spec_hash/result_key minted while it existed addressable.
+            "planes": True,
             "recover": self.recover,
             "faults": faultplan_to_dict(self.faults),
             "perf": self.perf,
@@ -346,8 +345,12 @@ class RunSpec:
         if version != SCHEMA_VERSION:
             raise ExperimentError(f"unsupported run_spec schema version {version!r}")
         known = {f.name for f in fields(cls)}
+        # ``planes`` (either value) is the retired flood-plane switch; runs
+        # are bit-identical without it, so a stored payload just drops it.
         payload = {
-            k: v for k, v in data.items() if k not in ("schema_version", "schema", "kind")
+            k: v
+            for k, v in data.items()
+            if k not in ("schema_version", "schema", "kind", "planes")
         }
         unknown = set(payload) - known
         if unknown:

@@ -30,10 +30,10 @@ Determinism contract (what the scenario tests pin):
   merged :class:`~repro.sim.energy.SimStats` is bit-identical whenever
   every cycle is.
 
-Fault-free cycles on the fast kernel with planes on satisfy the
-whole-round phase engine's eligibility (the engine syncs pre-seeded fragment state in),
+Fault-free cycles on the fast kernel satisfy the whole-round phase
+engine's eligibility (the engine syncs pre-seeded fragment state in),
 so clean repair cycles run vectorized and still trace-diff clean
-against the scalar backends.
+against the legacy kernel's per-message path.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class ScenarioScheduler:
         power: PathLossModel | None = None,
         rx_cost: float = 0.0,
         kernel_cls: type[SynchronousKernel] = SynchronousKernel,
-        planes: bool = True,
         faults: FaultPlan | None = None,
         recover: bool = True,
     ) -> None:
@@ -112,7 +111,6 @@ class ScenarioScheduler:
         self.power = power
         self.rx_cost = float(rx_cost)
         self.kernel_cls = kernel_cls
-        self.planes = bool(planes)
         self.faults = faults
         self.recover = bool(recover)
         # Pending transient-crash windows for the next cycle: gid -> rounds.
@@ -311,7 +309,7 @@ class ScenarioScheduler:
         for _ in range(idle):
             kernel.tick()
         kernel.set_stage(f"{kind}:hello")
-        hello_round(kernel, r, planes=self.planes, recovery=recovery)
+        hello_round(kernel, r, recovery=recovery)
         kernel.set_stage(f"{kind}:ghs")
         phases = run_ghs_phases(kernel, nodes, recovery=recovery)
         kernel.set_round_hook(None)

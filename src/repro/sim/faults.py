@@ -14,8 +14,8 @@ Design constraints (all load-bearing):
   finalizer over a linear combination of the coordinates — never a
   sequential RNG draw.  Two runs that deliver the same message in the
   same round therefore agree on its fate *regardless of evaluation
-  order*, which is what makes the flood-plane fast path
-  (``planes=True``) bit-identical to per-message delivery under faults,
+  order*, which is what makes the flood-plane fast path bit-identical
+  to per-message delivery under faults,
   and what makes the scalar Python path agree with the vectorized
   numpy path bit-for-bit.
 * **The sender still paid.**  TX energy is charged at send time; a

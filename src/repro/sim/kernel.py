@@ -61,13 +61,17 @@ Hot-path layout (see docs/performance.md for the full story):
   legacy kernel is that deliveries **within** a plane round are not
   interleaved per-message with that round's unicasts.  Energy totals,
   message counts, round counts and recipient sets stay bit-identical.
-* **Whole-round phase engine** — with planes live and no faults, the
-  GHS family's Borůvka phases skip per-message dispatch altogether:
-  :mod:`repro.algorithms.ghs.turbo` runs each round as array programs
-  over the same table and closes it through :meth:`_advance_round`,
-  the one place every delivery path advances the clock.  This kernel
-  (``"fast"``, alias ``"turbo"``) is the one optimized backend; the
-  flat-delivery subclasses never engage the planes or the engine.
+* **Whole-round phase engine** — with the flood cache live and no
+  faults, the GHS family's Borůvka phases skip per-message dispatch
+  altogether: :mod:`repro.algorithms.ghs.turbo` runs each round as array
+  programs over the same table and closes it through
+  :meth:`_advance_round`, the one place every delivery path advances the
+  clock.  This kernel (``"fast"``, alias ``"turbo"``) is the one
+  optimized backend; the flat-delivery subclasses never engage the
+  planes or the engine, and a density-gated table leaves this kernel on
+  per-message floods too.  Outside the engine, the phase driver
+  (:mod:`repro.algorithms.ghs.driver`) steps every stage round by round
+  through :meth:`quiescence_steps`.
 
 Delivery order (outside plane rounds), energy totals, message counts and
 round counts are bit-identical to the pre-optimization kernel (kept
@@ -80,8 +84,8 @@ verbatim as :class:`~repro.sim.legacy.LegacyKernel`);
 the sender's TX charge stands, the lost/extra copies are tallied per kind
 in the ledger, and ``rx_cost`` is charged only for copies actually
 delivered.  Fates are counter-free hashes of ``(seed, src, dst, kind,
-round)``, so runs are deterministic and identical across ``planes=True``
-/ ``planes=False``/legacy delivery.  With ``faults=None`` (the default)
+round)``, so runs are deterministic and identical across flood-plane,
+per-message and legacy delivery.  With ``faults=None`` (the default)
 every hot path is untouched — see ``docs/model.md``, "Fault model".
 """
 
@@ -89,7 +93,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -583,8 +587,8 @@ class SynchronousKernel:
         if handler is not None and self._flat_pending:
             raise SimulationError(
                 "flat-delivery kernel (per-message semantics) cannot take a "
-                "plane handler; use the per-message fallback (planes=False, "
-                "or honor broadcast_plane() returning False)"
+                "plane handler; use the per-message fallback (honor "
+                "broadcast_plane() returning False)"
             )
         self._plane_handler = handler
 
@@ -805,7 +809,7 @@ class SynchronousKernel:
         Runs once per round, only while tracing is enabled.  Every field
         is invariant across delivery paths: per-kind message counts are
         exact integers, ``de`` is a difference of the *exact* running
-        ``energy_total`` (bit-identical legacy/fast/planes), and fault
+        ``energy_total`` (bit-identical across kernels), and fault
         tallies come from path-independent fate hashes.  Per-kind energy
         *breakdowns* are deliberately absent — they are batched float
         sums that may differ in the last ulp between kernels and would
@@ -1159,17 +1163,28 @@ class SynchronousKernel:
         self._advance_round(len(deliveries))
         return len(deliveries)
 
-    def run_until_quiescent(self, max_rounds: int = 1_000_000) -> int:
-        """Run rounds until no messages are in flight; returns rounds run."""
+    def quiescence_steps(self, max_rounds: int = 1_000_000) -> Iterator[None]:
+        """Step rounds until no messages are in flight, yielding after each.
+
+        The stepped form of :meth:`run_until_quiescent` (same livelock
+        guard) for drivers that hand control back between rounds.
+        """
         ran = 0
         while self._n_pending or self._pending or self._n_plane_pending:
             self.step()
+            yield
             ran += 1
             if ran > max_rounds:
                 raise SimulationError(
                     f"no quiescence after {max_rounds} rounds — "
                     "protocol is probably livelocked"
                 )
+
+    def run_until_quiescent(self, max_rounds: int = 1_000_000) -> int:
+        """Run rounds until no messages are in flight; returns rounds run."""
+        ran = 0
+        for _ in self.quiescence_steps(max_rounds):
+            ran += 1
         return ran
 
     @property

@@ -23,7 +23,8 @@ events accumulate in a process-global registry:
 
 Because every event a run emits is a deterministic function of the run's
 inputs, two runs that should be equivalent (legacy vs fast kernel,
-planes on vs off, before vs after a refactor) produce *identical* event
+whole-round engine vs per-message phase loop, before vs after a
+refactor) produce *identical* event
 streams; :mod:`repro.trace.diff` compares two streams and reports the
 first divergent event with context — the triage tool the hot-path
 equivalence tests and the ``bench_*`` golden gates reuse.

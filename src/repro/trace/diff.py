@@ -1,7 +1,8 @@
 """Trace comparison: find the first divergent event between two runs.
 
-Two runs that should be equivalent — legacy vs fast kernel, planes on vs
-off, before vs after a refactor — emit identical event streams, so the
+Two runs that should be equivalent — legacy vs fast kernel, engine vs
+per-message phase loop, before vs after a refactor — emit identical
+event streams, so the
 interesting question is never "are they equal" (that's one ``==``) but
 "*where* do they first disagree".  :func:`diff_traces` answers it with
 the index of the first divergent event, both sides' versions of it, and

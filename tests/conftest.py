@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -35,6 +36,24 @@ def small_points():
 def medium_points():
     """A fixed 200-node uniform instance."""
     return uniform_points(200, seed=7)
+
+
+@contextlib.contextmanager
+def per_message_floods():
+    """HELLO/ANNOUNCE as per-message floods on the fast kernel.
+
+    ``FloodCache.ensure`` declines, exactly as it does when the density
+    gate rejects the neighbor table: nodes keep their dict caches and
+    the whole-round phase engine stays off.
+    """
+    from repro.algorithms.ghs.plane import FloodCache
+
+    ensure = FloodCache.__dict__["ensure"]
+    FloodCache.ensure = classmethod(lambda cls, kernel: None)
+    try:
+        yield
+    finally:
+        FloodCache.ensure = ensure
 
 
 def brute_force_mst_cost(points: np.ndarray) -> float:

@@ -19,6 +19,7 @@ from repro.experiments.instances import get_points
 from repro.mst.kruskal import kruskal_mst
 from repro.mst.quality import same_tree, verify_spanning_tree
 from repro.rgg.build import build_rgg
+from repro.sim import LegacyKernel
 from repro.sim.faults import FaultPlan
 
 DROP = FaultPlan(seed=0, drop_rate=0.2)
@@ -55,7 +56,7 @@ class TestMGHSUnderDrops:
     def test_exact_mst_without_planes(self):
         pts = get_points(300, 1)
         base = run_modified_ghs(pts)
-        res = run_modified_ghs(pts, faults=DROP, audit=True, planes=False)
+        res = run_modified_ghs(pts, faults=DROP, audit=True, kernel_cls=LegacyKernel)
         assert same_tree(res.tree_edges, base.tree_edges)
 
     def test_exact_mst_with_duplicates_and_link_loss(self):

@@ -17,14 +17,14 @@ from repro.experiments.figures import (
     fig3b_slopes,
 )
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_algorithm, sweep_energy
+from repro.experiments.runner import sweep_energy
 from repro.experiments.tables import (
     PAPER_TAB1_EDGE_SUMS,
     lower_bound_table,
     tab1_quality,
     thm52_giant,
 )
-from repro.geometry.points import uniform_points
+from repro.runspec import RunSpec, execute
 
 
 SMALL = SweepConfig(ns=(50, 100, 200), seeds=(0,))
@@ -58,14 +58,13 @@ class TestConfig:
 
 class TestRunner:
     def test_dispatch_labels(self):
-        pts = uniform_points(60, seed=0)
         for label in ("GHS", "MGHS", "EOPT", "Co-NNT"):
-            res = run_algorithm(label, pts)
+            res = execute(RunSpec(algorithm=label, n=60)).result
             assert res.n == 60
 
     def test_unknown_label(self):
         with pytest.raises(ExperimentError):
-            run_algorithm("FOO", uniform_points(10))
+            execute(RunSpec(algorithm="FOO", n=10))
 
     def test_sweep_shapes(self, small_sweep):
         for alg in SMALL.algorithms:

@@ -12,16 +12,19 @@ pin that contract at two levels:
   match exactly, including sub-max-radius broadcasts, radius changes in
   both directions, rx charges and the dense-fallback path.
 
-The flood-plane fast path (``planes=True``, the default) rides the same
-contract: every algorithm run is checked with planes on *and* off
-against the legacy kernel, and the plane path must demonstrably engage —
-a test that silently fell back to per-message delivery would pin
-nothing.  With planes on, GHS, modified GHS and EOPT also run their
-phases on the whole-round engine, which sums the energy breakdowns in a
-different association order.
+The flood-plane fast path (the default) rides the same contract: every
+algorithm run is checked with flood planes on *and* with per-message
+floods (the fallback a density-gated table takes) against the legacy
+kernel, and the plane path must demonstrably engage — a test that
+silently fell back to per-message delivery would pin nothing.  With
+flood planes on, GHS, modified GHS and EOPT also run their phases on the
+whole-round engine, which sums the energy breakdowns in a different
+association order.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from repro.geometry.points import uniform_points
 from repro.perf import perf
 from repro.sim import LegacyKernel, NodeProcess, SynchronousKernel, kernel_class, kernel_names
 from repro.sim.faults import FaultPlan
+from tests.conftest import per_message_floods
 
 
 def _assert_breakdown_close(new: dict, old: dict):
@@ -70,13 +74,14 @@ def test_algorithms_bit_identical(runner, n, seed):
     perf.reset()
     perf.enable()
     try:
-        new = runner(pts)  # planes on (the default)
+        new = runner(pts)  # flood planes on (the default)
     finally:
         plane_sends = perf.counters.get("kernel.plane_sends", 0)
         engine_rounds = perf.counters.get("kernel.turbo_engine_rounds", 0)
         perf.disable()
         perf.reset()
-    off = runner(pts, planes=False)
+    with per_message_floods():
+        off = runner(pts)
     # The plane path must actually have run, or this test pins nothing.
     assert plane_sends > 0
     _assert_same_result(old, new)
@@ -95,19 +100,21 @@ def test_algorithms_bit_identical(runner, n, seed):
 @pytest.mark.parametrize("mode", [m for m in kernel_names() if m != "legacy"])
 def test_registered_backends_match_reference(mode, planes, faulty):
     """Every registered backend honors the observational contract against
-    the frozen legacy reference, across the planes x faults matrix.  The
+    the frozen legacy reference, across the flood-planes x faults matrix
+    ("noplanes": per-message floods, as on a density-gated table).  The
     whole-round engine must demonstrably engage on its eligible
-    combination (planes on, no faults) — a silently disengaged engine
-    would pin nothing."""
+    combination (flood planes on, no faults) — a silently disengaged
+    engine would pin nothing."""
     pts = uniform_points(250, seed=1)
-    kwargs = {"planes": planes}
+    kwargs = {}
     if faulty:
         kwargs["faults"] = FaultPlan(seed=7, drop_rate=0.05)
     ref = run_modified_ghs(pts, kernel_cls=LegacyKernel, **kwargs)
     perf.reset()
     perf.enable()
     try:
-        res = run_modified_ghs(pts, kernel_cls=kernel_class(mode), **kwargs)
+        with contextlib.nullcontext() if planes else per_message_floods():
+            res = run_modified_ghs(pts, kernel_cls=kernel_class(mode), **kwargs)
         engine_rounds = perf.counters.get("kernel.turbo_engine_rounds", 0)
     finally:
         perf.disable()
@@ -147,7 +154,8 @@ def test_rx_cost_bit_identical():
     pts = uniform_points(250, seed=4)
     old = run_modified_ghs(pts, rx_cost=0.01, kernel_cls=LegacyKernel)
     new = run_modified_ghs(pts, rx_cost=0.01)
-    off = run_modified_ghs(pts, rx_cost=0.01, planes=False)
+    with per_message_floods():
+        off = run_modified_ghs(pts, rx_cost=0.01)
     _assert_same_result(old, new)
     _assert_same_result(old, off)
 

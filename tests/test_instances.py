@@ -68,6 +68,4 @@ def test_clear_cache_resets_counters():
         "misses": 0,
         "size": 0,
         "max_size": instances._CACHE_SIZE,
-        "graph_size": 0,
-        "graph_max_size": instances._GRAPH_CACHE_SIZE,
     }

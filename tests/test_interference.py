@@ -142,14 +142,15 @@ class TestRoundAccounting:
             k.set_plane_handler(lambda *a: None)
 
     def test_mghs_planes_flag_works_on_contention_kernel(self):
-        # Regression: planes=True on a kernel without plane support must
-        # transparently fall back to per-message floods, not crash.
+        # Regression: the default run (flood planes wanted) on a kernel
+        # without plane support must transparently fall back to
+        # per-message floods, not crash.
         from repro.algorithms.ghs import run_modified_ghs
         from repro.experiments.instances import get_points
 
         pts = get_points(120, 0)
         base = run_modified_ghs(pts)
-        res = run_modified_ghs(pts, planes=True, kernel_cls=ContentionKernel)
+        res = run_modified_ghs(pts, kernel_cls=ContentionKernel)
         from repro.mst.quality import same_tree
 
         assert same_tree(res.tree_edges, base.tree_edges)

@@ -10,6 +10,7 @@ from repro.experiments import parallel as parallel_mod
 from repro.experiments.config import SweepConfig
 from repro.experiments.parallel import shutdown, sweep_energy_parallel
 from repro.experiments.runner import sweep_energy
+from repro.runspec import engine as engine_mod
 
 CFG = SweepConfig(ns=(50, 100), seeds=(0, 1), algorithms=("EOPT", "Co-NNT"))
 
@@ -59,10 +60,10 @@ class TestPoolReuse:
     def test_pool_survives_across_sweeps(self):
         shutdown()  # known-clean start
         sweep_energy_parallel(self.CFG_SMALL, workers=2)
-        pool = parallel_mod._pool
+        pool = engine_mod._pool
         assert pool is not None
         sweep_energy_parallel(self.CFG_SMALL, workers=2)
-        assert parallel_mod._pool is pool  # same executor object reused
+        assert engine_mod._pool is pool  # same executor object reused
 
     def test_pool_reused_when_big_enough(self):
         """Satellite regression: a 2-worker pool serves a 1-worker batch
@@ -72,25 +73,25 @@ class TestPoolReuse:
         alternation."""
         shutdown()
         sweep_energy_parallel(self.CFG_SMALL, workers=2)
-        pool = parallel_mod._pool
+        pool = engine_mod._pool
         sweep_energy_parallel(self.CFG_SMALL, workers=1)
-        assert parallel_mod._pool is pool
-        assert parallel_mod._pool_workers == 2
+        assert engine_mod._pool is pool
+        assert engine_mod._pool_workers == 2
 
     def test_pool_growth_respawns(self):
         shutdown()
         sweep_energy_parallel(self.CFG_SMALL, workers=1)
-        pool = parallel_mod._pool
+        pool = engine_mod._pool
         sweep_energy_parallel(self.CFG_SMALL, workers=2)
-        assert parallel_mod._pool is not pool
-        assert parallel_mod._pool_workers == 2
+        assert engine_mod._pool is not pool
+        assert engine_mod._pool_workers == 2
 
     def test_shutdown_clears_and_is_idempotent(self):
         sweep_energy_parallel(self.CFG_SMALL, workers=1)
-        assert parallel_mod._pool is not None
+        assert engine_mod._pool is not None
         shutdown()
-        assert parallel_mod._pool is None
-        assert parallel_mod._pool_workers == 0
+        assert engine_mod._pool is None
+        assert engine_mod._pool_workers == 0
         shutdown()  # second call is a no-op
         # And the next sweep transparently respawns a pool.
         sweep = sweep_energy_parallel(self.CFG_SMALL, workers=1)
@@ -180,7 +181,7 @@ class TestAtexitCleanup:
         # And the hook must be idempotent / callable with no pool alive.
         shutdown()
         shutdown()
-        assert parallel_mod._pool is None
+        assert engine_mod._pool is None
 
     def test_interpreter_exit_reaps_workers(self):
         """End to end: a child interpreter that sweeps and exits without
@@ -267,7 +268,6 @@ class TestInstanceFabric:
         leak segments: the serial fallback still answers, and the OS
         names are gone afterwards."""
         from repro.experiments import fabric
-        from repro.runspec import engine as engine_mod
         from repro.runspec import execute_batch
 
         def no_pool(workers):
@@ -362,7 +362,6 @@ class TestSerialFallback:
     CFG = SweepConfig(ns=(50, 80), seeds=(0,), algorithms=("MGHS", "Co-NNT"))
 
     def test_pool_unavailable_falls_back_to_serial(self, monkeypatch):
-        from repro.runspec import engine as engine_mod
 
         def no_pool(workers):
             raise OSError("spawn blocked by sandbox")
@@ -384,7 +383,6 @@ class TestSerialFallback:
         the first fallback warns, later ones only flip pool_state()."""
         import warnings as warnings_mod
 
-        from repro.runspec import engine as engine_mod
 
         def no_pool(workers):
             raise NotImplementedError("no multiprocessing primitives")

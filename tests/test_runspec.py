@@ -12,7 +12,6 @@ from repro.algorithms.ghs import run_ghs, run_modified_ghs
 from repro.algorithms.randnnt import run_randnnt
 from repro.errors import ExperimentError
 from repro.experiments.instances import get_points
-from repro.experiments.runner import run_algorithm
 from repro.perf import perf
 from repro.runspec import (
     RunReport,
@@ -55,7 +54,6 @@ class TestRunSpecRoundTrip:
             algorithm="MGHS",
             n=80,
             kernel="legacy",
-            planes=False,
             recover=False,
             rx_cost=0.25,
             perf=True,
@@ -64,8 +62,20 @@ class TestRunSpecRoundTrip:
         back = RunSpec.from_dict(spec.to_dict())
         assert back == spec
         assert back.kernel == "legacy"
-        assert back.planes is False and back.recover is False
+        assert back.recover is False
         assert back.perf is True and back.trace is True
+
+    @pytest.mark.parametrize("planes", [True, False])
+    def test_retired_planes_key_loads_to_default(self, planes):
+        # Stored payloads may carry the retired flood-plane switch with
+        # either value; both load to the default spec and its hash.
+        spec = RunSpec(algorithm="MGHS", n=500, seed=1)
+        data = spec.to_dict()
+        assert data["planes"] is True
+        data["planes"] = planes
+        back = RunSpec.from_dict(data)
+        assert back == spec
+        assert back.spec_hash() == spec.spec_hash()
 
     def test_payload_is_schema_stamped(self):
         data = RunSpec(algorithm="EOPT", n=50).to_dict()
@@ -205,11 +215,11 @@ class TestExecuteBitIdentical:
         report = execute(RunSpec(algorithm=alg, n=self.N, seed=self.SEED))
         assert _same_result(report.result, direct(pts))
 
-    def test_legacy_run_algorithm_surface_matches_execute(self):
+    def test_every_registered_runner_matches_execute(self):
         pts = get_points(self.N, self.SEED)
         for alg in algorithm_names():
             report = execute(RunSpec(algorithm=alg, n=self.N, seed=self.SEED))
-            assert _same_result(report.result, run_algorithm(alg, pts))
+            assert _same_result(report.result, get_algorithm(alg).runner(pts))
 
     def test_faulted_execute_matches_direct_runner(self):
         plan = FaultPlan(seed=1, drop_rate=0.1)

@@ -226,10 +226,9 @@ class TestDeterminism:
     def test_backends_byte_identical(self):
         base = maint_spec()
         reports = {}
-        for kernel, planes in (("fast", True), ("fast", False), ("legacy", False)):
-            spec = base.with_(kernel=kernel, planes=planes)
-            reports[(kernel, planes)] = execute(spec)
-        ref = reports[("fast", True)].result
+        for kernel in ("fast", "legacy"):
+            reports[kernel] = execute(base.with_(kernel=kernel))
+        ref = reports["fast"].result
         for key, rep in reports.items():
             res = rep.result
             assert res.stats.energy_total == ref.stats.energy_total, key
@@ -239,8 +238,8 @@ class TestDeterminism:
             assert res.extras["cycles"] == ref.extras["cycles"], key
 
     def test_traces_identical_across_backends(self):
-        def traced(kernel, planes):
-            spec = maint_spec(kernel=kernel, planes=planes)
+        def traced(kernel):
+            spec = maint_spec(kernel=kernel)
             trace.reset()
             trace.enable()
             try:
@@ -250,13 +249,12 @@ class TestDeterminism:
                 trace.disable()
                 trace.reset()
 
-        fast = traced("fast", True)
+        fast = traced("fast")
         assert any(e.get("ev") == "scenario/event" for e in fast)
         assert any(e.get("ev") == "repair/summary" for e in fast)
-        for kernel, planes in (("fast", False), ("legacy", False)):
-            other = traced(kernel, planes)
-            d = diff_traces(fast, other)
-            assert d is None, format_divergence(d, "fast", kernel)
+        other = traced("legacy")
+        d = diff_traces(fast, other)
+        assert d is None, format_divergence(d, "fast", "legacy")
 
     def test_serial_and_process_batch_byte_identical(self):
         specs = [maint_spec(), maint_spec(scenario=small_plan("rebuild"))]

@@ -6,13 +6,14 @@ Two contracts are pinned here:
   and every headline stat is bit-identical to a never-traced run (the
   hooks are one attribute check per round/phase);
 * **path-invariance when on** — equivalent runs (legacy vs fast kernel,
-  planes on vs off, faulted runs on either kernel) emit *identical*
-  event streams, which is what makes :mod:`repro.trace.diff` a triage
-  tool rather than a noise generator.
+  flood planes vs per-message floods, faulted runs on either kernel)
+  emit *identical* event streams, which is what makes
+  :mod:`repro.trace.diff` a triage tool rather than a noise generator.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import pytest
@@ -24,6 +25,7 @@ from repro.sim import LegacyKernel
 from repro.sim.faults import FaultPlan
 from repro.trace import TraceRegistry, load_jsonl, trace
 from repro.trace.diff import Divergence, diff_files, diff_traces, format_divergence
+from tests.conftest import per_message_floods
 
 
 @pytest.fixture(autouse=True)
@@ -159,18 +161,20 @@ class TestTraceOff:
 
     def test_stats_bit_identical_with_tracing(self):
         """Tracing on must not perturb a single headline stat — on the
-        fast kernel, the legacy kernel, planes off, and a faulted run."""
+        fast kernel, the legacy kernel, per-message floods, and a faulted
+        run."""
         pts = uniform_points(200, seed=2)
         plan = FaultPlan(seed=3, drop_rate=0.05)
-        for kwargs in (
-            {},
-            {"kernel_cls": LegacyKernel, "planes": False},
-            {"planes": False},
-            {"faults": plan},
-            {"faults": plan, "kernel_cls": LegacyKernel, "planes": False},
+        for kwargs, planes in (
+            ({}, True),
+            ({"kernel_cls": LegacyKernel}, True),
+            ({}, False),
+            ({"faults": plan}, True),
+            ({"faults": plan, "kernel_cls": LegacyKernel}, True),
         ):
-            plain = run_modified_ghs(pts, **kwargs)
-            traced, events = _traced(run_modified_ghs, pts, **kwargs)
+            with contextlib.nullcontext() if planes else per_message_floods():
+                plain = run_modified_ghs(pts, **kwargs)
+                traced, events = _traced(run_modified_ghs, pts, **kwargs)
             assert events, f"no events recorded for {kwargs!r}"
             assert traced.stats.energy_total == plain.stats.energy_total
             assert traced.stats.messages_total == plain.stats.messages_total
@@ -195,8 +199,9 @@ class TestTraceEquivalence:
     def test_legacy_vs_fast_vs_planes_off(self, runner, n, seed):
         pts = uniform_points(n, seed=seed)
         _, fast = _traced(runner, pts)
-        _, legacy = _traced(runner, pts, kernel_cls=LegacyKernel, planes=False)
-        _, planes_off = _traced(runner, pts, planes=False)
+        _, legacy = _traced(runner, pts, kernel_cls=LegacyKernel)
+        with per_message_floods():
+            _, planes_off = _traced(runner, pts)
         self._assert_identical(fast, legacy, "fast", "legacy")
         self._assert_identical(fast, planes_off, "planes-on", "planes-off")
 
@@ -205,8 +210,7 @@ class TestTraceEquivalence:
         plan = FaultPlan(seed=7, drop_rate=0.08, dup_rate=0.02)
         _, fast = _traced(run_modified_ghs, pts, faults=plan)
         _, legacy = _traced(
-            run_modified_ghs, pts, faults=plan,
-            kernel_cls=LegacyKernel, planes=False,
+            run_modified_ghs, pts, faults=plan, kernel_cls=LegacyKernel
         )
         self._assert_identical(fast, legacy, "fast", "legacy")
         # The fault plane must actually have shown up in the stream.

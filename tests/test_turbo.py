@@ -6,7 +6,7 @@ backend).  This module pins the engine's supporting mechanisms in
 isolation:
 
 * chunked / memory-mapped CSR builds round-trip bit-identically to the
-  dense builder, and the instance cache keys on the layout;
+  dense builder;
 * the whole-round phase engine engages on eligible default-kernel runs
   (and only then); its MOE cursor agrees with ``FloodCache.moe_batch``,
   it leaves the same flood cache as the per-message phase loop, and a
@@ -23,11 +23,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ExperimentError, GraphError
+from repro.errors import ExperimentError
 from repro.geometry.points import uniform_points
 from repro.perf import PEAK_RSS_COUNTER, perf
-from repro.rgg import build_rgg, build_rgg_chunked, build_rgg_layout
-from repro.sim import SynchronousKernel, kernel_class, kernel_names
+from repro.rgg import build_rgg, build_rgg_chunked
+from repro.sim import LegacyKernel, SynchronousKernel, kernel_class, kernel_names
 from repro.sim.faults import FaultPlan
 
 
@@ -64,30 +64,10 @@ class TestChunkedCSR:
     def test_empty_and_validation(self):
         g = build_rgg_chunked(np.zeros((0, 2)), 0.1)
         assert g.n == 0 and g.m == 0
-        with pytest.raises(GraphError):
-            build_rgg_layout(np.zeros((0, 2)), 0.1, "warp9")
         from repro.errors import GeometryError
 
         with pytest.raises(GeometryError):
             build_rgg_chunked(np.zeros((4, 2)), 0.1, chunk_nodes=0)
-
-
-class TestLayoutKeyedInstanceCache:
-    def test_layouts_cached_separately(self):
-        from repro.experiments.instances import clear_cache, get_graph
-
-        clear_cache()
-        try:
-            dense = get_graph(200, 0, 0.12)
-            chunked = get_graph(200, 0, 0.12, layout="chunked")
-            assert dense is not chunked  # layout is part of the key
-            assert get_graph(200, 0, 0.12) is dense  # hits its own entry
-            assert get_graph(200, 0, 0.12, layout="chunked") is chunked
-            assert np.array_equal(dense.indices, chunked.indices)
-            with pytest.raises(GraphError, match="unknown instance layout"):
-                get_graph(200, 0, 0.12, layout="warp9")
-        finally:
-            clear_cache()
 
 
 # -- phase engine engagement --------------------------------------------------
@@ -117,7 +97,8 @@ class TestPhaseEngine:
         assert counters.get("kernel.turbo_engine_rounds", 0) == 0
 
     def test_engine_disengages_without_planes(self):
-        counters = self._counters(planes=False)
+        # The legacy kernel never runs flood planes.
+        counters = self._counters(kernel_cls=LegacyKernel)
         assert counters.get("kernel.turbo_engine_rounds", 0) == 0
 
 
@@ -323,7 +304,6 @@ class TestOriginalMode:
 
     @pytest.mark.parametrize("instance", ["u600", "u2000", "lattice33"])
     def test_trace_identical_to_legacy(self, instance):
-        from repro.sim import LegacyKernel
         from repro.trace.diff import diff_traces, format_divergence
 
         if instance == "lattice33":
