@@ -13,7 +13,8 @@ Three gates, each fatal:
 
 * **equivalence** — the default kernel must be bit-identical to the
   frozen legacy kernel (energy / messages / rounds / tree size) for
-  MGHS and for classical GHS (TEST probes) at the small-n config, and
+  MGHS, for classical GHS (TEST probes) and for EOPT (size census and
+  giant declaration) at the small-n config, and
   on an exact lattice (distance ties everywhere) in stats and in the
   ``diff_traces`` event stream, with trace-diff triage printed on
   divergence (exit 2);
@@ -66,8 +67,9 @@ SPEEDUP_BAR = 10.0
 GATE_N = 2000
 #: Small-n config for the bit-identical fast-vs-legacy equivalence gate.
 EQUIV_N = 600
-#: Algorithms the equivalence gate runs (both whole-round engine modes).
-EQUIV_ALGORITHMS = ("MGHS", "GHS")
+#: Algorithms the equivalence gate runs: both whole-round engine modes,
+#: and EOPT for the census and giant-declaration waves.
+EQUIV_ALGORITHMS = ("MGHS", "GHS", "EOPT")
 #: Side of the exact lattice in the equivalence gate (pitch 1/(side-1)
 #: is dyadic, so equal distances are bit-equal).
 LATTICE_SIDE = 33

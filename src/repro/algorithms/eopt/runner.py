@@ -7,7 +7,13 @@ fragment of Θ(n) nodes plus small fragments trapped in regions of at most
 
 Interlude — every fragment counts itself (broadcast + convergecast over
 its tree); a fragment larger than ``beta log^2 n`` declares itself the
-giant and goes passive.
+giant and goes passive.  When step 1 ran on the whole-round engine
+(:mod:`repro.algorithms.ghs.turbo`: default kernel, no fault plan), the
+census and the giant's GIANT flood run on that engine too, one array
+pass each over its fragment forest; the legacy and contention kernels
+and fault-recovery runs take the per-message handlers of
+:mod:`repro.algorithms.ghs.node`.  The ``eopt.census`` timer covers both
+waves.
 
 Step 2 — radii rise to ``r2 = c2 sqrt(log n / n)`` (the connectivity
 regime), everyone re-runs HELLO discovery at the new radius, and the
@@ -40,6 +46,7 @@ from repro.algorithms.ghs.driver import (
     active_leaders,
     fragment_histogram,
     hello_round,
+    phase_budget,
     run_ghs_phases,
 )
 from repro.algorithms.ghs.node import GHSNode
@@ -136,12 +143,24 @@ def run_eopt(
         hello_round(kernel, r1, recovery=recovery)
     kernel.set_stage("step1:ghs")
     with perf.timed("eopt.step1.phases"):
-        phases1 = run_ghs_phases(kernel, nodes, recovery=recovery)
+        # A run the whole-round engine takes keeps it through the
+        # interlude: the census and the giant declaration are tree waves
+        # over its arrays.  Imported on use, as run_ghs_phases does, so a
+        # process that never runs phases (the serve front end) skips it.
+        from repro.algorithms.ghs import turbo
+
+        eng = turbo.turbo_phase_engine(kernel, nodes) if recovery is None else None
+        if eng is None:
+            phases1 = run_ghs_phases(kernel, nodes, recovery=recovery)
+        else:
+            phases1 = eng.run(1, phase_budget(nodes))
 
     # ---- Interlude: fragment size census + giant declaration ----------------
     kernel.set_stage("step2:size")
     with perf.timed("eopt.census"):
-        if recovery is None:
+        if eng is not None:
+            eng.census()
+        elif recovery is None:
             leaders = [nd.id for nd in nodes if nd.leader]
             kernel.wake(leaders, "size")
             kernel.run_until_quiescent()
@@ -173,35 +192,39 @@ def run_eopt(
                 raise ProtocolError(
                     "EOPT census did not complete under fault recovery"
                 )
-    threshold = giant_size_threshold(n, beta)
-    giant_leaders = [
-        nd
-        for nd in nodes
-        if nd.leader and nd.fragment_size is not None and nd.fragment_size > threshold
-    ]
-    demoted = 0
-    if len(giant_leaders) > 1:
-        giant_leaders.sort(key=lambda nd: (-nd.fragment_size, nd.id))
-        demoted = len(giant_leaders) - 1
-        giant_leaders = giant_leaders[:1]
-    giant_size = 0
-    if giant_leaders:
-        g = giant_leaders[0]
-        giant_size = int(g.fragment_size)
-        if recovery is None:
-            kernel.wake([g.id], "declare_giant")
-            kernel.run_until_quiescent()
-        else:
-            waited = 0
-            while fp.crashed(g.id, kernel.rounds):
-                kernel.tick()
-                waited += 1
-                if waited > recovery.max_iters:
-                    raise ProtocolError(
-                        "giant leader's crash window did not expire"
-                    )
-            kernel.wake([g.id], "declare_giant")
-            recovery.settle()
+        threshold = giant_size_threshold(n, beta)
+        giant_leaders = [
+            nd
+            for nd in nodes
+            if nd.leader
+            and nd.fragment_size is not None
+            and nd.fragment_size > threshold
+        ]
+        demoted = 0
+        if len(giant_leaders) > 1:
+            giant_leaders.sort(key=lambda nd: (-nd.fragment_size, nd.id))
+            demoted = len(giant_leaders) - 1
+            giant_leaders = giant_leaders[:1]
+        giant_size = 0
+        if giant_leaders:
+            g = giant_leaders[0]
+            giant_size = int(g.fragment_size)
+            if eng is not None:
+                eng.declare_giant(g.id)
+            elif recovery is None:
+                kernel.wake([g.id], "declare_giant")
+                kernel.run_until_quiescent()
+            else:
+                waited = 0
+                while fp.crashed(g.id, kernel.rounds):
+                    kernel.tick()
+                    waited += 1
+                    if waited > recovery.max_iters:
+                        raise ProtocolError(
+                            "giant leader's crash window did not expire"
+                        )
+                kernel.wake([g.id], "declare_giant")
+                recovery.settle()
     if trace.enabled:
         # The Thm 5.2 observable: after step 1 the size histogram must
         # show one giant entry above the threshold and small ones below.

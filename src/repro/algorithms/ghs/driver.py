@@ -379,7 +379,7 @@ def _live_leaders(
     return alive
 
 
-def _phase_budget(nodes: Sequence[GHSNode]) -> int:
+def phase_budget(nodes: Sequence[GHSNode]) -> int:
     # Fragments at least halve every phase; the slack covers step-2
     # restarts and absorb-only phases.
     return 2 * int(math.log2(max(len(nodes), 2))) + 20
@@ -396,7 +396,7 @@ def ghs_phase_steps(
     """The per-message Borůvka phase loop, stepped (see the module
     docstring); the number of phases executed is its return value."""
     if max_phases is None:
-        max_phases = _phase_budget(nodes)
+        max_phases = phase_budget(nodes)
     phase = start_phase - 1
     executed = 0
     fp = kernel.faults
@@ -479,7 +479,7 @@ def run_ghs_phases(
     (fault runs) replaces each stage barrier with a settle/repair loop.
     """
     if max_phases is None:
-        max_phases = _phase_budget(nodes)
+        max_phases = phase_budget(nodes)
     if recovery is None:
         # Eligible configurations (either GHS mode, flood planes live, no
         # faults) run as whole-round array programs — an observational

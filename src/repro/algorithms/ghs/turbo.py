@@ -25,9 +25,16 @@ suite and ``trace/diff.py`` triage) is:
   per-round trace events (``round``/``dm``/``de``/``kinds``) are exact;
 * per-kind/per-stage energy breakdowns reassociate float sums (the
   ledger contract already allows that); ``energy_by_node`` likewise;
-* node objects are synced back on exit, so census/giant-declaration
-  stages and result collection see the same state the per-message loop
-  would have left (original mode: each node's ``rejected`` set too).
+* node objects are synced back on exit, so later stages and result
+  collection see the same state the per-message loop would have left
+  (original mode: each node's ``rejected`` set too).
+
+EOPT's interlude runs on the same engine: after step 1,
+:meth:`TurboPhaseEngine.census` (SIZE_REQ/SIZE_RESP) and
+:meth:`TurboPhaseEngine.declare_giant` (GIANT) replace the per-message
+census and giant declaration under the same contract, and write the
+fields they change (``fragment_size``; the giant's ``passive``,
+``is_giant``, ``leader`` and ``halted``) to the node objects.
 
 To make send order a pure function of protocol state,
 :mod:`repro.algorithms.ghs.node` iterates tree edges in sorted order —
@@ -36,9 +43,16 @@ the engine reproduces those loops with sorted CSR rows.
 Design notes
 ------------
 
-Stage A (the INITIATE flood) is a vectorized BFS over the fragment-tree
-CSR: one frontier array per round, announce + child-INITIATE emissions
-interleaved per node by construction.  Stage B vectorizes the bulk
+Stage A (the INITIATE flood), the census and the giant declaration are
+*tree waves*: the only traffic in flight, each node's sends fixed by its
+depth (and, for the census's converge-cast, its subtree height).  Each
+wave is one array pass: one C-level BFS over the fragment-tree CSR from
+a virtual root wired to the wave's roots, pointer jumping for depths and
+roots, one emission table sorted once by ``(round, sender, intra)`` and
+charged through the sequential energy chain; the kernel then advances
+the wave's rounds one by one with their exact delivery counts (with
+tracing on, the ledger is set to each round's partial sums before its
+event).  Stage B vectorizes the bulk
 kinds — the ``find_moe`` wake, the TEST/ACCEPT/REJECT probes (the MOE
 cursor below) and the REPORT converge-cast (segment counts and
 lexicographic segment-min per recipient).  CONNECT / CHANGEROOT /
@@ -86,12 +100,13 @@ import math
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order
 
 from repro.errors import ProtocolError
 from repro.algorithms.ghs.node import GHSNode
 from repro.perf import perf
 from repro.sim._jit import HAVE_NUMBA, njit
-from repro.sim.kernel import concat_ranges as _concat_ranges
 from repro.trace import trace
 
 __all__ = [
@@ -101,14 +116,15 @@ __all__ = [
     "seq_energy_accumulate",
 ]
 
-# Emission kind codes (column values in the per-round emission table).
+# Emission kind codes (column values in the emission tables).  The
+# probe kinds come last: ``_finalize`` splits them off as ``kind >= _TEST``.
 (
     _INITIATE, _ANNOUNCE, _REPORT, _CHANGEROOT, _CONNECT, _ABSORB,
-    _TEST, _ACCEPT, _REJECT,
-) = range(9)
+    _SIZE_REQ, _SIZE_RESP, _GIANT, _TEST, _ACCEPT, _REJECT,
+) = range(12)
 _KIND_NAMES = (
     "INITIATE", "ANNOUNCE", "REPORT", "CHANGEROOT", "CONNECT", "ABSORB",
-    "TEST", "ACCEPT", "REJECT",
+    "SIZE_REQ", "SIZE_RESP", "GIANT", "TEST", "ACCEPT", "REJECT",
 )
 
 _INF = math.inf
@@ -641,7 +657,6 @@ class TurboPhaseEngine:
             em.fold_chunks()
             return self._finalize_scalar(em)
         cols = em.columns()
-        led = self.k._ledger
         if cols is None:
             self.pend_report = None
             self.pend_misc = None
@@ -650,19 +665,7 @@ class TurboPhaseEngine:
             return 0
         _, _, _, node, kind, dist, dst, pf, p1, p2 = cols
         k = len(node)
-        energies = self.pw.energy_array(dist)
-        led.energy_total = seq_energy_accumulate(led.energy_total, energies)
-        led.messages_total += k
-        np.add.at(led.energy_by_node, node, energies)
-        counts = np.bincount(kind, minlength=len(_KIND_NAMES))
-        esums = np.bincount(kind, weights=energies, minlength=len(_KIND_NAMES))
-        stage = self.k.stage
-        led.energy_by_stage[stage] += float(energies.sum())
-        led.messages_by_stage[stage] += k
-        for code in np.flatnonzero(counts).tolist():
-            name = _KIND_NAMES[code]
-            led.energy_by_kind[name] += float(esums[code])
-            led.messages_by_kind[name] += int(counts[code])
+        counts = self._charge(node, kind, self.pw.energy_array(dist))
         seqs = np.arange(self._seq, self._seq + k, dtype=np.int64)
         self._seq += k
         # Split into next round's pending sets.
@@ -698,6 +701,28 @@ class TurboPhaseEngine:
         if perf.enabled and counts[_ANNOUNCE]:
             perf.add("kernel.plane_sends", int(counts[_ANNOUNCE]))
         return k
+
+    def _charge(self, node: np.ndarray, kind: np.ndarray, energies: np.ndarray) -> np.ndarray:
+        """Charge emissions, given in charge order, to the ledger.
+
+        ``energy_total`` moves through the sequential chain; the
+        breakdowns take per-kind sums.  Returns the per-kind counts.
+        """
+        led = self.k._ledger
+        k = len(node)
+        led.energy_total = seq_energy_accumulate(led.energy_total, energies)
+        led.messages_total += k
+        np.add.at(led.energy_by_node, node, energies)
+        counts = np.bincount(kind, minlength=len(_KIND_NAMES))
+        esums = np.bincount(kind, weights=energies, minlength=len(_KIND_NAMES))
+        stage = self.k.stage
+        led.energy_by_stage[stage] += float(energies.sum())
+        led.messages_by_stage[stage] += k
+        for code in np.flatnonzero(counts).tolist():
+            name = _KIND_NAMES[code]
+            led.energy_by_kind[name] += float(esums[code])
+            led.messages_by_kind[name] += int(counts[code])
+        return counts
 
     def _finalize_scalar(self, em: _Emits) -> int:
         """Plain-Python ``_finalize`` for small rounds (most of stage B).
@@ -799,94 +824,147 @@ class TurboPhaseEngine:
             or self.pend_ann is not None
         )
 
-    # -- stage A: the INITIATE/ANNOUNCE flood ------------------------------
+    # -- tree waves: one array pass each ------------------------------------
 
-    def _initiate_block(
-        self, em: _Emits, ids: np.ndarray, srcs: np.ndarray | None, fids: np.ndarray, phase: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Process one flood front (``srcs is None`` = the leader wake).
+    def _forest(self, roots: np.ndarray, subtree: bool = False) -> tuple:
+        """The fragment-tree forest hanging from ``roots``, by one BFS.
 
-        Applies ``_wake_initiate``/``_on_initiate`` state transitions for
-        every node in ``ids`` (ascending, each visited once per phase),
-        emits its ANNOUNCE (on fragment-id change) followed by one
-        INITIATE per child in ascending order, and returns the next
-        front ``(child ids, their parents, propagated fids)``.
+        One C-level breadth-first search over the tree CSR from a
+        virtual root wired to ``roots``, then pointer jumping.  Returns
+        ``(order, par, dep, top)``: the reached nodes in BFS order and,
+        per node (length ``n``), its parent (-1 at a root and off the
+        forest), depth and root.  With ``subtree`` a fifth array follows:
+        each node's deepest descendant depth (its own depth at a leaf).
         """
-        changed = self.fid[ids] != fids
-        self.fid[ids] = fids
-        self.cur_phase[ids] = phase
-        if srcs is None:
-            self.parent[ids] = -1
-        else:
-            self.leader[ids] = False
-            self.parent[ids] = srcs
-            self.parent_dist[ids] = self._dist(ids, srcs)
-        # Children: the sorted tree row minus the parent edge.
-        starts = self.t_indptr[ids]
-        ends = self.t_indptr[ids + 1]
-        cnt = ends - starts
-        idx = _concat_ranges(starts, ends)
-        nbr = self.t_adj[idx]
-        seg = np.repeat(np.arange(len(ids), dtype=np.int64), cnt)
-        if srcs is None:
-            childmask = np.ones(len(nbr), dtype=bool)
-            self.n_children[ids] = cnt
-        else:
-            childmask = nbr != srcs[seg]
-            self.n_children[ids] = cnt - 1
-        ch = nbr[childmask]
-        chseg = seg[childmask]
-        # Emissions: per node, ANNOUNCE (intra 0) then INITIATEs in row
-        # order (intra 1 + position in row — gaps where the parent sat
-        # do not disturb the ordering).
-        aids = ids[:0] if self.tests else ids[changed]
-        em.add_chunk(
-            aids,
-            np.zeros(len(aids), dtype=np.int64),
-            np.zeros(len(aids), dtype=np.int64),
-            aids,
-            np.full(len(aids), _ANNOUNCE, dtype=np.int64),
-            np.full(len(aids), self.r),
-            np.full(len(aids), -1, dtype=np.int64),
+        n = self.n
+        ip, adj = self.t_indptr, self.t_adj
+        k = len(roots)
+        graph = csr_array(
+            (
+                np.ones(len(adj) + k),
+                np.concatenate((adj, roots)),
+                np.append(ip, ip[-1] + k),
+            ),
+            shape=(n + 1, n + 1),
         )
-        pos = idx - np.repeat(starts, cnt)  # position within the CSR row
-        snd = ids[chseg]
-        em.add_chunk(
-            snd,
-            np.zeros(len(snd), dtype=np.int64),
-            1 + pos[childmask],
-            snd,
-            np.full(len(snd), _INITIATE, dtype=np.int64),
-            self._dist(snd, ch),
-            ch,
+        order, pred = breadth_first_order(
+            graph, n, directed=True, return_predecessors=True
         )
-        return ch, snd, fids[chseg]
+        order = order[1:].astype(np.int64)
+        par = np.full(n, -1, dtype=np.int64)
+        p = pred[order]
+        par[order] = np.where(p == n, -1, p)
+        # Pointer jumping: after step k, ``up`` is each node's 2^k-th
+        # ancestor (clamped at its root) and ``dep`` counts the hops.
+        up = np.where(par >= 0, par, np.arange(n))
+        dep = (par >= 0).astype(np.int64)
+        jumps = []
+        while True:
+            jumps.append(up)
+            nxt = up[up]
+            if np.array_equal(nxt, up):
+                break
+            dep += dep[up]
+            up = nxt
+        if not subtree:
+            return order, par, dep, up
+        # Deepest descendant, pushed up along the same jumps: after the
+        # push to 2^k-th ancestors a node holds the maximum over its
+        # descendants fewer than 2^(k+1) levels below it.
+        deep = dep.copy()
+        for anc in jumps:
+            np.maximum.at(deep, anc, deep.copy())
+        return order, par, dep, up, deep
+
+    def _wave(self, rnd, snd, intra, kind, dist, weight) -> None:
+        """Charge one tree wave and run its rounds.
+
+        The wave is the only traffic in flight.  Emission ``i`` is sent
+        by ``snd[i]`` at round ``rnd[i]`` (0 = the wake that starts it) and
+        delivered one round later; ``weight[i]`` is its delivery count
+        (1 for a unicast, the announce-row length for an ANNOUNCE).
+        Each sender runs at most one handler per round, so the
+        per-message charge order is ``(round, sender, intra)``: one
+        lexsort orders the whole wave, charged through the sequential
+        energy chain.  Rounds then advance one at a time with their
+        exact delivery counts; with tracing on, the ledger holds each
+        round's partial sums when its event is emitted.
+        """
+        if len(snd) == 0:
+            return
+        o = np.lexsort((intra, snd, rnd))
+        rnd, snd, kind, dist, weight = rnd[o], snd[o], kind[o], dist[o], weight[o]
+        kern = self.k
+        kern._flush_charges()
+        led = kern._ledger
+        energies = self.pw.energy_array(dist)
+        rounds = int(rnd[-1]) + 1
+        delivered = np.bincount(rnd, weights=weight, minlength=rounds)
+        delivered = delivered.astype(np.int64).tolist()
+        e0, m0 = led.energy_total, led.messages_total
+        counts = self._charge(snd, kind, energies)
+        self._seq += len(snd)
+        if perf.enabled:
+            perf.add("kernel.turbo_engine_rounds", rounds)
+            if counts[_ANNOUNCE]:
+                a = kind == _ANNOUNCE
+                perf.add("kernel.plane_sends", int(counts[_ANNOUNCE]))
+                perf.add("kernel.plane_batches", len(sorted_unique(rnd[a])))
+                perf.add("kernel.plane_deliveries", int(weight[a].sum()))
+        if not trace.enabled:
+            for d in delivered:
+                kern._advance_round(d)
+            return
+        # Round t's event sees every emission charged at rounds <= t: the
+        # ledger steps through those partial sums up to its final values.
+        partial = np.add.accumulate(np.concatenate(([e0], energies)))
+        ends = np.searchsorted(rnd, np.arange(1, rounds + 1), side="right")
+        mbk = led.messages_by_kind
+        codes = np.flatnonzero(counts).tolist()
+        kind0 = [mbk[_KIND_NAMES[c]] - int(counts[c]) for c in codes]
+        cums = [np.concatenate(([0], np.cumsum(kind == c)))[ends].tolist() for c in codes]
+        for t, j in enumerate(ends.tolist()):
+            led.energy_total = float(partial[j])
+            led.messages_total = m0 + j
+            for c, base, cum in zip(codes, kind0, cums):
+                mbk[_KIND_NAMES[c]] = base + cum[t]
+            kern._advance_round(delivered[t])
 
     def _stage_a(self, phase: int, leaders: np.ndarray) -> np.ndarray:
-        """Wake the leaders, run the flood to quiescence; returns participants."""
-        em = _Emits()
-        front = self._initiate_block(em, leaders, None, leaders, phase)
-        self._finalize(em)  # wake block: charged now, delivered next round
-        parts = [leaders]
-        while True:
-            dsts, srcs, fids = front
-            if len(dsts) == 0 and self.pend_ann is None:
-                break
-            delivered = self._apply_announces()
-            em = _Emits()
-            if len(dsts):
-                delivered += len(dsts)
-                order = np.argsort(dsts)
-                dsts, srcs, fids = dsts[order], srcs[order], fids[order]
-                parts.append(dsts)
-                front = self._initiate_block(em, dsts, srcs, fids, phase)
-            else:
-                front = dsts, srcs, fids
-            self._finalize(em)
-            self._end_round(delivered)
-        if len(parts) == 1:
-            return leaders
-        return np.sort(np.concatenate(parts))
+        """The INITIATE flood of every active fragment, as one wave.
+
+        Applies ``_wake_initiate``/``_on_initiate`` to every node the
+        leaders' trees reach.  At round ``depth`` each of them sends its
+        ANNOUNCE (modified mode, when its fragment id changed), then one
+        INITIATE per child in ascending order; round ``t`` delivers the
+        INITIATEs to depth ``t`` and the ANNOUNCEs from depth ``t - 1``.
+        Returns the participants, ascending.
+        """
+        order, par, dep, top = self._forest(leaders)
+        ids = np.sort(order)
+        p = par[ids]
+        nonroot = p >= 0
+        child = ids[nonroot]
+        above = p[nonroot]
+        changed = self.fid[ids] != top[ids]
+        self.fid[ids] = top[ids]
+        self.cur_phase[ids] = phase
+        self.leader[child] = False
+        self.parent[ids] = p
+        d = self._dist(child, above)
+        self.parent_dist[child] = d
+        self.n_children[ids] = np.diff(self.t_indptr)[ids] - nonroot
+        ann = ids[:0] if self.tests else ids[changed]
+        na = len(ann)
+        self._wave(
+            rnd=np.concatenate((dep[above], dep[ann])),
+            snd=np.concatenate((above, ann)),
+            intra=np.concatenate((child, np.full(na, -1, dtype=np.int64))),
+            kind=np.concatenate((np.full(len(child), _INITIATE), np.full(na, _ANNOUNCE))),
+            dist=np.concatenate((d, np.full(na, self.r))),
+            weight=np.concatenate((np.ones(len(child), dtype=np.int64), self.ann_cnt[ann])),
+        )
+        return ids
 
     # -- stage B: MOE search, converge-cast, merging -----------------------
 
@@ -1318,8 +1396,10 @@ class TurboPhaseEngine:
         phase whose INITIATE flood covered its whole (final) tree, so
         each non-passive node's last-set children are exactly its sorted
         tree row minus its parent.  Passive nodes keep their pre-engine
-        ``children`` — nothing downstream reads them (the EOPT census
-        runs between steps, when no node is passive yet).  Original mode
+        ``children`` — nothing downstream reads them (EOPT's census runs
+        on this engine's tree CSR, between steps, when no node is
+        passive yet, and only the per-message census reads
+        ``children``).  Original mode
         leaves the flood cache as the HELLO flood wrote it (its
         per-message path never writes it) and writes each node's
         ``rejected`` set.
@@ -1353,6 +1433,68 @@ class TurboPhaseEngine:
             nbrs = self.cache.ids[sl].tolist()
             for i, nd in enumerate(self.nodes):
                 nd.rejected = set(nbrs[bounds[i] : bounds[i + 1]])
+
+    # -- EOPT's interlude: size census and giant declaration ---------------
+
+    def census(self) -> None:
+        """EOPT's size census as one wave; sets each leader's ``fragment_size``.
+
+        Each leader's ``size`` wake sends SIZE_REQ down its tree and each
+        node answers SIZE_RESP once its whole subtree has: a node at
+        depth ``d`` whose subtree is ``h`` levels high sends its
+        SIZE_REQs at round ``d`` and its SIZE_RESP at round ``d + 2h``.
+        Runs after :meth:`run`, whose exit leaves the final tree CSR, on
+        the fragments step 1 left (no node is passive yet).
+        """
+        leaders = np.flatnonzero(self.leader)
+        order, par, dep, top, deep = self._forest(leaders, subtree=True)
+        child = order[par[order] >= 0]
+        above = par[child]
+        d = self._dist(child, above)
+        m = len(child)
+        self._wave(
+            rnd=np.concatenate((dep[above], 2 * deep[child] - dep[child])),
+            snd=np.concatenate((above, child)),
+            intra=np.concatenate((child, np.zeros(m, dtype=np.int64))),
+            kind=np.concatenate((np.full(m, _SIZE_REQ), np.full(m, _SIZE_RESP))),
+            dist=np.concatenate((d, d)),
+            weight=np.ones(2 * m, dtype=np.int64),
+        )
+        sizes = np.bincount(top[order], minlength=self.n)[leaders]
+        for u, size in zip(leaders.tolist(), sizes.tolist()):
+            self.nodes[u].fragment_size = size
+
+    def declare_giant(self, g: int) -> None:
+        """EOPT's giant declaration from leader ``g``, as one wave.
+
+        The ``declare_giant`` wake floods GIANT over ``g``'s tree: at
+        round ``depth`` each member sends one GIANT per child in
+        ascending order.  Every member goes passive and joins the giant,
+        ``g`` halts and the others stop leading — in the engine's arrays
+        and on the node objects.
+        """
+        order, par, dep, _ = self._forest(np.array([g], dtype=np.int64))
+        child = order[par[order] >= 0]
+        above = par[child]
+        self._wave(
+            rnd=dep[above],
+            snd=above,
+            intra=child,
+            kind=np.full(len(child), _GIANT),
+            dist=self._dist(above, child),
+            weight=np.ones(len(child), dtype=np.int64),
+        )
+        self.passive[order] = True
+        self.leader[child] = False
+        self.halted[g] = True
+        nodes = self.nodes
+        for u in order.tolist():
+            nd = nodes[u]
+            nd.passive = True
+            nd.is_giant = True
+            if u != g:
+                nd.leader = False
+        nodes[g].halted = True
 
 
 def run_phases_turbo(

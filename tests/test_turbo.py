@@ -14,6 +14,9 @@ isolation:
 * classical GHS runs its TEST/ACCEPT/REJECT probes on the engine with
   legacy-identical traces and ``rejected`` sets, same-round probe
   deliveries in per-message order, and each slot examined O(1) times;
+* the one-pass tree waves (stage A, EOPT's size census and giant
+  declaration) trace identically to the legacy kernel, and an EOPT run
+  leaves the engine only for its two HELLO rounds;
 * the kernel registry resolves modes, the ``turbo`` alias and
   unknown-name errors.
 """
@@ -442,6 +445,114 @@ class TestOriginalMode:
             assert want == [("TEST", 2), ("REJECT", 2)]
         row = eng.cache.ids[ip[0] : ip[1]]
         assert set(row[eng.rejected[ip[0] : ip[1]]].tolist()) == nd.rejected == {1, 2}
+
+
+def _traced_run(runner, pts, **kwargs):
+    """``runner(pts)`` with perf and trace on: (result, events, counters)."""
+    from repro.trace import trace
+
+    perf.reset()
+    perf.enable()
+    trace.reset()
+    trace.enable()
+    try:
+        res = runner(pts, **kwargs)
+        return res, trace.snapshot(), dict(perf.counters)
+    finally:
+        trace.disable()
+        trace.reset()
+        perf.disable()
+        perf.reset()
+
+
+class TestTreeWaves:
+    """Stage A, EOPT's size census and its giant declaration, each run as
+    one array pass over the fragment forest, match the per-message path."""
+
+    @staticmethod
+    def _assert_like_legacy(runner, pts):
+        from repro.trace.diff import diff_traces, format_divergence
+
+        legacy, lt, _ = _traced_run(runner, pts, kernel_cls=LegacyKernel)
+        fast, ft, counters = _traced_run(runner, pts)
+        assert counters.get("kernel.turbo_engine_rounds", 0) > 0
+        d = diff_traces(lt, ft)
+        assert d is None, format_divergence(d, "legacy", "fast")
+        a, b = legacy.stats, fast.stats
+        assert (a.energy_total, a.messages_total, a.rounds) == (
+            b.energy_total, b.messages_total, b.rounds
+        )
+        assert a.messages_by_kind == b.messages_by_kind
+        assert a.messages_by_stage == b.messages_by_stage
+        assert np.array_equal(fast.tree_edges, legacy.tree_edges)
+        return legacy, fast
+
+    @pytest.mark.parametrize("algorithm", ["MGHS", "EOPT"])
+    @pytest.mark.parametrize("instance", ["u600", "u2000", "lattice33"])
+    def test_stage_a_trace_identical_to_legacy(self, monkeypatch, algorithm, instance):
+        from repro.algorithms import run_eopt
+        from repro.algorithms.ghs import run_modified_ghs, turbo
+
+        # Per stage-A wave: did its deepest level announce (one extra
+        # round), and did it flood without any ANNOUNCE?
+        seen = {"extra": 0, "silent": 0}
+        orig = turbo.TurboPhaseEngine._wave
+
+        def wave(self, rnd, snd, intra, kind, dist, weight):
+            ini = rnd[kind == turbo._INITIATE]
+            ann = rnd[kind == turbo._ANNOUNCE]
+            if len(ann) and ann.max() > (ini.max() if len(ini) else -1):
+                seen["extra"] += 1
+            if len(ini) and not len(ann) and not (kind > turbo._ANNOUNCE).any():
+                seen["silent"] += 1
+            return orig(self, rnd, snd, intra, kind, dist, weight)
+
+        monkeypatch.setattr(turbo.TurboPhaseEngine, "_wave", wave)
+        lattice = instance == "lattice33"
+        pts = _dyadic_lattice(33) if lattice else uniform_points(int(instance[1:]), seed=3)
+        runner = run_modified_ghs if algorithm == "MGHS" else run_eopt
+        self._assert_like_legacy(runner, pts)
+        assert seen["extra"] > 0
+        if algorithm == "EOPT" and not lattice:
+            # Step 2 re-activates step-1 fragments under their own ids.
+            assert seen["silent"] > 0
+
+    def test_census_and_giant_match_legacy(self, monkeypatch):
+        from repro.algorithms import run_eopt
+        from repro.algorithms.ghs import turbo
+
+        sizes = []
+        orig = turbo.TurboPhaseEngine.census
+
+        def census(self):
+            orig(self)
+            sizes.append([nd.fragment_size for nd in self.nodes if nd.leader])
+
+        monkeypatch.setattr(turbo.TurboPhaseEngine, "census", census)
+        no_giant = demoted = childless = 0
+        for n, seed in [(8, 5), (8, 9), (30, 2), (200, 0), (400, 4)]:
+            sizes.clear()
+            _, fast = self._assert_like_legacy(run_eopt, uniform_points(n, seed=seed))
+            assert len(sizes) == 1 and sum(sizes[0]) == n  # on the engine
+            assert fast.extras["giant_found"] == any(
+                s > fast.extras["size_threshold"] for s in sizes[0]
+            )
+            no_giant += not fast.extras["giant_found"]
+            demoted += fast.extras["giants_demoted"] > 0
+            childless += 1 in sizes[0]  # a leader that sends nothing
+        assert no_giant and demoted and childless
+
+    def test_only_hello_rounds_leave_the_engine(self):
+        from repro.algorithms import run_eopt
+
+        res, events, counters = _traced_run(run_eopt, uniform_points(2000, seed=5))
+        stages = [(e["round"], e["stage"]) for e in events if e["ev"] == "stage"]
+        ends = [r for r, _ in stages[1:]] + [res.stats.rounds]
+        per_stage = {s: end - r for (r, s), end in zip(stages, ends)}
+        hello = per_stage["step1:hello"] + per_stage["step2:hello"]
+        assert per_stage["step2:size"] > 0  # census and giant waves ran
+        assert counters["kernel.rounds"] == res.stats.rounds
+        assert counters["kernel.rounds"] - counters["kernel.turbo_engine_rounds"] == hello
 
 
 # -- registry ----------------------------------------------------------------
