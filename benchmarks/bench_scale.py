@@ -13,8 +13,9 @@ Three gates, each fatal:
 
 * **equivalence** — the default kernel must be bit-identical to the
   frozen legacy kernel (energy / messages / rounds / tree size) for
-  MGHS, for classical GHS (TEST probes) and for EOPT (size census and
-  giant declaration) at the small-n config, and
+  MGHS, for classical GHS (TEST probes), for EOPT (size census and
+  giant declaration) and for MAINT (repair cycles seeded from the
+  surviving forest, under a churn plan) at the small-n config, and
   on an exact lattice (distance ties everywhere) in stats and in the
   ``diff_traces`` event stream, with trace-diff triage printed on
   divergence (exit 2);
@@ -68,8 +69,9 @@ GATE_N = 2000
 #: Small-n config for the bit-identical fast-vs-legacy equivalence gate.
 EQUIV_N = 600
 #: Algorithms the equivalence gate runs: both whole-round engine modes,
-#: and EOPT for the census and giant-declaration waves.
-EQUIV_ALGORITHMS = ("MGHS", "GHS", "EOPT")
+#: EOPT for the census and giant-declaration waves, and MAINT for the
+#: engine's seeded-forest entry (repair cycles).
+EQUIV_ALGORITHMS = ("MGHS", "GHS", "EOPT", "MAINT")
 #: Side of the exact lattice in the equivalence gate (pitch 1/(side-1)
 #: is dyadic, so equal distances are bit-equal).
 LATTICE_SIDE = 33
@@ -92,15 +94,29 @@ def _run(n: int, *, kernel: str = "fast", algorithm: str = "MGHS", **flags):
     return report, time.perf_counter() - t0
 
 
+def _equiv_flags(algorithm: str, n: int) -> dict:
+    """Extra run inputs of the equivalence gates: MAINT lives a churn plan
+    of permanent crashes and joins, so every repair cycle resumes from
+    the surviving forest on the engine."""
+    if algorithm != "MAINT":
+        return {}
+    from repro.scenario.mobility import churn_plan
+
+    return {"scenario": churn_plan(n, seed=SEED, transient_rate=0.0)}
+
+
 def equivalence_gate() -> str | None:
     """Fast vs legacy at small n: bit-identical or a trace-diff triage."""
     for algorithm in EQUIV_ALGORITHMS:
-        legacy, _ = _run(EQUIV_N, kernel="legacy", algorithm=algorithm)
-        fast, _ = _run(EQUIV_N, kernel="fast", algorithm=algorithm)
+        flags = _equiv_flags(algorithm, EQUIV_N)
+        legacy, _ = _run(EQUIV_N, kernel="legacy", algorithm=algorithm, **flags)
+        fast, _ = _run(EQUIV_N, kernel="fast", algorithm=algorithm, **flags)
         if _stats_record(legacy.result) != _stats_record(fast.result):
             streams = []
             for kernel in ("legacy", "fast"):
-                rep, _ = _run(EQUIV_N, kernel=kernel, algorithm=algorithm, trace=True)
+                rep, _ = _run(
+                    EQUIV_N, kernel=kernel, algorithm=algorithm, trace=True, **flags
+                )
                 streams.append(rep.trace)
             return (
                 f"fast diverged from legacy at {algorithm} n={EQUIV_N} "
@@ -126,12 +142,13 @@ def lattice_gate(algorithm: str) -> str | None:
     runner = registry.get(algorithm).runner
     g = np.arange(LATTICE_SIDE, dtype=float) / (LATTICE_SIDE - 1)
     pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    flags = _equiv_flags(algorithm, len(pts))
     runs = {}
     for name, cls in (("legacy", LegacyKernel), ("fast", SynchronousKernel)):
         trace.reset()
         trace.enable()
         try:
-            res = runner(pts, kernel_cls=cls)
+            res = runner(pts, kernel_cls=cls, **flags)
             runs[name] = (_stats_record(res), trace.snapshot())
         finally:
             trace.disable()

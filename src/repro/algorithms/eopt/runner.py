@@ -7,13 +7,19 @@ fragment of Θ(n) nodes plus small fragments trapped in regions of at most
 
 Interlude — every fragment counts itself (broadcast + convergecast over
 its tree); a fragment larger than ``beta log^2 n`` declares itself the
-giant and goes passive.  When step 1 ran on the whole-round engine
-(:mod:`repro.algorithms.ghs.turbo`: default kernel, no fault plan), the
-census and the giant's GIANT flood run on that engine too, one array
-pass each over its fragment forest; the legacy and contention kernels
-and fault-recovery runs take the per-message handlers of
-:mod:`repro.algorithms.ghs.node`.  The ``eopt.census`` timer covers both
-waves.
+giant and goes passive.  The ``eopt.census`` timer covers both waves.
+
+An engine-eligible run (:func:`repro.algorithms.ghs.turbo.engine_cache`:
+default kernel, no fault plan, no reception cost, and step 2's table
+within the density gate too) keeps its whole state in one
+:class:`~repro.algorithms.ghs.turbo.TurboPhaseEngine`: step 1, the census
+and the GIANT flood (one array pass each over the fragment forest), the
+``activate`` flip and step 2, whose second HELLO rebinds the same engine
+to the radius-``r2`` table.  Census sizes, the giant and the final tree
+are read off its arrays; no node object is built.  The legacy and
+contention kernels and fault-recovery runs build
+:class:`~repro.algorithms.ghs.node.GHSNode` objects and take their
+per-message handlers.
 
 Step 2 — radii rise to ``r2 = c2 sqrt(log n / n)`` (the connectivity
 regime), everyone re-runs HELLO discovery at the new radius, and the
@@ -40,16 +46,8 @@ import math
 
 import numpy as np
 
-from repro.algorithms.base import AlgorithmResult, collect_tree_edges
-from repro.algorithms.ghs.driver import (
-    GHSRecovery,
-    active_leaders,
-    fragment_histogram,
-    hello_round,
-    phase_budget,
-    run_ghs_phases,
-)
-from repro.algorithms.ghs.node import GHSNode
+from repro.algorithms.base import AlgorithmResult
+from repro.algorithms.ghs.driver import fragment_histogram, start_run
 from repro.errors import ProtocolError
 from repro.geometry.radius import (
     PAPER_EOPT_STEP1_CONST,
@@ -60,7 +58,7 @@ from repro.geometry.radius import (
 from repro.perf import perf
 from repro.runspec.registry import register_algorithm
 from repro.sim.faults import FaultPlan
-from repro.sim.kernel import SynchronousKernel
+from repro.sim.kernel import SynchronousKernel, table_within_budget
 from repro.sim.power import PathLossModel
 from repro.trace import trace
 
@@ -120,121 +118,50 @@ def run_eopt(
     if faults is not None:
         kwargs["faults"] = faults
     kernel = kernel_cls(pts, max_radius=r1, power=power, rx_cost=rx_cost, **kwargs)
-    reliable = faults is not None and not faults.is_null and recover
-    kernel.add_nodes(
-        lambda i, ctx: GHSNode(
-            i, ctx, use_tests=False, announce=True, reliable=reliable
-        )
-    )
-    kernel.start()
-    nodes = kernel.nodes
-    recovery = (
-        GHSRecovery(kernel, nodes, verify_fids=True, audit=audit)
-        if reliable
-        else None
-    )
-    fp = kernel.faults
     if trace.enabled:
         trace.emit("run_start", alg="EOPT", n=n, r1=r1, r2=r2)
 
     # ---- Step 1: modified GHS at the giant-component radius -----------------
     kernel.set_stage("step1:hello")
     with perf.timed("eopt.step1.hello"):
-        hello_round(kernel, r1, recovery=recovery)
+        # The engine holds the run from the first HELLO to the result, so
+        # step 2's table must pass the density gate too.
+        run = start_run(
+            kernel,
+            tests=False,
+            recover=recover,
+            audit=audit,
+            engine=table_within_budget(n, r2),
+        )
+        run.hello(r1)
     kernel.set_stage("step1:ghs")
     with perf.timed("eopt.step1.phases"):
-        # A run the whole-round engine takes keeps it through the
-        # interlude: the census and the giant declaration are tree waves
-        # over its arrays.  Imported on use, as run_ghs_phases does, so a
-        # process that never runs phases (the serve front end) skips it.
-        from repro.algorithms.ghs import turbo
-
-        eng = turbo.turbo_phase_engine(kernel, nodes) if recovery is None else None
-        if eng is None:
-            phases1 = run_ghs_phases(kernel, nodes, recovery=recovery)
-        else:
-            phases1 = eng.run(1, phase_budget(nodes))
+        phases1 = run.run()
 
     # ---- Interlude: fragment size census + giant declaration ----------------
     kernel.set_stage("step2:size")
+    threshold = giant_size_threshold(n, beta)
     with perf.timed("eopt.census"):
-        if eng is not None:
-            eng.census()
-        elif recovery is None:
-            leaders = [nd.id for nd in nodes if nd.leader]
-            kernel.wake(leaders, "size")
-            kernel.run_until_quiescent()
-        else:
-            # Census under faults: SIZE traffic is reliable, so one
-            # settled wake per leader suffices — but a leader inside a
-            # crash window can't hear the wake yet.  Loop until every
-            # surviving leader has a size (never-started nodes and
-            # permanently dead leaders are not counted; their fragments
-            # aren't part of the surviving topology).
-            for _ in range(recovery.max_iters):
-                rnd = kernel.rounds
-                todo = [
-                    nd.id
-                    for nd in nodes
-                    if nd.leader
-                    and nd.fragment_size is None
-                    and not fp.gone_forever(nd.id, rnd)
-                ]
-                if not todo:
-                    break
-                alive = [i for i in todo if not fp.crashed(i, rnd)]
-                if alive:
-                    kernel.wake(alive, "size")
-                    recovery.settle()
-                else:
-                    kernel.tick()
-            else:
-                raise ProtocolError(
-                    "EOPT census did not complete under fault recovery"
-                )
-        threshold = giant_size_threshold(n, beta)
-        giant_leaders = [
-            nd
-            for nd in nodes
-            if nd.leader
-            and nd.fragment_size is not None
-            and nd.fragment_size > threshold
-        ]
-        demoted = 0
-        if len(giant_leaders) > 1:
-            giant_leaders.sort(key=lambda nd: (-nd.fragment_size, nd.id))
-            demoted = len(giant_leaders) - 1
-            giant_leaders = giant_leaders[:1]
+        leaders, sizes = run.census()
+        big = sizes > threshold
+        demoted = max(int(np.count_nonzero(big)) - 1, 0)
         giant_size = 0
-        if giant_leaders:
-            g = giant_leaders[0]
-            giant_size = int(g.fragment_size)
-            if eng is not None:
-                eng.declare_giant(g.id)
-            elif recovery is None:
-                kernel.wake([g.id], "declare_giant")
-                kernel.run_until_quiescent()
-            else:
-                waited = 0
-                while fp.crashed(g.id, kernel.rounds):
-                    kernel.tick()
-                    waited += 1
-                    if waited > recovery.max_iters:
-                        raise ProtocolError(
-                            "giant leader's crash window did not expire"
-                        )
-                kernel.wake([g.id], "declare_giant")
-                recovery.settle()
+        if big.any():
+            # The largest fragment stays the giant (ties: the least leader
+            # id, leaders being ascending); any other is demoted.
+            i = int(np.argmax(np.where(big, sizes, -1)))
+            giant_size = int(sizes[i])
+            run.declare_giant(int(leaders[i]))
     if trace.enabled:
         # The Thm 5.2 observable: after step 1 the size histogram must
         # show one giant entry above the threshold and small ones below.
-        fragments, sizes = fragment_histogram(nodes)
+        fragments, hist = fragment_histogram(run.fid)
         trace.emit(
             "census",
             round=kernel.rounds,
             threshold=threshold,
             fragments=fragments,
-            sizes=sizes,
+            sizes=hist,
             giant_size=giant_size,
             demoted=demoted,
         )
@@ -243,56 +170,25 @@ def run_eopt(
     kernel.set_max_radius(r2)
     kernel.set_stage("step2:hello")
     with perf.timed("eopt.step2.hello"):
-        hello_round(kernel, r2, recovery=recovery)
+        run.hello(r2)
     kernel.set_stage("step2:ghs")
-    if recovery is None:
-        small_leaders = [nd.id for nd in nodes if nd.leader and not nd.passive]
-        kernel.wake(small_leaders, "activate")
-    else:
-        # ``activate`` is a local flag flip; just outlast crash windows.
-        for _ in range(recovery.max_iters):
-            rnd = kernel.rounds
-            todo = [
-                nd.id
-                for nd in nodes
-                if nd.leader
-                and not nd.passive
-                and nd.halted
-                and not fp.gone_forever(nd.id, rnd)
-            ]
-            if not todo:
-                break
-            alive = [i for i in todo if not fp.crashed(i, rnd)]
-            if alive:
-                kernel.wake(alive, "activate")
-            else:
-                kernel.tick()
-        else:
-            raise ProtocolError(
-                "EOPT step-2 activation did not complete under fault recovery"
-            )
+    run.activate()
     with perf.timed("eopt.step2.phases"):
-        phases2 = run_ghs_phases(
-            kernel, nodes, start_phase=phases1 + 1, recovery=recovery
-        )
+        phases2 = run.run(phases1 + 1)
 
-    remaining = active_leaders(nodes)
-    if remaining and fp is not None and fp.has_crashes:
-        rnd = kernel.rounds
-        remaining = [i for i in remaining if not fp.gone_forever(i, rnd)]
-    if remaining:  # pragma: no cover - defensive
+    if len(run.active_leaders()):  # pragma: no cover - defensive
         raise ProtocolError("EOPT finished with active fragments remaining")
 
-    edges = collect_tree_edges((nd.id, nd.tree_edges) for nd in nodes)
+    edges = run.tree_edges()
     stats = kernel.stats()
-    fragments = {nd.fid for nd in nodes}
+    fragments = len(np.unique(run.fid))
     if trace.enabled:
         trace.emit(
             "run_end",
             alg="EOPT",
             round=kernel.rounds,
             phases=phases1 + phases2,
-            fragments=len(fragments),
+            fragments=fragments,
         )
     step1_energy = sum(
         e for s, e in stats.energy_by_stage.items() if s.startswith("step1")
@@ -312,10 +208,10 @@ def run_eopt(
             "phases_step1": phases1,
             "phases_step2": phases2,
             "giant_size": giant_size,
-            "giant_found": bool(giant_leaders),
+            "giant_found": bool(big.any()),
             "giants_demoted": demoted,
             "size_threshold": threshold,
-            "n_fragments_final": len(fragments),
+            "n_fragments_final": fragments,
             "step1_energy": step1_energy,
             "step2_energy": step2_energy,
         },

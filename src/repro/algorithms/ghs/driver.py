@@ -45,12 +45,12 @@ round by round and interleaves fault mutations between rounds.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Generator, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import ProtocolError
+from repro.algorithms.base import collect_tree_edges
 from repro.algorithms.ghs.node import GHSNode
 from repro.algorithms.ghs.plane import FloodCache
 from repro.sim.kernel import SynchronousKernel
@@ -76,17 +76,52 @@ def active_leaders(nodes: Sequence[GHSNode]) -> list[int]:
     return [nd.id for nd in nodes if nd.leader and not nd.halted and not nd.passive]
 
 
-def fragment_histogram(nodes: Sequence[GHSNode]) -> tuple[int, list[list[int]]]:
-    """``(fragment count, [[size, fragments of that size], ...])``.
+def node_fids(nodes: Sequence[GHSNode]) -> np.ndarray:
+    """Every node's fragment id, as one array."""
+    return np.fromiter((nd.fid for nd in nodes), dtype=np.int64, count=len(nodes))
+
+
+def fragment_histogram(fid: np.ndarray) -> tuple[int, list[list[int]]]:
+    """``(fragment count, [[size, fragments of that size], ...])`` of a
+    per-node fragment-id array.
 
     The size histogram is sorted ascending by size — the per-phase series
     the paper's Thm 5.2 argument reasons about (after EOPT's step 1 it
-    must show one giant entry plus only small ones).  Lists, not tuples,
-    so a recorded event is bit-equal to its own JSONL round trip.
+    must show one giant entry plus only small ones).  Lists of Python
+    ints, not tuples, so a recorded event is bit-equal to its own JSONL
+    round trip.
     """
-    by_fid = Counter(nd.fid for nd in nodes)
-    sizes = Counter(by_fid.values())
-    return len(by_fid), [[s, c] for s, c in sorted(sizes.items())]
+    _, sizes = np.unique(fid, return_counts=True)
+    size, count = np.unique(sizes, return_counts=True)
+    return len(sizes), np.stack((size, count), axis=1).tolist()
+
+
+def seeded_forest(
+    m: int, edges: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fragment state of a pre-existing forest over ``m`` nodes.
+
+    Returns ``(fid, leader, edges)``: each tree of ``edges`` is one
+    fragment led by its maximum id (locally electable by a fragment-wide
+    max-convergecast; nothing is charged for it), ``fid`` is that
+    leader's id per node, and ``edges`` is the forest as an ``(k, 2)``
+    int64 array.  Incremental MST maintenance resumes the GHS phases
+    from this state.
+    """
+    # Imported on use: a process that never repairs (the serve front
+    # end) does not load scipy's graph routines.
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    graph = csr_array(
+        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(m, m)
+    )
+    k, label = connected_components(graph, directed=False)
+    top = np.full(k, -1, dtype=np.int64)
+    np.maximum.at(top, label, np.arange(m, dtype=np.int64))
+    fid = top[label]
+    return fid, fid == np.arange(m), edges
 
 
 class GHSRecovery:
@@ -166,10 +201,7 @@ class GHSRecovery:
             )
             bad = ~cache.known
             if self.verify_fids:
-                fids = np.fromiter(
-                    (nd.fid for nd in nodes), dtype=np.int64, count=n
-                )
-                bad |= cache.fid != fids[senders_all]
+                bad |= cache.fid != node_fids(nodes)[senders_all]
             bad &= cache.dists <= radius * (1.0 + 1e-12)
             idx = np.flatnonzero(bad)
             if len(idx) == 0:
@@ -379,10 +411,10 @@ def _live_leaders(
     return alive
 
 
-def phase_budget(nodes: Sequence[GHSNode]) -> int:
-    # Fragments at least halve every phase; the slack covers step-2
-    # restarts and absorb-only phases.
-    return 2 * int(math.log2(max(len(nodes), 2))) + 20
+def phase_budget(n: int) -> int:
+    """Phase cap for ``n`` nodes: fragments at least halve every phase;
+    the slack covers step-2 restarts and absorb-only phases."""
+    return 2 * int(math.log2(max(n, 2))) + 20
 
 
 def ghs_phase_steps(
@@ -396,7 +428,7 @@ def ghs_phase_steps(
     """The per-message Borůvka phase loop, stepped (see the module
     docstring); the number of phases executed is its return value."""
     if max_phases is None:
-        max_phases = phase_budget(nodes)
+        max_phases = phase_budget(len(nodes))
     phase = start_phase - 1
     executed = 0
     fp = kernel.faults
@@ -435,12 +467,7 @@ def ghs_phase_steps(
             # segment-min for all participants, applied in the same order
             # ``wake`` would visit them so report traffic is identical.
             pids = np.asarray(participants, dtype=np.intp)
-            fids = np.fromiter(
-                (nodes[i].fid for i in participants),
-                dtype=np.int64,
-                count=len(participants),
-            )
-            cand, kdist, klo, khi = cache.moe_batch(pids, fids)
+            cand, kdist, klo, khi = cache.moe_batch(pids, node_fids(nodes)[pids])
             cand_l = cand.tolist()
             kd_l = kdist.tolist()
             klo_l = klo.tolist()
@@ -453,7 +480,7 @@ def ghs_phase_steps(
             kernel.wake(participants, "find_moe", (phase,))
         yield from _barrier_steps(kernel, recovery, phase)
         if trace.enabled:
-            fragments, sizes = fragment_histogram(nodes)
+            fragments, sizes = fragment_histogram(node_fids(nodes))
             trace.emit(
                 "phase_end",
                 phase=phase,
@@ -477,20 +504,9 @@ def run_ghs_phases(
     phase counter so EOPT's step 2 continues the numbering of step 1
     (phase numbers only need to be fresh, never dense).  ``recovery``
     (fault runs) replaces each stage barrier with a settle/repair loop.
+    This is the per-message loop; engine-eligible runs never build the
+    nodes it steps (see ``ghs/turbo.py``).
     """
-    if max_phases is None:
-        max_phases = phase_budget(nodes)
-    if recovery is None:
-        # Eligible configurations (either GHS mode, flood planes live, no
-        # faults) run as whole-round array programs — an observational
-        # clone of ghs_phase_steps (see ghs/turbo.py).
-        from repro.algorithms.ghs.turbo import run_phases_turbo
-
-        ran = run_phases_turbo(
-            kernel, nodes, start_phase=start_phase, max_phases=max_phases
-        )
-        if ran is not None:
-            return ran
     return _drain(
         ghs_phase_steps(
             kernel,
@@ -499,6 +515,209 @@ def run_ghs_phases(
             max_phases=max_phases,
             recovery=recovery,
         )
+    )
+
+
+class NodeRun:
+    """A run's protocol state in per-node :class:`GHSNode` objects.
+
+    The per-message counterpart of the whole-round engine
+    (:class:`repro.algorithms.ghs.turbo.TurboPhaseEngine`), with the same
+    interface, so the runners drive either one: :meth:`hello`,
+    :meth:`run`, EOPT's :meth:`census`, :meth:`declare_giant` and
+    :meth:`activate`, and the result reads ``fid``, :meth:`tree_edges`
+    and :meth:`active_leaders`.  Under a fault plan (and ``recover``) the
+    nodes use reliable unicasts and every barrier is a
+    :class:`GHSRecovery` settle.
+    """
+
+    def __init__(
+        self,
+        kernel: SynchronousKernel,
+        *,
+        tests: bool,
+        fid: np.ndarray | None = None,
+        leader: np.ndarray | None = None,
+        edges: np.ndarray | None = None,
+        recover: bool = True,
+        audit: bool = False,
+    ) -> None:
+        # Recovery (reliable unicasts + settle/repair barriers) engages
+        # only when faults are actually injected: the fault-free message
+        # trace must stay bit-identical to the paper model.
+        reliable = kernel.faults is not None and recover
+        kernel.add_nodes(
+            lambda i, ctx: GHSNode(
+                i, ctx, use_tests=tests, announce=not tests, reliable=reliable
+            )
+        )
+        self.kernel = kernel
+        self.nodes = nodes = kernel.nodes
+        if edges is not None:  # a seeded forest
+            for u, v in edges.tolist():
+                nodes[u].tree_edges.add(v)
+                nodes[v].tree_edges.add(u)
+            for nd, f, lead in zip(nodes, fid.tolist(), leader.tolist()):
+                nd.fid = f
+                nd.leader = lead
+        self.recovery = (
+            GHSRecovery(kernel, nodes, verify_fids=not tests, audit=audit)
+            if reliable
+            else None
+        )
+        kernel.start()
+
+    @property
+    def fid(self) -> np.ndarray:
+        return node_fids(self.nodes)
+
+    def hello(self, r: float) -> None:
+        hello_round(self.kernel, r, recovery=self.recovery)
+
+    def run(self, start_phase: int = 1, max_phases: int | None = None) -> int:
+        return run_ghs_phases(
+            self.kernel,
+            self.nodes,
+            start_phase=start_phase,
+            max_phases=max_phases,
+            recovery=self.recovery,
+        )
+
+    def tree_edges(self) -> np.ndarray:
+        return collect_tree_edges((nd.id, nd.tree_edges) for nd in self.nodes)
+
+    def active_leaders(self) -> list[int]:
+        """Active leaders, less those of nodes crashed for good."""
+        leaders = active_leaders(self.nodes)
+        fp = self.kernel.faults
+        if leaders and fp is not None and fp.has_crashes:
+            rnd = self.kernel.rounds
+            leaders = [i for i in leaders if not fp.gone_forever(i, rnd)]
+        return leaders
+
+    # -- EOPT's interlude ---------------------------------------------------
+
+    def census(self) -> tuple[np.ndarray, np.ndarray]:
+        """The per-message size census: ``(leaders, sizes)``, leaders ascending.
+
+        Under faults, SIZE traffic is reliable, so one settled wake per
+        leader suffices — but a leader inside a crash window can't hear
+        the wake yet.  The loop runs until every surviving leader has a
+        size (never-started nodes and permanently dead leaders are not
+        counted; their fragments aren't part of the surviving topology).
+        """
+        kernel, nodes, recovery = self.kernel, self.nodes, self.recovery
+        if recovery is None:
+            kernel.wake([nd.id for nd in nodes if nd.leader], "size")
+            kernel.run_until_quiescent()
+        else:
+            fp = kernel.faults
+            for _ in range(recovery.max_iters):
+                rnd = kernel.rounds
+                todo = [
+                    nd.id
+                    for nd in nodes
+                    if nd.leader
+                    and nd.fragment_size is None
+                    and not fp.gone_forever(nd.id, rnd)
+                ]
+                if not todo:
+                    break
+                alive = [i for i in todo if not fp.crashed(i, rnd)]
+                if alive:
+                    kernel.wake(alive, "size")
+                    recovery.settle()
+                else:
+                    kernel.tick()
+            else:
+                raise ProtocolError("EOPT census did not complete under fault recovery")
+        counted = [nd for nd in nodes if nd.leader and nd.fragment_size is not None]
+        return (
+            np.array([nd.id for nd in counted], dtype=np.int64),
+            np.array([nd.fragment_size for nd in counted], dtype=np.int64),
+        )
+
+    def declare_giant(self, g: int) -> None:
+        """The per-message giant declaration from leader ``g``."""
+        kernel, recovery = self.kernel, self.recovery
+        if recovery is None:
+            kernel.wake([g], "declare_giant")
+            kernel.run_until_quiescent()
+            return
+        waited = 0
+        while kernel.faults.crashed(g, kernel.rounds):
+            kernel.tick()
+            waited += 1
+            if waited > recovery.max_iters:
+                raise ProtocolError("giant leader's crash window did not expire")
+        kernel.wake([g], "declare_giant")
+        recovery.settle()
+
+    def activate(self) -> None:
+        """The ``activate`` wake of every small fragment's leader."""
+        kernel, nodes, recovery = self.kernel, self.nodes, self.recovery
+        if recovery is None:
+            kernel.wake([nd.id for nd in nodes if nd.leader and not nd.passive], "activate")
+            return
+        # ``activate`` is a local flag flip; just outlast crash windows.
+        fp = kernel.faults
+        for _ in range(recovery.max_iters):
+            rnd = kernel.rounds
+            todo = [
+                nd.id
+                for nd in nodes
+                if nd.leader
+                and not nd.passive
+                and nd.halted
+                and not fp.gone_forever(nd.id, rnd)
+            ]
+            if not todo:
+                return
+            alive = [i for i in todo if not fp.crashed(i, rnd)]
+            if alive:
+                kernel.wake(alive, "activate")
+            else:
+                kernel.tick()
+        raise ProtocolError("EOPT step-2 activation did not complete under fault recovery")
+
+
+def start_run(
+    kernel: SynchronousKernel,
+    *,
+    tests: bool,
+    fid: np.ndarray | None = None,
+    leader: np.ndarray | None = None,
+    edges: np.ndarray | None = None,
+    recover: bool = True,
+    audit: bool = False,
+    engine: bool = True,
+):
+    """The protocol state a GHS-family run over ``kernel`` starts from.
+
+    A :class:`~repro.algorithms.ghs.turbo.TurboPhaseEngine` when the run
+    is engine-eligible (:func:`~repro.algorithms.ghs.turbo.engine_cache`,
+    decided here, before any node exists) and ``engine`` allows it;
+    otherwise a :class:`NodeRun`.  Both start from fresh singleton
+    fragments, or from the forest ``fid``/``leader``/``edges`` of
+    :func:`seeded_forest`.
+    """
+    # Imported on use: a process that never runs phases (the serve front
+    # end) does not load the engine.
+    from repro.algorithms.ghs import turbo
+
+    cache = turbo.engine_cache(kernel) if engine else None
+    if cache is not None:
+        return turbo.TurboPhaseEngine(
+            kernel, cache, tests=tests, fid=fid, leader=leader, edges=edges
+        )
+    return NodeRun(
+        kernel,
+        tests=tests,
+        fid=fid,
+        leader=leader,
+        edges=edges,
+        recover=recover,
+        audit=audit,
     )
 
 
@@ -544,9 +763,7 @@ def hello_round_steps(
             # Crashed nodes transmit nothing (matches the wake path,
             # which skips them); recovery re-floods them on restart.
             senders = senders[~fp.crashed_mask(senders, kernel.rounds)]
-        fids = np.fromiter(
-            (nodes[i].fid for i in senders), dtype=np.int64, count=len(senders)
-        )
+        fids = node_fids(nodes)[senders]
         if len(senders) and not kernel.broadcast_plane(senders, r, "HELLO", fids):
             cache = None  # table vanished between ensure() and send
     if cache is None:

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import AlgorithmResult, collect_tree_edges
-from repro.algorithms.ghs.driver import GHSRecovery, hello_round, run_ghs_phases
-from repro.algorithms.ghs.node import GHSNode
+from repro.algorithms.base import AlgorithmResult
+from repro.algorithms.ghs.driver import start_run
 from repro.geometry.radius import PAPER_GHS_RADIUS_CONST, connectivity_radius
 from repro.perf import perf
 from repro.runspec.registry import register_algorithm
@@ -26,7 +25,6 @@ def _run_family(
     *,
     name: str,
     use_tests: bool,
-    announce: bool,
     radius: float | None,
     radius_const: float,
     power: PathLossModel | None,
@@ -43,39 +41,26 @@ def _run_family(
     if faults is not None:
         kwargs["faults"] = faults
     kernel = kernel_cls(pts, max_radius=r, power=power, rx_cost=rx_cost, **kwargs)
-    # Recovery (reliable unicasts + settle/repair barriers) engages only
-    # when faults are actually injected: the fault-free message trace
-    # must stay bit-identical to the paper model.
-    reliable = faults is not None and not faults.is_null and recover
-    kernel.add_nodes(
-        lambda i, ctx: GHSNode(
-            i, ctx, use_tests=use_tests, announce=announce, reliable=reliable
-        )
-    )
-    recovery = (
-        GHSRecovery(kernel, kernel.nodes, verify_fids=not use_tests, audit=audit)
-        if reliable
-        else None
-    )
-    kernel.start()
     if trace.enabled:
         trace.emit("run_start", alg=name, n=n, radius=r)
     kernel.set_stage("hello")
-    with perf.timed(f"{name.lower()}.hello"):
-        hello_round(kernel, r, recovery=recovery)
+    tag = name.lower()
+    with perf.timed(f"{tag}.hello"):
+        run = start_run(kernel, tests=use_tests, recover=recover, audit=audit)
+        run.hello(r)
     kernel.set_stage("phases")
-    with perf.timed(f"{name.lower()}.phases"):
-        phases = run_ghs_phases(kernel, kernel.nodes, recovery=recovery)
-    edges = collect_tree_edges((nd.id, nd.tree_edges) for nd in kernel.nodes)
+    with perf.timed(f"{tag}.phases"):
+        phases = run.run()
+    edges = run.tree_edges()
     stats = kernel.stats()
-    fragments = {nd.fid for nd in kernel.nodes}
+    fragments = len(np.unique(run.fid))
     if trace.enabled:
         trace.emit(
             "run_end",
             alg=name,
             round=kernel.rounds,
             phases=phases,
-            fragments=len(fragments),
+            fragments=fragments,
         )
     return AlgorithmResult(
         name=name,
@@ -85,7 +70,7 @@ def _run_family(
         phases=phases,
         extras={
             "radius": r,
-            "n_fragments_final": len(fragments),
+            "n_fragments_final": fragments,
             "rejected_probes": stats.messages_by_kind.get("REJECT", 0),
         },
     )
@@ -139,7 +124,6 @@ def run_ghs(
         points,
         name="GHS",
         use_tests=True,
-        announce=False,
         radius=radius,
         radius_const=radius_const,
         power=power,
@@ -173,7 +157,6 @@ def run_modified_ghs(
         points,
         name="MGHS",
         use_tests=False,
-        announce=True,
         radius=radius,
         radius_const=radius_const,
         power=power,

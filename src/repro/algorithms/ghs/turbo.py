@@ -1,16 +1,17 @@
 """Whole-round array programs for the GHS family's Borůvka phases.
 
-This is the optimized kernel's phase path for both GHS modes of the
-paper: *modified* GHS (Sec. V-A: cached neighbour fragment ids,
-per-phase ANNOUNCE; MGHS and both EOPT steps) and *original* GHS
-(TEST/ACCEPT/REJECT probes, the Sec. V baseline).  When a run is
-*eligible* — flood planes live, no fault plan, no reliable transport,
-no reception cost — the driver's per-message phase loop is replaced by
-:class:`TurboPhaseEngine`, which executes every round as a handful of
-numpy array operations instead of thousands of per-node handler calls.
-The flat-delivery kernels (``legacy``,
-:class:`~repro.sim.interference.ContentionKernel`) never get flood
-planes, so they always run the per-message loop.
+This is the optimized kernel's path for both GHS modes of the paper:
+*modified* GHS (Sec. V-A: cached neighbour fragment ids, per-phase
+ANNOUNCE; MGHS, both EOPT steps and MAINT's repair cycles) and
+*original* GHS (TEST/ACCEPT/REJECT probes, the Sec. V baseline).  A run
+is *eligible* when :func:`engine_cache` returns a cache — no fault plan,
+no reception cost, and flood planes available (the flat-delivery
+kernels, ``legacy`` and :class:`~repro.sim.interference.ContentionKernel`,
+never get them; neither does a density-gated table).  The runners decide
+this before any node exists: an eligible run keeps its protocol state
+in one :class:`TurboPhaseEngine`'s arrays from the HELLO flood to the
+result and builds no :class:`~repro.algorithms.ghs.node.GHSNode`; every
+other run builds the nodes and drains the per-message driver loop.
 
 The engine is an *observational clone* of the per-message path, not an
 approximation of it.  The contract (checked by the hot-path equivalence
@@ -25,16 +26,16 @@ suite and ``trace/diff.py`` triage) is:
   per-round trace events (``round``/``dm``/``de``/``kinds``) are exact;
 * per-kind/per-stage energy breakdowns reassociate float sums (the
   ledger contract already allows that); ``energy_by_node`` likewise;
-* node objects are synced back on exit, so later stages and result
-  collection see the same state the per-message loop would have left
-  (original mode: each node's ``rejected`` set too).
+* the result — tree edges, fragment count, census sizes, the giant —
+  is read off the arrays and equals what the per-message loop leaves
+  in its node objects; in modified mode the flood cache also ends as
+  the per-message ANNOUNCE deliveries would leave it.
 
 EOPT's interlude runs on the same engine: after step 1,
 :meth:`TurboPhaseEngine.census` (SIZE_REQ/SIZE_RESP) and
 :meth:`TurboPhaseEngine.declare_giant` (GIANT) replace the per-message
-census and giant declaration under the same contract, and write the
-fields they change (``fragment_size``; the giant's ``passive``,
-``is_giant``, ``leader`` and ``halted``) to the node objects.
+census and giant declaration under the same contract, and step 2 binds
+the same engine to its raised radius with a second :meth:`hello`.
 
 To make send order a pure function of protocol state,
 :mod:`repro.algorithms.ghs.node` iterates tree edges in sorted order —
@@ -67,14 +68,17 @@ In modified mode the engine never writes the flood cache while it
 runs.  At entry it checks the *cache invariant*: every slot within the
 announce radius is known and holds its sender's current fragment id,
 and no slot beyond it is known (:meth:`TurboPhaseEngine.cache_in_sync`;
-a run that fails it takes the per-message path).  Every fragment-id
+a HELLO sent from the engine's own ``fid`` leaves it so, and a run that
+fails it raises — there are no node objects to fall back to).  Every
+fragment-id
 change is announced, so the invariant holds again at every stage-B
 wake.  An ANNOUNCE is therefore charged like any other send and
 *counted* as delivered at the next round boundary (planes deliver
 before unicasts), and the cache is derived from ``fid`` once, on exit.
 Original mode never reads cached fragment ids (membership is what the
-TEST probes ask), so it only needs every in-radius slot known, and it
-leaves the cache exactly as the HELLO flood wrote it.
+TEST probes ask), so it only needs every in-radius slot known
+(:meth:`TurboPhaseEngine.probes_ready`), and it leaves the cache exactly
+as the HELLO flood wrote it.
 
 The MOE cursor: ``cur[i]`` is a position in node ``i``'s *walk* — its
 CSR row in ``(d, lo, hi)`` edge-key order, which is the table's
@@ -97,21 +101,20 @@ O(entries × phases).
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import breadth_first_order
 
 from repro.errors import ProtocolError
-from repro.algorithms.ghs.node import GHSNode
+from repro.algorithms.ghs.driver import fragment_histogram, phase_budget
+from repro.algorithms.ghs.plane import FloodCache
 from repro.perf import perf
 from repro.sim._jit import HAVE_NUMBA, njit
 from repro.trace import trace
 
 __all__ = [
-    "turbo_phase_engine",
-    "run_phases_turbo",
+    "engine_cache",
     "TurboPhaseEngine",
     "seq_energy_accumulate",
 ]
@@ -188,65 +191,20 @@ def walk_order(
     return np.lexsort((ids, dists, row))
 
 
-def turbo_phase_engine(kernel, nodes: Sequence[GHSNode]) -> "TurboPhaseEngine | None":
-    """Engine for this run, or ``None`` when ineligible.
+def engine_cache(kernel) -> FloodCache | None:
+    """The flood cache an engine run over ``kernel`` starts from, or ``None``.
 
-    Eligibility is deliberately conservative — anything the array
-    programs do not model bit-exactly falls back to the per-message
-    path:
-
-    * no fault plan, no reception cost, nothing in flight;
-    * flood planes live: neighbor table built (density gate passed),
-      every node bound to one :class:`FloodCache` over that table, and
-      the cache registered as the kernel's plane handler (flat-delivery
-      kernels never get one — ``FloodCache.ensure`` returns ``None``);
-    * plain :class:`GHSNode` instances without reliable-transport
-      envelopes, all in one protocol mode: modified (no TEST probes,
-      ANNOUNCE on) or original (TEST probes, no ANNOUNCE);
-    * one uniform radio radius within the table's power cap;
-    * modified mode: the flood cache holds exactly the nodes' current
-      fragment ids over the announce radius
-      (:meth:`TurboPhaseEngine.cache_in_sync`);
-    * original mode: every slot within the radius is known and none
-      beyond it, every node is a singleton fragment with nothing
-      rejected (the state ``run_ghs`` starts from), and none is passive,
-      so no ABSORB can change a fragment id while TESTs are in flight
-      (:meth:`TurboPhaseEngine.probes_ready`).
+    ``None`` keeps the run on the per-message path: a fault plan or a
+    reception cost (the array programs model neither), or no flood
+    cache — a flat-delivery kernel (``legacy``,
+    :class:`~repro.sim.interference.ContentionKernel`) or a
+    density-gated table (:meth:`FloodCache.ensure`).  A pure function of
+    the kernel, decided before any node object exists: an eligible run
+    never builds one.
     """
     if kernel.faults is not None or kernel.rx_cost:
         return None
-    if not nodes or kernel.in_flight:
-        return None
-    tbl = kernel.neighbor_table()
-    if tbl is None:
-        return None
-    nd0 = nodes[0]
-    cache = getattr(nd0, "cache", None)
-    if cache is None or cache.table is not tbl:
-        return None
-    # The registered plane handler must be *this* cache's on_plane
-    # (bound methods are recreated per access, so compare the receiver).
-    handler = kernel._plane_handler
-    if getattr(handler, "__self__", None) is not cache or getattr(
-        handler, "__func__", None
-    ) is not type(cache).on_plane:
-        return None
-    r = nd0.radio_radius
-    if not (0.0 < r <= tbl.max_radius):
-        return None
-    tests = nd0.use_tests
-    for nd in nodes:
-        if type(nd) is not GHSNode:
-            return None
-        if nd.reliable or nd.retry is not None:
-            return None
-        if nd.use_tests != tests or nd.announce == tests:
-            return None
-        if nd.cache is not cache or nd.radio_radius != r:
-            return None
-    eng = TurboPhaseEngine(kernel, nodes, cache, tbl)
-    ok = eng.probes_ready() if tests else eng.cache_in_sync()
-    return eng if ok else None
+    return FloodCache.ensure(kernel)
 
 
 class _Emits:
@@ -343,77 +301,58 @@ class _Emits:
 
 
 class TurboPhaseEngine:
-    """Array-program replacement for ``run_ghs_phases`` (one run)."""
+    """A run's protocol state as arrays, from its first HELLO to its result.
 
-    def __init__(self, kernel, nodes: Sequence[GHSNode], cache, tbl) -> None:
+    The array counterpart of :class:`~repro.algorithms.ghs.driver.NodeRun`,
+    with its interface.  It starts from ``cache`` (made by
+    :func:`engine_cache`) and from fresh singleton fragments or the
+    forest ``fid``/``leader``/``edges`` of
+    :func:`~repro.algorithms.ghs.driver.seeded_forest`.
+    """
+
+    def __init__(
+        self,
+        kernel,
+        cache: FloodCache | None,
+        *,
+        tests: bool,
+        fid: np.ndarray | None = None,
+        leader: np.ndarray | None = None,
+        edges: np.ndarray | None = None,
+    ) -> None:
         self.k = kernel
-        self.nodes = nodes
         self.cache = cache
-        self.tbl = tbl
+        #: The HELLO radius (``None`` before the first HELLO).
+        self.r: float | None = None
         self.n = n = kernel.n
         self.pw = kernel.power
-        self.r = r = nodes[0].radio_radius
-        self.acost = self.pw.energy(r)
         pts = kernel.points
         self.px = np.ascontiguousarray(pts[:, 0])
         self.py = np.ascontiguousarray(pts[:, 1])
-        # Announce rows: per-sender cache-slot prefix covered by radius r
-        # (== the full row when r is the table's power cap).  Same closed
-        # ball the kernel's searchsorted(..., side="right") cutoff keeps.
-        ip = cache.indptr
-        #: Recipient-side announce slots (``None`` = every slot); the
-        #: same set as the senders' announce rows, distances being symmetric.
-        self.ann_mask = None if r >= tbl.max_radius else cache.dists <= r
-        if self.ann_mask is None:
-            self.ann_ends = ip[1:]
-        else:
-            within = np.concatenate(([0], np.cumsum(self.ann_mask)))
-            self.ann_ends = ip[:-1] + (within[ip[1:]] - within[ip[:-1]])
-        self.ann_cnt = self.ann_ends - ip[:-1]
         #: Original (TEST-probing) mode; only modified mode announces.
-        self.tests = bool(nodes[0].use_tests)
-        #: Walk position -> CSR slot (``None``: the table order already is
-        #: the edge-key order).
-        self.walk = walk_order(ip, cache.ids, cache.dists)
-        #: MOE cursor: first walk position of each row not yet known internal.
-        self.cur = ip[:-1].copy()
-        #: Slots the cursors examined, and cursor wakes (participants
-        #: summed over phases): ``cursor_steps <= entries + cursor_wakes``.
-        self.cursor_steps = 0
-        self.cursor_wakes = 0
-        #: Original mode (built by :meth:`probes_ready`): ``rejected`` marks
-        #: same-fragment slots found by probes, ``dead`` adds the
-        #: phase-start tree slots — the slots a cursor skips for free.
+        self.tests = tests
+        # -- protocol state ------------------------------------------------
+        self.fid = np.array(np.arange(n) if fid is None else fid, dtype=np.int64)
+        self.leader = np.ones(n, dtype=bool) if leader is None else np.array(leader, dtype=bool)
+        self.halted = np.zeros(n, dtype=bool)
+        self.passive = np.zeros(n, dtype=bool)
+        self.cur_phase = np.zeros(n, dtype=np.int64)
+        self.parent = np.full(n, -1, dtype=np.int64)
+        #: Directed tree-edge chunks (deduped at each CSR build).
+        self.edge_chunks: list[np.ndarray] = []
+        if edges is not None and len(edges):
+            e = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+            self.edge_chunks.append(np.concatenate((e, e[::-1]), axis=1))
+        self.edge_u: list[int] = []
+        self.edge_v: list[int] = []
+        #: Original mode: ``rejected`` marks same-fragment slots found by
+        #: probes, ``dead`` adds the phase-start tree slots — the slots a
+        #: cursor skips for free (both built by :meth:`hello`).
         self.rejected: np.ndarray | None = None
         self.dead: np.ndarray | None = None
         #: Slots (both directions) of this phase's CONNECT edges; they
         #: join ``dead`` at the next phase start.
         self.tree_new: list[int] = []
-        # -- protocol state, synced in from the node objects ----------------
-        self.fid = np.fromiter((nd.fid for nd in nodes), dtype=np.int64, count=n)
-        self.leader = np.fromiter((nd.leader for nd in nodes), dtype=bool, count=n)
-        self.halted = np.fromiter((nd.halted for nd in nodes), dtype=bool, count=n)
-        self.passive = np.fromiter((nd.passive for nd in nodes), dtype=bool, count=n)
-        self.cur_phase = np.fromiter((nd.cur_phase for nd in nodes), dtype=np.int64, count=n)
-        self.parent = np.fromiter(
-            (-1 if nd.parent is None else nd.parent for nd in nodes),
-            dtype=np.int64,
-            count=n,
-        )
-        eu: list[int] = []
-        ev: list[int] = []
-        for nd in nodes:
-            for e in nd.tree_edges:
-                eu.append(nd.id)
-                ev.append(e)
-        #: Directed tree-edge chunks (deduped at each CSR build).
-        self.edge_chunks: list[np.ndarray] = []
-        if eu:
-            self.edge_chunks.append(
-                np.stack([np.array(eu, dtype=np.int64), np.array(ev, dtype=np.int64)])
-            )
-        self.edge_u: list[int] = []
-        self.edge_v: list[int] = []
         # -- per-phase scratch ---------------------------------------------
         self.n_children = np.zeros(n, dtype=np.int64)
         self.parent_dist = np.zeros(n)
@@ -454,15 +393,67 @@ class TurboPhaseEngine:
         self.pend_ann = None
         self._seq = 0
 
-    # -- the flood cache ---------------------------------------------------
+    # -- HELLO and the flood cache -------------------------------------------
+
+    def hello(self, r: float) -> None:
+        """Every node floods HELLO(fid) at radius ``r``; bind to its cache.
+
+        The same plane round as the per-message ``hello_round`` (one
+        ``broadcast_plane`` charged in node-id order, delivered into the
+        cache by the kernel), sent from ``fid``.  Later phases announce
+        within ``r`` and walk the cache's table.  The first HELLO fills
+        the engine's own cache; a later one (EOPT's step 2, at its raised
+        radius) takes a fresh :func:`engine_cache` over the new table.
+        """
+        cache = self.cache if self.r is None else engine_cache(self.k)
+        if cache is None:
+            raise ProtocolError(
+                f"no flood cache for the engine's HELLO at radius {r}; "
+                "a run without one must start on the per-message path"
+            )
+        kern = self.k
+        r = float(r)
+        if trace.enabled:
+            trace.emit("hello", round=kern.rounds, radius=r)
+        kern.set_plane_handler(cache.on_plane)
+        if not kern.broadcast_plane(np.arange(self.n), r, "HELLO", self.fid):
+            raise ProtocolError(f"HELLO radius {r} exceeds the flood cache's table")
+        kern.run_until_quiescent()
+        self.cache = cache
+        self.tbl = tbl = cache.table
+        self.r = r
+        # Announce rows: per-sender cache-slot prefix covered by radius r
+        # (== the full row when r is the table's power cap).  Same closed
+        # ball the kernel's searchsorted(..., side="right") cutoff keeps.
+        ip = cache.indptr
+        #: Recipient-side announce slots (``None`` = every slot); the
+        #: same set as the senders' announce rows, distances being symmetric.
+        self.ann_mask = None if r >= tbl.max_radius else cache.dists <= r
+        if self.ann_mask is None:
+            self.ann_ends = ip[1:]
+        else:
+            within = np.concatenate(([0], np.cumsum(self.ann_mask)))
+            self.ann_ends = ip[:-1] + (within[ip[1:]] - within[ip[:-1]])
+        self.ann_cnt = self.ann_ends - ip[:-1]
+        #: Walk position -> CSR slot (``None``: the table order already is
+        #: the edge-key order).
+        self.walk = walk_order(ip, cache.ids, cache.dists)
+        #: MOE cursor: first walk position of each row not yet known internal.
+        self.cur = ip[:-1].copy()
+        #: Slots the cursors examined, and cursor wakes (participants
+        #: summed over phases): ``cursor_steps <= entries + cursor_wakes``.
+        self.cursor_steps = 0
+        self.cursor_wakes = 0
+        if self.tests:
+            self.rejected = np.zeros(len(cache.ids), dtype=bool)
+            self.dead = np.zeros(len(cache.ids), dtype=bool)
 
     def cache_in_sync(self) -> bool:
         """Whether the cache invariant holds (checked once per run, O(entries)).
 
         Every slot within the announce radius is known and holds its
         sender's current fragment id, and no slot beyond it is known.  A
-        HELLO at the radius leaves the cache so; a stale cache fails
-        the check and keeps the run on the per-message path.
+        HELLO at the radius leaves the cache so.
         """
         c = self.cache
         m = self.ann_mask
@@ -473,25 +464,21 @@ class TurboPhaseEngine:
         )
 
     def probes_ready(self) -> bool:
-        """Original-mode entry check; builds the ``rejected``/``dead`` masks.
+        """The original-mode entry check.
 
         The probe walk covers exactly the known slots, so every slot
         within the radius must be known and none beyond it (a HELLO at
         the radius leaves the cache so).  The run must start from
-        singleton fragments with nothing rejected, as ``run_ghs`` does;
-        anything else keeps the per-message path.
+        singleton fragments with nothing rejected and no passive node,
+        as ``run_ghs`` does.
         """
         c = self.cache
         m = self.ann_mask
         if not (c.known.all() if m is None else np.array_equal(c.known, m)):
             return False
-        if self.passive.any():
+        if self.passive.any() or self.edge_chunks or self.edge_u:
             return False
-        if any(nd.rejected or nd.tree_edges for nd in self.nodes):
-            return False
-        self.rejected = np.zeros(len(c.ids), dtype=bool)
-        self.dead = np.zeros(len(c.ids), dtype=bool)
-        return True
+        return not self.rejected.any()
 
     def _write_cache(self) -> None:
         """Derive ``cache.fid`` from ``fid``: each sender's last ANNOUNCE."""
@@ -1342,109 +1329,90 @@ class TurboPhaseEngine:
             self.tree_new = []
         self.extras = {} if bool(self.passive.any()) else None
 
-    def run(self, start_phase: int, max_phases: int) -> int:
-        """The ``run_ghs_phases`` loop as array programs; returns phases run."""
+    def run(self, start_phase: int = 1, max_phases: int | None = None) -> int:
+        """The ``run_ghs_phases`` loop as array programs; returns phases run.
+
+        Raises :class:`ProtocolError` when the entry check fails
+        (:meth:`cache_in_sync`, or :meth:`probes_ready` in original
+        mode): there is no per-message state to fall back to.  On return
+        the tree CSR is final and, in modified mode, the cache holds what
+        the per-message loop's ANNOUNCE deliveries would have left.
+        """
+        if not (self.probes_ready() if self.tests else self.cache_in_sync()):
+            raise ProtocolError(
+                "whole-round engine entry check failed: the flood cache "
+                "does not match the fragment state"
+            )
+        if max_phases is None:
+            max_phases = phase_budget(self.n)
         self.k._flush_charges()
         phase = start_phase - 1
         executed = 0
-        try:
-            while True:
-                leaders = np.flatnonzero(self.leader & ~self.halted & ~self.passive)
-                if len(leaders) == 0:
-                    return executed
-                phase += 1
-                executed += 1
-                if executed > max_phases:
-                    raise ProtocolError(
-                        f"GHS did not terminate within {max_phases} phases "
-                        f"({len(leaders)} active fragments remain)"
-                    )
-                if trace.enabled:
-                    trace.emit(
-                        "phase_start",
-                        phase=phase,
-                        round=self.k.rounds,
-                        active=len(leaders),
-                    )
-                self._build_tree_csr()
-                self._reset_phase_arrays()
-                parts = self._stage_a(phase, leaders)
-                if self.tests:
-                    self._probe_wake(parts)
-                else:
-                    self._stage_b_wake(phase, parts)
-                self._stage_b_rounds()
-                if trace.enabled:
-                    uniq, sizes = np.unique(self.fid, return_counts=True)
-                    hist: dict[int, int] = {}
-                    for s in sizes.tolist():
-                        hist[s] = hist.get(s, 0) + 1
-                    trace.emit(
-                        "phase_end",
-                        phase=phase,
-                        round=self.k.rounds,
-                        fragments=len(uniq),
-                        sizes=[[s, c] for s, c in sorted(hist.items())],
-                    )
-        finally:
-            self._sync_out()
-
-    def _sync_out(self) -> None:
-        """Write protocol state back to the node objects.
-
-        ``children`` comes from the final tree: a fragment halts in a
-        phase whose INITIATE flood covered its whole (final) tree, so
-        each non-passive node's last-set children are exactly its sorted
-        tree row minus its parent.  Passive nodes keep their pre-engine
-        ``children`` — nothing downstream reads them (EOPT's census runs
-        on this engine's tree CSR, between steps, when no node is
-        passive yet, and only the per-message census reads
-        ``children``).  Original mode
-        leaves the flood cache as the HELLO flood wrote it (its
-        per-message path never writes it) and writes each node's
-        ``rejected`` set.
-        """
+        while True:
+            leaders = self.active_leaders()
+            if len(leaders) == 0:
+                break
+            phase += 1
+            executed += 1
+            if executed > max_phases:
+                raise ProtocolError(
+                    f"GHS did not terminate within {max_phases} phases "
+                    f"({len(leaders)} active fragments remain)"
+                )
+            if trace.enabled:
+                trace.emit(
+                    "phase_start",
+                    phase=phase,
+                    round=self.k.rounds,
+                    active=len(leaders),
+                )
+            self._build_tree_csr()
+            self._reset_phase_arrays()
+            parts = self._stage_a(phase, leaders)
+            if self.tests:
+                self._probe_wake(parts)
+            else:
+                self._stage_b_wake(phase, parts)
+            self._stage_b_rounds()
+            if trace.enabled:
+                fragments, sizes = fragment_histogram(self.fid)
+                trace.emit(
+                    "phase_end",
+                    phase=phase,
+                    round=self.k.rounds,
+                    fragments=fragments,
+                    sizes=sizes,
+                )
+        self._build_tree_csr()
         if not self.tests:
             self._write_cache()
+        return executed
+
+    def active_leaders(self) -> np.ndarray:
+        """Leaders of fragments that still participate in phases."""
+        return np.flatnonzero(self.leader & ~self.halted & ~self.passive)
+
+    def tree_edges(self) -> np.ndarray:
+        """The tree built so far: ``(k, 2)`` edges ``u < v``, sorted."""
         self._build_tree_csr()
-        fid = self.fid.tolist()
-        leader = self.leader.tolist()
-        halted = self.halted.tolist()
-        passive = self.passive.tolist()
-        parent = self.parent.tolist()
-        cur_phase = self.cur_phase.tolist()
-        indptr = self.t_indptr.tolist()
-        adj = self.t_adj.tolist()
-        for i, nd in enumerate(self.nodes):
-            nd.fid = fid[i]
-            nd.leader = leader[i]
-            nd.halted = halted[i]
-            nd.passive = passive[i]
-            nd.cur_phase = cur_phase[i]
-            p = parent[i]
-            nd.parent = None if p < 0 else p
-            row = adj[indptr[i] : indptr[i + 1]]
-            nd.tree_edges = set(row)
-            if not passive[i]:
-                nd.children = tuple(e for e in row if e != p)
-        if self.rejected is not None:
-            sl = np.flatnonzero(self.rejected)
-            bounds = np.searchsorted(sl, self.cache.indptr).tolist()
-            nbrs = self.cache.ids[sl].tolist()
-            for i, nd in enumerate(self.nodes):
-                nd.rejected = set(nbrs[bounds[i] : bounds[i + 1]])
+        n = self.n
+        u = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.t_indptr))
+        v = self.t_adj
+        keys = sorted_unique(np.minimum(u, v) * n + np.maximum(u, v))
+        return np.stack((keys // n, keys % n), axis=1)
 
     # -- EOPT's interlude: size census and giant declaration ---------------
 
-    def census(self) -> None:
-        """EOPT's size census as one wave; sets each leader's ``fragment_size``.
+    def census(self) -> tuple[np.ndarray, np.ndarray]:
+        """EOPT's size census as one wave; returns ``(leaders, sizes)``.
 
         Each leader's ``size`` wake sends SIZE_REQ down its tree and each
         node answers SIZE_RESP once its whole subtree has: a node at
         depth ``d`` whose subtree is ``h`` levels high sends its
         SIZE_REQs at round ``d`` and its SIZE_RESP at round ``d + 2h``.
         Runs after :meth:`run`, whose exit leaves the final tree CSR, on
-        the fragments step 1 left (no node is passive yet).
+        the fragments step 1 left (no node is passive yet).  ``leaders``
+        ascend; ``sizes`` are their fragments' node counts.
         """
         leaders = np.flatnonzero(self.leader)
         order, par, dep, top, deep = self._forest(leaders, subtree=True)
@@ -1460,9 +1428,7 @@ class TurboPhaseEngine:
             dist=np.concatenate((d, d)),
             weight=np.ones(2 * m, dtype=np.int64),
         )
-        sizes = np.bincount(top[order], minlength=self.n)[leaders]
-        for u, size in zip(leaders.tolist(), sizes.tolist()):
-            self.nodes[u].fragment_size = size
+        return leaders, np.bincount(top[order], minlength=self.n)[leaders]
 
     def declare_giant(self, g: int) -> None:
         """EOPT's giant declaration from leader ``g``, as one wave.
@@ -1470,8 +1436,7 @@ class TurboPhaseEngine:
         The ``declare_giant`` wake floods GIANT over ``g``'s tree: at
         round ``depth`` each member sends one GIANT per child in
         ascending order.  Every member goes passive and joins the giant,
-        ``g`` halts and the others stop leading — in the engine's arrays
-        and on the node objects.
+        ``g`` halts and the others stop leading.
         """
         order, par, dep, _ = self._forest(np.array([g], dtype=np.int64))
         child = order[par[order] >= 0]
@@ -1487,25 +1452,7 @@ class TurboPhaseEngine:
         self.passive[order] = True
         self.leader[child] = False
         self.halted[g] = True
-        nodes = self.nodes
-        for u in order.tolist():
-            nd = nodes[u]
-            nd.passive = True
-            nd.is_giant = True
-            if u != g:
-                nd.leader = False
-        nodes[g].halted = True
 
-
-def run_phases_turbo(
-    kernel,
-    nodes: Sequence[GHSNode],
-    *,
-    start_phase: int,
-    max_phases: int,
-) -> int | None:
-    """Run the phase loop on the whole-round engine if eligible, else ``None``."""
-    eng = turbo_phase_engine(kernel, nodes)
-    if eng is None:
-        return None
-    return eng.run(start_phase, max_phases)
+    def activate(self) -> None:
+        """The ``activate`` wake: every small fragment's leader resumes."""
+        self.halted[self.leader & ~self.passive] = False

@@ -11,8 +11,9 @@ almost the new MST already.
 1. failed nodes vanish (their tree edges die with them), leaving a
    spanning forest of the survivors;
 2. each surviving fragment elects its maximum-id member as leader (one
-   broadcast/convergecast over the fragment — charged like the size
-   census);
+   broadcast/convergecast over the fragment; nothing is charged for it,
+   conservatively favouring the *rebuild* side of the comparison —
+   :func:`~repro.algorithms.ghs.driver.seeded_forest`);
 3. the modified GHS resumes from that forest at the connectivity radius:
    only the Borůvka phases needed to reconnect the few fragments run.
 
@@ -35,10 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import AlgorithmResult, collect_tree_edges
-from repro.algorithms.ghs.driver import hello_round, run_ghs_phases
-from repro.algorithms.ghs.node import GHSNode
-from repro.ds.unionfind import UnionFind
+from repro.algorithms.base import AlgorithmResult
+from repro.algorithms.ghs.driver import seeded_forest, start_run
 from repro.errors import ExperimentError, GraphError
 from repro.geometry.radius import PAPER_GHS_RADIUS_CONST, connectivity_radius
 from repro.runspec.registry import register_algorithm
@@ -106,34 +105,14 @@ def repair_after_failures(
     r = connectivity_radius(m, radius_const) if radius is None else float(radius)
 
     kernel = SynchronousKernel(sub_pts, max_radius=r, power=power)
-    kernel.add_nodes(lambda i, ctx: GHSNode(i, ctx, use_tests=False, announce=True))
-    kernel.start()
-    nodes = kernel.nodes
-
-    # Install the surviving forest as pre-existing fragment structure.
-    uf = UnionFind(m)
-    for u, v in forest:
-        nodes[int(u)].tree_edges.add(int(v))
-        nodes[int(v)].tree_edges.add(int(u))
-        uf.union(int(u), int(v))
-    # Leader = max id per fragment (locally electable by a fragment-wide
-    # max-convergecast; we charge nothing here, conservatively favouring
-    # the *rebuild* side of the comparison).
-    leader_of: dict[int, int] = {}
-    for i in range(m):
-        root = uf.find(i)
-        leader_of[root] = max(leader_of.get(root, -1), i)
-    leaders = set(leader_of.values())
-    for nd in nodes:
-        nd.leader = nd.id in leaders
-        nd.fid = leader_of[uf.find(nd.id)]
-
+    # The surviving forest, as pre-existing fragments with max-id leaders.
+    fid, leader, forest = seeded_forest(m, forest)
+    run = start_run(kernel, tests=False, fid=fid, leader=leader, edges=forest)
     kernel.set_stage("repair:hello")
-    hello_round(kernel, r)
+    run.hello(r)
     kernel.set_stage("repair:ghs")
-    phases = run_ghs_phases(kernel, nodes)
-
-    edges = collect_tree_edges((nd.id, nd.tree_edges) for nd in nodes)
+    phases = run.run()
+    edges = run.tree_edges()
     stats = kernel.stats()
     return AlgorithmResult(
         name="MGHS-repair",
@@ -146,7 +125,7 @@ def repair_after_failures(
             "survivors": survivors,
             "survivor_ids": survivors.copy(),
             "n_failed": n - m,
-            "initial_fragments": len(leaders),
+            "initial_fragments": int(np.count_nonzero(leader)),
         },
     )
 

@@ -14,9 +14,11 @@ backend against every other after every rule.
 
 The harness owns only the controls: stepping, the power cap, the
 barrier count and the state audit at every barrier.  The whole-round
-phase engine is not reachable from here (it is tried only by
-:func:`~repro.algorithms.ghs.driver.run_ghs_phases`), so the harness
-always drives the per-message loop, which every kernel backend supports.
+phase engine is not reachable from here (only the runners start it,
+through :func:`~repro.algorithms.ghs.driver.start_run`): the harness
+builds the per-message :class:`~repro.algorithms.ghs.driver.NodeRun`
+state and always drives the per-message loop, which every kernel
+backend supports.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ from repro.algorithms.base import collect_tree_edges
 from repro.algorithms.ghs.audit import audit_ghs_state, audit_recovery
 from repro.algorithms.ghs.driver import (
     BARRIER,
-    GHSRecovery,
+    NodeRun,
     ghs_phase_steps,
     hello_round_steps,
 )
-from repro.algorithms.ghs.node import GHSNode
 from repro.errors import ProtocolError
 from repro.sim.backends import kernel_class
 
@@ -71,24 +72,13 @@ class StepHarness:
             pts, max_radius=float(max_radius or radius), rx_cost=rx_cost, **kwargs
         )
         self.radius = float(radius)
-        # Same engagement rule as the runner: recovery only when faults
-        # are actually injected.
-        reliable = faults is not None and not faults.is_null
-        self.kernel.add_nodes(
-            lambda i, ctx: GHSNode(
-                i, ctx, use_tests=use_tests, announce=not use_tests, reliable=reliable
-            )
-        )
-        self.nodes = self.kernel.nodes
-        self.recovery = (
-            GHSRecovery(self.kernel, self.nodes, verify_fids=not use_tests)
-            if reliable
-            else None
-        )
+        # The runners' per-message state: recovery only when faults are
+        # actually injected.
+        state = NodeRun(self.kernel, tests=use_tests)
+        self.nodes, self.recovery = state.nodes, state.recovery
         self.audit_barriers = audit_barriers
         self.barriers = 0
         self.finished = False
-        self.kernel.start()
         self._gen = self._drive()
 
     # -- outside controls ---------------------------------------------------

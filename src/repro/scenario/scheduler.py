@@ -31,19 +31,18 @@ Determinism contract (what the scenario tests pin):
   every cycle is.
 
 Fault-free cycles on the fast kernel satisfy the whole-round phase
-engine's eligibility (the engine syncs pre-seeded fragment state in),
-so clean repair cycles run vectorized and still trace-diff clean
-against the legacy kernel's per-message path.
+engine's eligibility (:func:`repro.algorithms.ghs.turbo.engine_cache`):
+they start the engine from the seeded forest's arrays and build no node
+objects, so clean repair cycles run vectorized and still trace-diff
+clean against the legacy kernel's per-message path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import AlgorithmResult, collect_tree_edges
-from repro.algorithms.ghs.driver import GHSRecovery, hello_round, run_ghs_phases
-from repro.algorithms.ghs.node import GHSNode
-from repro.ds.unionfind import UnionFind
+from repro.algorithms.base import AlgorithmResult
+from repro.algorithms.ghs.driver import seeded_forest, start_run
 from repro.errors import ExperimentError
 from repro.geometry.radius import PAPER_GHS_RADIUS_CONST, connectivity_radius
 from repro.scenario.plan import CHECKPOINT_KINDS, ScenarioEvent, ScenarioPlan
@@ -258,22 +257,16 @@ class ScenarioScheduler:
         r = connectivity_radius(max(m, 2), self.radius_const)
 
         plan = self._cycle_faults(g2l, idle)
-        reliable = plan is not None and not plan.is_null and self.recover
         kwargs = {"faults": plan} if plan is not None else {}
         kernel = self.kernel_cls(
             sub_pts, max_radius=r, power=self.power, rx_cost=self.rx_cost, **kwargs
         )
-        kernel.add_nodes(
-            lambda i, ctx: GHSNode(
-                i, ctx, use_tests=False, announce=True, reliable=reliable
-            )
-        )
-        nodes = kernel.nodes
 
         # Seed the surviving forest (repair only): drop edges with a dead
-        # endpoint or longer than the new operating radius, install the
-        # remainder as fragment structure with max-id leaders — the same
+        # endpoint or longer than the new operating radius, and resume
+        # from the remainder as fragments with max-id leaders — the same
         # conservative charging as repair_after_failures().
+        seed = {}
         fragments = m
         if kind == "repair" and len(self.tree):
             e = self.tree
@@ -284,40 +277,21 @@ class ScenarioScheduler:
                 e = e[np.hypot(span[:, 0], span[:, 1]) <= r]
             old_to_new = np.full(len(self.positions), -1, dtype=np.int64)
             old_to_new[ids] = np.arange(m)
-            forest = old_to_new[e]
-            uf = UnionFind(m)
-            for u, v in forest:
-                nodes[int(u)].tree_edges.add(int(v))
-                nodes[int(v)].tree_edges.add(int(u))
-                uf.union(int(u), int(v))
-            leader_of: dict[int, int] = {}
-            for i in range(m):
-                root = uf.find(i)
-                leader_of[root] = max(leader_of.get(root, -1), i)
-            leaders = set(leader_of.values())
-            for nd in nodes:
-                nd.leader = nd.id in leaders
-                nd.fid = leader_of[uf.find(nd.id)]
-            fragments = len(leaders)
-
-        recovery = (
-            GHSRecovery(kernel, nodes, verify_fids=True) if reliable else None
-        )
-        kernel.start()
+            fid, leader, forest = seeded_forest(m, old_to_new[e])
+            seed = {"fid": fid, "leader": leader, "edges": forest}
+            fragments = int(np.count_nonzero(leader))
+        run = start_run(kernel, tests=False, recover=self.recover, **seed)
         clock0 = self.clock
         kernel.set_round_hook(lambda rounds: setattr(self, "clock", clock0 + rounds))
         for _ in range(idle):
             kernel.tick()
         kernel.set_stage(f"{kind}:hello")
-        hello_round(kernel, r, recovery=recovery)
+        run.hello(r)
         kernel.set_stage(f"{kind}:ghs")
-        phases = run_ghs_phases(kernel, nodes, recovery=recovery)
+        phases = run.run()
         kernel.set_round_hook(None)
 
-        edges_local = collect_tree_edges((nd.id, nd.tree_edges) for nd in nodes)
-        self.tree = _canonical_edges(ids[edges_local]) if len(edges_local) else (
-            np.empty((0, 2), dtype=np.int64)
-        )
+        self.tree = _canonical_edges(ids[run.tree_edges()])
         st = kernel.stats()
         self.clock = clock0 + st.rounds
         self._merge_stats(st, ids)

@@ -10,13 +10,16 @@ isolation:
 * the whole-round phase engine engages on eligible default-kernel runs
   (and only then); its MOE cursor agrees with ``FloodCache.moe_batch``,
   it leaves the same flood cache as the per-message phase loop, and a
-  stale cache makes the run ineligible;
+  stale cache fails its entry check, which raises;
 * classical GHS runs its TEST/ACCEPT/REJECT probes on the engine with
   legacy-identical traces and ``rejected`` sets, same-round probe
   deliveries in per-message order, and each slot examined O(1) times;
 * the one-pass tree waves (stage A, EOPT's size census and giant
-  declaration) trace identically to the legacy kernel, and an EOPT run
-  leaves the engine only for its two HELLO rounds;
+  declaration) trace identically to the legacy kernel and charge its
+  exact ordered sends, and an EOPT run leaves the engine only for its
+  two HELLO rounds;
+* engine runs (GHS, MGHS, EOPT, MAINT) build no node object, and MAINT's
+  repair cycles start the engine from the seeded forest's arrays;
 * the kernel registry resolves modes, the ``turbo`` alias and
   unknown-name errors.
 """
@@ -26,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ProtocolError
 from repro.geometry.points import uniform_points
 from repro.perf import PEAK_RSS_COUNTER, perf
 from repro.rgg import build_rgg, build_rgg_chunked
@@ -111,16 +114,31 @@ def _dyadic_lattice(side: int) -> np.ndarray:
     return np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
 
 
-def _hello_kernel(pts, r, max_radius=None):
-    """Modified-mode GHS nodes after one plane HELLO at ``r``."""
-    from repro.algorithms.ghs import GHSNode
-    from repro.algorithms.ghs.driver import hello_round
+def _hello_engine(pts, r, max_radius=None, *, tests=False, fid=None):
+    """A fresh engine after its plane HELLO at ``r``, under power cap
+    (and table radius) ``max_radius``."""
+    from repro.algorithms.ghs.turbo import TurboPhaseEngine, engine_cache
 
     kernel = SynchronousKernel(pts, max_radius=max_radius or r)
-    kernel.add_nodes(lambda i, ctx: GHSNode(i, ctx, use_tests=False, announce=True))
-    kernel.start()
-    hello_round(kernel, r)
-    return kernel
+    eng = TurboPhaseEngine(kernel, engine_cache(kernel), tests=tests, fid=fid)
+    eng.hello(r)
+    return eng
+
+
+def _node_view(eng, i: int) -> tuple:
+    """Node ``i``'s ``(fid, tree_edges, parent, children)`` read off the
+    engine's arrays after a run: its children are its sorted tree row
+    minus its parent (the last INITIATE flood covered its final tree)."""
+    row = eng.t_adj[eng.t_indptr[i] : eng.t_indptr[i + 1]].tolist()
+    p = int(eng.parent[i])
+    return int(eng.fid[i]), set(row), None if p < 0 else p, tuple(e for e in row if e != p)
+
+
+def _rejected_set(eng, i: int) -> set:
+    """Node ``i``'s rejected neighbours, from the engine's slot mask."""
+    c = eng.cache
+    s, e = c.indptr[i], c.indptr[i + 1]
+    return set(c.ids[s:e][eng.rejected[s:e]].tolist())
 
 
 class TestMoeCursor:
@@ -182,25 +200,21 @@ class TestMoeCursor:
         assert len({r for r, _ in checked}) >= 2
 
     def test_tied_run_with_internal_first_slot(self):
-        from repro.algorithms.ghs.driver import hello_round
-        from repro.algorithms.ghs.turbo import turbo_phase_engine
-
         # Node 2 sits at the centre of four neighbours, all at exactly 0.25.
         pts = np.array(
             [[0.25, 0.5], [0.75, 0.5], [0.5, 0.5], [0.5, 0.25], [0.5, 0.75]]
         )
-        kernel = _hello_kernel(pts, 0.3)
-        tbl = kernel.neighbor_table()
-        s, e = tbl.indptr_arr[2], tbl.indptr_arr[3]
-        assert tbl.ids[s:e].tolist() == [3, 4, 0, 1]
-        assert set(tbl.dists[s:e].tolist()) == {0.25}
         # The first tied slot (3) and a later one (0) share node 2's
         # fragment: the MOE is the least (lo, hi) of 4 and 1, not the
         # slot under the cursor (4) and not the least key overall (0).
-        kernel.nodes[3].fid = kernel.nodes[0].fid = 2
-        hello_round(kernel, 0.3)
-        eng = turbo_phase_engine(kernel, kernel.nodes)
-        assert eng is not None
+        fid = np.arange(5)
+        fid[3] = fid[0] = 2
+        eng = _hello_engine(pts, 0.3, fid=fid)
+        tbl = eng.tbl
+        s, e = tbl.indptr_arr[2], tbl.indptr_arr[3]
+        assert tbl.ids[s:e].tolist() == [3, 4, 0, 1]
+        assert set(tbl.dists[s:e].tolist()) == {0.25}
+        assert eng.cache_in_sync()
         parts = np.array([2])
         got = eng._cursor_moe(parts)
         assert [a.tolist() for a in got] == [[1], [0.25], [1], [2]]
@@ -227,7 +241,7 @@ class TestEngineCache:
         with monkeypatch.context() as mp:
             mp.setattr(FloodCache, "ensure", classmethod(ensure))
             if not engine:
-                mp.setattr(turbo, "turbo_phase_engine", lambda kernel, nodes: None)
+                mp.setattr(turbo, "engine_cache", lambda kernel: None)
             perf.reset()
             perf.enable()
             try:
@@ -255,21 +269,21 @@ class TestEngineCache:
             np.testing.assert_array_equal(a.known, b.known)
 
     def test_stale_slot_makes_run_ineligible(self):
-        from repro.algorithms.ghs.turbo import turbo_phase_engine
-
-        kernel = _hello_kernel(uniform_points(200, seed=2), 0.12, max_radius=0.2)
-        assert turbo_phase_engine(kernel, kernel.nodes) is not None
-        cache = kernel.nodes[0].cache
+        eng = _hello_engine(uniform_points(200, seed=2), 0.12, max_radius=0.2)
+        assert eng.cache_in_sync()
+        cache = eng.cache
         inside = np.flatnonzero(cache.dists <= 0.12)
         outside = np.flatnonzero(cache.dists > 0.12)
         assert len(inside) and len(outside)
         slot = int(inside[len(inside) // 2])
         cache.fid[slot] += 1  # one in-radius slot holds a stale fid
-        assert turbo_phase_engine(kernel, kernel.nodes) is None
+        assert not eng.cache_in_sync()
+        with pytest.raises(ProtocolError, match="entry check"):
+            eng.run(1, 100)  # no node objects to fall back to
         cache.fid[slot] -= 1
-        assert turbo_phase_engine(kernel, kernel.nodes) is not None
+        assert eng.cache_in_sync()
         cache.known[int(outside[0])] = True  # heard beyond the radius
-        assert turbo_phase_engine(kernel, kernel.nodes) is None
+        assert not eng.cache_in_sync()
 
     def test_sorted_unique_matches_np_unique(self):
         from repro.algorithms.ghs.turbo import sorted_unique
@@ -341,52 +355,57 @@ class TestOriginalMode:
     @pytest.mark.parametrize(
         "instance, cap", [("uniform", 1.0), ("lattice", 1.0), ("uniform", 1.3)]
     )
-    def test_rejected_sets_and_cursor_bound(self, monkeypatch, instance, cap):
-        from repro.algorithms.ghs import turbo
+    def test_rejected_sets_and_cursor_bound(self, instance, cap):
         from repro.algorithms.ghs.driver import run_ghs_phases
+        from repro.geometry.radius import PAPER_GHS_RADIUS_CONST, connectivity_radius
 
         lattice = instance == "lattice"
         pts = _dyadic_lattice(33) if lattice else uniform_points(800, seed=6)
         off = self._hello(pts, cap)
-        with monkeypatch.context() as mp:
-            mp.setattr(turbo, "turbo_phase_engine", lambda kernel, nodes: None)
-            phases = run_ghs_phases(off, off.nodes)
-        on = self._hello(pts, cap)
-        eng = turbo.turbo_phase_engine(on, on.nodes)
-        assert eng is not None
+        phases = run_ghs_phases(off, off.nodes)  # the per-message loop
+        r = connectivity_radius(len(pts), PAPER_GHS_RADIUS_CONST)
+        eng = _hello_engine(pts, r, r * cap, tests=True)
         assert (eng.ann_mask is not None) == (cap > 1.0)  # walks stop at the radius
         assert eng.run(1, 100) == phases
         assert (eng.walk is not None) == lattice  # exact ties reorder the walk
-        a, b = off.stats(), on.stats()
+        a, b = off.stats(), eng.k.stats()
         assert (a.energy_total, a.rounds, a.messages_by_kind) == (
             b.energy_total, b.rounds, b.messages_by_kind
         )
         marked = 0
-        for a, b in zip(off.nodes, on.nodes):
-            assert a.rejected == b.rejected
-            assert (a.fid, a.tree_edges, a.parent, a.children) == (
-                b.fid, b.tree_edges, b.parent, b.children
-            )
+        for i, a in enumerate(off.nodes):
+            assert a.rejected == _rejected_set(eng, i)
+            assert (a.fid, a.tree_edges, a.parent, a.children) == _node_view(eng, i)
             marked += len(a.rejected)
         assert marked > 0
         # Original mode leaves the cache as the HELLO flood wrote it.
-        np.testing.assert_array_equal(off.nodes[0].cache.fid, on.nodes[0].cache.fid)
+        np.testing.assert_array_equal(off.nodes[0].cache.fid, eng.cache.fid)
         # Forward-only: each slot is examined O(1) times per run.
         assert eng.cursor_steps <= len(eng.cache.ids) + eng.cursor_wakes
 
     def test_ineligible_unless_fresh(self):
-        from repro.algorithms.ghs.turbo import turbo_phase_engine
+        from repro.geometry.radius import PAPER_GHS_RADIUS_CONST, connectivity_radius
 
-        kernel = self._hello(uniform_points(200, seed=2), 1.0)
-        nd = kernel.nodes[0]
-        nb = int(nd.nb_ids[0])
-        assert turbo_phase_engine(kernel, kernel.nodes) is not None
-        for held in (nd.rejected, nd.tree_edges):
-            held.add(nb)  # the engine only starts GHS from its initial state
-            assert turbo_phase_engine(kernel, kernel.nodes) is None
-            held.clear()
-        nd.cache.known[0] = False  # an in-radius neighbour never heard
-        assert turbo_phase_engine(kernel, kernel.nodes) is None
+        pts = uniform_points(200, seed=2)
+        eng = _hello_engine(
+            pts, connectivity_radius(200, PAPER_GHS_RADIUS_CONST), tests=True
+        )
+        j = int(eng.cache.indptr[0])
+        nb = int(eng.cache.ids[j])
+        assert eng.probes_ready()
+        # The engine only starts GHS from its initial state.
+        eng.rejected[j] = True
+        assert not eng.probes_ready()
+        eng.rejected[j] = False
+        eng._add_edge(0, nb)
+        assert not eng.probes_ready()
+        eng.edge_u.clear()
+        eng.edge_v.clear()
+        assert eng.probes_ready()
+        eng.cache.known[j] = False  # an in-radius neighbour never heard
+        assert not eng.probes_ready()
+        with pytest.raises(ProtocolError, match="entry check"):
+            eng.run(1, 100)
 
     @pytest.mark.parametrize("test_first", [True, False])
     def test_same_round_reject_and_test(self, test_first):
@@ -394,9 +413,7 @@ class TestOriginalMode:
         in one round.  0's next probe skips 2 only if 2's TEST came first."""
         from repro.algorithms.ghs import GHSNode
         from repro.algorithms.ghs.driver import hello_round
-        from repro.algorithms.ghs.turbo import (
-            _REJECT, _TEST, _KIND_NAMES, _Emits, turbo_phase_engine,
-        )
+        from repro.algorithms.ghs.turbo import _REJECT, _TEST, _KIND_NAMES, _Emits
 
         pts = np.array([[0.5, 0.5], [0.55, 0.5], [0.5, 0.57], [0.41, 0.5]])
         fids = [0, 0, 0, 3]  # 0, 1 and 2 share a fragment; 3 is outside
@@ -423,9 +440,8 @@ class TestOriginalMode:
         want = [(m.kind, dst) for dst, m, _, _ in k._uni]
 
         # The engine, from the same state.
-        k = kernel()
-        eng = turbo_phase_engine(k, k.nodes)
-        assert eng is not None
+        eng = _hello_engine(pts, 0.2, tests=True, fid=np.array(fids))
+        assert eng.probes_ready()
         ip = eng.cache.indptr
         eng.cur[0] = ip[0]  # cursor on the slot of 1
         w_slot = int(ip[2] + eng.cache.ids[ip[2] : ip[3]].tolist().index(0))
@@ -525,8 +541,9 @@ class TestTreeWaves:
         orig = turbo.TurboPhaseEngine.census
 
         def census(self):
-            orig(self)
-            sizes.append([nd.fragment_size for nd in self.nodes if nd.leader])
+            leaders, got = orig(self)
+            sizes.append(got.tolist())
+            return leaders, got
 
         monkeypatch.setattr(turbo.TurboPhaseEngine, "census", census)
         no_giant = demoted = childless = 0
@@ -553,6 +570,174 @@ class TestTreeWaves:
         assert per_stage["step2:size"] > 0  # census and giant waves ran
         assert counters["kernel.rounds"] == res.stats.rounds
         assert counters["kernel.rounds"] - counters["kernel.turbo_engine_rounds"] == hello
+
+
+    @pytest.mark.parametrize("algorithm", ["MGHS", "EOPT"])
+    @pytest.mark.parametrize("instance", ["u600", "lattice33"])
+    def test_wave_charge_order_matches_legacy(self, monkeypatch, algorithm, instance):
+        """Every tree wave charges the per-message kernel's exact ordered
+        ``(sender, kind, energy)`` sequence, so the order of one sender's
+        sends is pinned — ``energy_total`` alone may not see a reorder."""
+        from repro.algorithms import run_eopt
+        from repro.algorithms.ghs import run_modified_ghs, turbo
+        from repro.sim.energy import EnergyLedger
+
+        # Legacy side: every charge in order, and the charge count at each
+        # round boundary (``marks[r]`` = charges made before round ``r``).
+        charges, marks = [], [0]
+        ledger_charge = EnergyLedger.charge
+        advance = SynchronousKernel._advance_round
+
+        def charge(self, node, kind, stage, energy):
+            charges.append((node, kind, energy))
+            ledger_charge(self, node, kind, stage, energy)
+
+        def advance_round(self, delivered):
+            advance(self, delivered)
+            if type(self) is LegacyKernel:
+                marks.append(len(charges))
+
+        # Engine side: each wave's charges, with its first and end round.
+        waves = []
+        wave_fn = turbo.TurboPhaseEngine._wave
+        charge_fn = turbo.TurboPhaseEngine._charge
+
+        def wave(self, *args, **kwargs):
+            r0, self._log = self.k.rounds, []
+            wave_fn(self, *args, **kwargs)
+            waves.append((r0, self.k.rounds, self._log))
+            self._log = None
+
+        def eng_charge(self, node, kind, energies):
+            log = getattr(self, "_log", None)
+            if log is not None:
+                names = [turbo._KIND_NAMES[k] for k in kind.tolist()]
+                log.extend(zip(node.tolist(), names, energies.tolist()))
+            return charge_fn(self, node, kind, energies)
+
+        monkeypatch.setattr(EnergyLedger, "charge", charge)
+        monkeypatch.setattr(SynchronousKernel, "_advance_round", advance_round)
+        monkeypatch.setattr(turbo.TurboPhaseEngine, "_wave", wave)
+        monkeypatch.setattr(turbo.TurboPhaseEngine, "_charge", eng_charge)
+        pts = _dyadic_lattice(33) if instance == "lattice33" else uniform_points(600, seed=3)
+        runner = run_modified_ghs if algorithm == "MGHS" else run_eopt
+        runner(pts, kernel_cls=LegacyKernel)
+        runner(pts)
+        kinds = {kind for _, _, log in waves for _, kind, _ in log}
+        assert {"INITIATE", "ANNOUNCE"} <= kinds
+        if algorithm == "EOPT":
+            assert {"SIZE_REQ", "SIZE_RESP", "GIANT"} <= kinds
+        for r0, r1, log in waves:
+            assert log == charges[marks[r0] : marks[r1]], (r0, r1)
+
+
+class TestArrayEntry:
+    """Engine runs keep the protocol state in arrays from HELLO to result."""
+
+    @staticmethod
+    def _count_nodes(monkeypatch):
+        from repro.algorithms.ghs import GHSNode
+
+        made = [0]
+        init = GHSNode.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GHSNode, "__init__", counting_init)
+        return made
+
+    @pytest.mark.parametrize("algorithm", ["GHS", "MGHS", "EOPT", "MAINT"])
+    def test_engine_runs_build_no_nodes(self, monkeypatch, algorithm):
+        from repro.runspec import RunSpec, execute
+        from repro.scenario.mobility import churn_plan
+
+        made = self._count_nodes(monkeypatch)
+        n = 400
+        extra = {}
+        if algorithm == "MAINT":
+            extra["scenario"] = churn_plan(n, seed=2, transient_rate=0.0)
+        perf.reset()
+        perf.enable()
+        try:
+            execute(RunSpec(algorithm=algorithm, n=n, seed=1, **extra))
+            engine_rounds = perf.counters.get("kernel.turbo_engine_rounds", 0)
+        finally:
+            perf.disable()
+            perf.reset()
+        assert engine_rounds > 0
+        assert made[0] == 0
+        execute(RunSpec(algorithm=algorithm, n=n, seed=1, kernel="legacy", **extra))
+        if algorithm == "MAINT":
+            assert made[0] > n  # one node set per cycle
+        else:
+            assert made[0] == n
+
+    @pytest.mark.parametrize("instance", ["u600", "lattice33"])
+    def test_maint_repair_matches_legacy(self, instance):
+        """Repair cycles start the engine from a seeded forest's arrays."""
+        from repro.applications.maintenance import run_maintenance
+        from repro.scenario.mobility import churn_plan
+        from repro.trace.diff import diff_traces, format_divergence
+
+        pts = _dyadic_lattice(33) if instance == "lattice33" else uniform_points(600, seed=3)
+        plan = churn_plan(len(pts), seed=5, crashes_per_cycle=6, transient_rate=0.0)
+        legacy, lt, _ = _traced_run(run_maintenance, pts, scenario=plan, kernel_cls=LegacyKernel)
+        fast, ft, counters = _traced_run(run_maintenance, pts, scenario=plan)
+        assert counters.get("kernel.turbo_engine_rounds", 0) > 0
+        d = diff_traces(lt, ft)
+        assert d is None, format_divergence(d, "legacy", "fast")
+        a, b = legacy.stats, fast.stats
+        assert (a.energy_total, a.messages_total, a.rounds) == (
+            b.energy_total, b.messages_total, b.rounds
+        )
+        assert a.messages_by_kind == b.messages_by_kind
+        assert np.array_equal(fast.tree_edges, legacy.tree_edges)
+        assert fast.extras["cycles"] == legacy.extras["cycles"]
+        repairs = [c for c in fast.extras["cycles"] if c["kind"] == "repair"]
+        # Seeded: the survivors start as fewer fragments than nodes.
+        assert repairs and all(1 < c["initial_fragments"] < c["alive"] for c in repairs)
+
+    def test_seeded_forest_matches_union_find(self):
+        from repro.algorithms.ghs.driver import seeded_forest
+        from repro.ds.unionfind import UnionFind
+
+        rng = np.random.default_rng(3)
+        m = 300
+        parent = rng.integers(0, np.arange(1, m), size=m - 1)
+        edges = np.stack((np.arange(1, m), parent), axis=1)
+        edges = edges[rng.random(m - 1) < 0.7]  # a forest, many trees
+        fid, leader, out = seeded_forest(m, edges)
+        uf = UnionFind(m)
+        for u, v in edges.tolist():
+            uf.union(u, v)
+        top: dict[int, int] = {}
+        for i in range(m):
+            top[uf.find(i)] = max(top.get(uf.find(i), -1), i)
+        assert fid.tolist() == [top[uf.find(i)] for i in range(m)]
+        assert leader.tolist() == [top[uf.find(i)] == i for i in range(m)]
+        assert np.array_equal(out, edges)
+
+    def test_broken_invariant_raises(self):
+        from repro.algorithms.ghs.turbo import TurboPhaseEngine
+
+        pts = uniform_points(200, seed=4)
+        eng = _hello_engine(pts, 0.15)
+        eng.fid[7] = 8  # a fragment-id change the cache never heard
+        with pytest.raises(ProtocolError, match="entry check"):
+            eng.run(1, 100)
+        with pytest.raises(ProtocolError, match="no flood cache"):
+            TurboPhaseEngine(LegacyKernel(pts, max_radius=0.15), None, tests=False).hello(0.15)
+
+    def test_fragment_histogram(self):
+        from repro.algorithms.ghs.driver import fragment_histogram
+
+        fid = np.array([4, 4, 1, 9, 9, 9, 2, 4, 7])
+        assert fragment_histogram(fid) == (5, [[1, 3], [3, 2]])
+        count, sizes = fragment_histogram(np.arange(3))
+        assert (count, sizes) == (3, [[1, 3]])
+        assert all(type(x) is int for row in sizes for x in row)
 
 
 # -- registry ----------------------------------------------------------------
