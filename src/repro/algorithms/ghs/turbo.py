@@ -44,25 +44,34 @@ the engine reproduces those loops with sorted CSR rows.
 Design notes
 ------------
 
-Stage A (the INITIATE flood), the census and the giant declaration are
-*tree waves*: the only traffic in flight, each node's sends fixed by its
-depth (and, for the census's converge-cast, its subtree height).  Each
-wave is one array pass: one C-level BFS over the fragment-tree CSR from
-a virtual root wired to the wave's roots, pointer jumping for depths and
-roots, one emission table sorted once by ``(round, sender, intra)`` and
-charged through the sequential energy chain; the kernel then advances
-the wave's rounds one by one with their exact delivery counts (with
-tracing on, the ledger is set to each round's partial sums before its
-event).  Stage B vectorizes the bulk
-kinds — the ``find_moe`` wake, the TEST/ACCEPT/REJECT probes (the MOE
-cursor below) and the REPORT converge-cast (segment counts and
-lexicographic segment-min per recipient).  CONNECT / CHANGEROOT /
-ABSORB are low-volume (O(fragments) per phase) and deliberately stay
-scalar, processed in ``(recipient, seq)`` order, which sidesteps the
-same-round state interleavings a vectorized merge would have to prove
-commutative.  Every emission carries its trigger key ``(recipient id,
-trigger seq, intra-handler index)``; one lexsort per round recovers the
-global charge order.
+Stage A (the INITIATE flood), modified-mode stage B in every phase
+without a passive node (all of MGHS, EOPT's step 1 and MAINT's repair
+cycles), the census and the giant declaration are *tree waves*: the
+only traffic in flight, each node's sends fixed by its depth and its
+subtree height (stage B: REPORT at the height, then the CHANGEROOT
+baton and the CONNECT at the leader's height plus the sender's depth).
+Each wave is one array pass: one C-level BFS over the fragment-tree CSR
+from a virtual root wired to the wave's roots, pointer jumping for
+depths and roots, one emission table sorted once by ``(round, sender,
+intra)`` and charged through the sequential energy chain; the kernel
+then advances the wave's rounds one by one with their exact delivery
+counts (with tracing on, the ledger is set to each round's partial sums
+before its event).
+
+Two kinds of stage B still run round by round: original mode, whose
+search ends when a probe is answered, not at a depth; and phases with a
+passive node (EOPT's step 2), whose ABSORB floods depend on the order in
+which a CONNECT and an ABSORB reach a node.  That loop vectorizes the
+bulk kinds — the ``find_moe`` wake, the TEST/ACCEPT/REJECT probes (the
+MOE cursor below) and the REPORT converge-cast (segment counts and
+lexicographic segment-min per recipient) — while CONNECT / CHANGEROOT /
+ABSORB (O(fragments) per phase) stay scalar in ``(recipient, seq)``
+order, which sidesteps the same-round interleavings a vectorized merge
+would have to prove commutative.  Every emission carries its trigger
+key ``(recipient id, trigger seq, intra-handler index)``; one lexsort
+per round of that loop recovers the global charge order, and rounds of
+at most 64 emissions (16 REPORT rows or completions) run as plain
+Python loops with the same result.
 
 In modified mode the engine never writes the flood cache while it
 runs.  At entry it checks the *cache invariant*: every slot within the
@@ -712,7 +721,8 @@ class TurboPhaseEngine:
         return counts
 
     def _finalize_scalar(self, em: _Emits) -> int:
-        """Plain-Python ``_finalize`` for small rounds (most of stage B).
+        """Plain-Python ``_finalize`` for small rounds (most rounds of
+        the stage-B loop).
 
         Bit-identical to the array path: Python's stable sort applies
         the same (k1, k2, k3) order as the lexsort, ``energy`` matches
@@ -917,17 +927,18 @@ class TurboPhaseEngine:
                 mbk[_KIND_NAMES[c]] = base + cum[t]
             kern._advance_round(delivered[t])
 
-    def _stage_a(self, phase: int, leaders: np.ndarray) -> np.ndarray:
+    def _stage_a(self, phase: int, forest: tuple) -> np.ndarray:
         """The INITIATE flood of every active fragment, as one wave.
 
-        Applies ``_wake_initiate``/``_on_initiate`` to every node the
-        leaders' trees reach.  At round ``depth`` each of them sends its
-        ANNOUNCE (modified mode, when its fragment id changed), then one
-        INITIATE per child in ascending order; round ``t`` delivers the
-        INITIATEs to depth ``t`` and the ANNOUNCEs from depth ``t - 1``.
-        Returns the participants, ascending.
+        Applies ``_wake_initiate``/``_on_initiate`` to every node of the
+        leaders' ``forest`` (from :meth:`_forest`).  At round ``depth``
+        each of them sends its ANNOUNCE (modified mode, when its fragment
+        id changed), then one INITIATE per child in ascending order;
+        round ``t`` delivers the INITIATEs to depth ``t`` and the
+        ANNOUNCEs from depth ``t - 1``.  Returns the participants,
+        ascending.
         """
-        order, par, dep, top = self._forest(leaders)
+        order, par, dep, top = forest[:4]
         ids = np.sort(order)
         p = par[ids]
         nonroot = p >= 0
@@ -1049,7 +1060,7 @@ class TurboPhaseEngine:
         else:
             em.add(k1, k2, 0, u, _CHANGEROOT, self._dist1(u, fr), fr)
 
-    def _stage_b_wake(self, phase: int, parts: np.ndarray) -> None:
+    def _stage_b_wake(self, parts: np.ndarray) -> None:
         """Batched MOE search + ``apply_moe`` for every participant."""
         cand, kdist, klo, khi = self._cursor_moe(parts)
         self.search_done[parts] = True
@@ -1063,6 +1074,65 @@ class TurboPhaseEngine:
         ready = parts[self.n_children[parts] == 0]
         self._complete(em, ready, ready, np.zeros(len(ready), dtype=np.int64))
         self._finalize(em)
+
+    def _stage_b_wave(self, parts: np.ndarray, forest: tuple) -> None:
+        """Stage B of a phase with no passive node, as one wave.
+
+        The MOE search reads cached fragment ids, which only stage A
+        changes here (no ABSORB re-labels a fragment), so every send is
+        fixed by the forest at the wake: node ``u`` sends
+        its REPORT at round ``h(u)``, its subtree height; the leader
+        ``L`` of a fragment with an outgoing edge decides at ``h(L)``,
+        and CHANGEROOT passes down the path to the fragment's MOE
+        endpoint ``m``, each node ``a`` on it sending at ``h(L) +
+        dep(a)``, until ``m`` sends its CONNECT at ``h(L) + dep(m)``.
+        ``m`` is the participant of least candidate key: an outgoing
+        edge has one endpoint inside the fragment, so the keys are
+        unique there and the REPORT minima lead to it.  Each node sends
+        at most once a round, so ``(round, sender)`` is the charge order.
+        No CONNECT meets an ABSORB, so the merge is order-free: both
+        directions of every CONNECT edge join the tree, and the higher
+        id of each reciprocal pair leads.
+        """
+        _, par, dep, top, deep = forest
+        cand, kdist, klo, khi = self._cursor_moe(parts)
+        # Each fragment's least candidate key (roots ascending).
+        ptop = top[parts]
+        o = np.lexsort((khi, klo, kdist, ptop))
+        first = np.ones(len(o), dtype=bool)
+        first[1:] = ptop[o[1:]] != ptop[o[:-1]]
+        best = o[first]
+        roots = ptop[best]
+        go = kdist[best] < _INF
+        self.halted[roots[~go]] = True  # no outgoing edge: fragment final
+        self.leader[roots[go]] = False  # re-established at the core
+        best = best[go]
+        m, nb, cdist = parts[best], cand[best], kdist[best]
+        # CHANGEROOT baton: every ancestor of ``m`` passes it to its child
+        # on the path down.
+        below = [m[par[m] >= 0]]
+        while len(below[-1]):
+            up = par[below[-1]]
+            below.append(up[par[up] >= 0])
+        b = np.concatenate(below)
+        a = par[b]
+        rep = parts[par[parts] >= 0]
+        snd = np.concatenate((rep, a, m))
+        self._wave(
+            rnd=np.concatenate(
+                (deep[rep] - dep[rep], deep[top[a]] + dep[a], deep[top[m]] + dep[m])
+            ),
+            snd=snd,
+            intra=np.zeros(len(snd), dtype=np.int64),
+            kind=np.repeat([_REPORT, _CHANGEROOT, _CONNECT], (len(rep), len(a), len(m))),
+            dist=np.concatenate((self.parent_dist[rep], self._dist(a, b), cdist)),
+            weight=np.ones(len(snd), dtype=np.int64),
+        )
+        ends = np.stack((np.concatenate((m, nb)), np.concatenate((nb, m))))
+        self.edge_chunks.append(ends)
+        to = np.full(self.n, -1, dtype=np.int64)
+        to[m] = nb
+        self.leader[m[(to[nb] == m) & (m > nb)]] = True  # core: higher id leads
 
     def _emit_tests(
         self, em: _Emits, us: np.ndarray, k2: np.ndarray, pos: np.ndarray
@@ -1368,12 +1438,18 @@ class TurboPhaseEngine:
                 )
             self._build_tree_csr()
             self._reset_phase_arrays()
-            parts = self._stage_a(phase, leaders)
-            if self.tests:
-                self._probe_wake(parts)
+            # Without a passive node, modified-mode stage B is a tree wave.
+            wave = not (self.tests or self.passive.any())
+            forest = self._forest(leaders, subtree=wave)
+            parts = self._stage_a(phase, forest)
+            if wave:
+                self._stage_b_wave(parts, forest)
             else:
-                self._stage_b_wake(phase, parts)
-            self._stage_b_rounds()
+                if self.tests:
+                    self._probe_wake(parts)
+                else:
+                    self._stage_b_wake(parts)
+                self._stage_b_rounds()
             if trace.enabled:
                 fragments, sizes = fragment_histogram(self.fid)
                 trace.emit(

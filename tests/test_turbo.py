@@ -14,10 +14,11 @@ isolation:
 * classical GHS runs its TEST/ACCEPT/REJECT probes on the engine with
   legacy-identical traces and ``rejected`` sets, same-round probe
   deliveries in per-message order, and each slot examined O(1) times;
-* the one-pass tree waves (stage A, EOPT's size census and giant
-  declaration) trace identically to the legacy kernel and charge its
-  exact ordered sends, and an EOPT run leaves the engine only for its
-  two HELLO rounds;
+* the one-pass tree waves (stage A, modified-mode stage B, EOPT's size
+  census and giant declaration) trace identically to the legacy kernel
+  and charge its exact ordered sends, stage B leaves the wave only for
+  EOPT's phases with a passive giant, and an EOPT run leaves the engine
+  only for its two HELLO rounds;
 * engine runs (GHS, MGHS, EOPT, MAINT) build no node object, and MAINT's
   repair cycles start the engine from the seeded forest's arrays;
 * the kernel registry resolves modes, the ``turbo`` alias and
@@ -482,8 +483,9 @@ def _traced_run(runner, pts, **kwargs):
 
 
 class TestTreeWaves:
-    """Stage A, EOPT's size census and its giant declaration, each run as
-    one array pass over the fragment forest, match the per-message path."""
+    """Stage A, modified-mode stage B, EOPT's size census and its giant
+    declaration, each run as one array pass over the fragment forest,
+    match the per-message path."""
 
     @staticmethod
     def _assert_like_legacy(runner, pts):
@@ -572,14 +574,17 @@ class TestTreeWaves:
         assert counters["kernel.rounds"] - counters["kernel.turbo_engine_rounds"] == hello
 
 
-    @pytest.mark.parametrize("algorithm", ["MGHS", "EOPT"])
+    @pytest.mark.parametrize("algorithm", ["MGHS", "EOPT", "MAINT"])
     @pytest.mark.parametrize("instance", ["u600", "lattice33"])
     def test_wave_charge_order_matches_legacy(self, monkeypatch, algorithm, instance):
         """Every tree wave charges the per-message kernel's exact ordered
         ``(sender, kind, energy)`` sequence, so the order of one sender's
-        sends is pinned — ``energy_total`` alone may not see a reorder."""
+        sends is pinned — ``energy_total`` alone may not see a reorder.
+        ``MAINT`` is its repair cycle, which starts from a seeded forest."""
         from repro.algorithms import run_eopt
         from repro.algorithms.ghs import run_modified_ghs, turbo
+        from repro.applications import maintenance
+        from repro.mst.delaunay import euclidean_mst
         from repro.sim.energy import EnergyLedger
 
         # Legacy side: every charge in order, and the charge count at each
@@ -620,15 +625,108 @@ class TestTreeWaves:
         monkeypatch.setattr(turbo.TurboPhaseEngine, "_wave", wave)
         monkeypatch.setattr(turbo.TurboPhaseEngine, "_charge", eng_charge)
         pts = _dyadic_lattice(33) if instance == "lattice33" else uniform_points(600, seed=3)
-        runner = run_modified_ghs if algorithm == "MGHS" else run_eopt
+        if algorithm == "MAINT":
+            tree, _ = euclidean_mst(pts)
+            failed = np.arange(0, len(pts), 25)
+
+            def runner(pts, kernel_cls=SynchronousKernel):
+                # The repair cycle builds its own kernel: swap its class.
+                monkeypatch.setattr(maintenance, "SynchronousKernel", kernel_cls)
+                res = maintenance.repair_after_failures(pts, tree, failed)
+                assert 1 < res.extras["initial_fragments"] < res.n
+        else:
+            runner = run_modified_ghs if algorithm == "MGHS" else run_eopt
         runner(pts, kernel_cls=LegacyKernel)
         runner(pts)
         kinds = {kind for _, _, log in waves for _, kind, _ in log}
         assert {"INITIATE", "ANNOUNCE"} <= kinds
+        assert {"REPORT", "CONNECT"} <= kinds  # stage B
+        if instance == "u600":
+            assert "CHANGEROOT" in kinds
         if algorithm == "EOPT":
             assert {"SIZE_REQ", "SIZE_RESP", "GIANT"} <= kinds
         for r0, r1, log in waves:
             assert log == charges[marks[r0] : marks[r1]], (r0, r1)
+
+    @pytest.mark.parametrize("algorithm", ["MGHS", "MAINT", "EOPT"])
+    def test_round_loop_only_with_passive_nodes(self, monkeypatch, algorithm):
+        """Modified-mode stage B runs as one wave per phase: the round
+        loop never runs in MGHS or MAINT runs, and in EOPT runs only in
+        the phases after ``declare_giant`` (whose ABSORBs depend on
+        delivery order)."""
+        from repro.algorithms import run_eopt
+        from repro.algorithms.ghs import run_modified_ghs, turbo
+        from repro.applications.maintenance import run_maintenance
+        from repro.scenario.mobility import churn_plan
+
+        calls = {"wave": 0, "loop": 0, "loop_before_giant": 0}
+        eng = turbo.TurboPhaseEngine
+        wave, loop, giant = eng._stage_b_wave, eng._stage_b_rounds, eng.declare_giant
+
+        def stage_b_wave(self, *args):
+            calls["wave"] += 1
+            return wave(self, *args)
+
+        def stage_b_rounds(self):
+            calls["loop"] += 1
+            calls["loop_before_giant"] += not getattr(self, "_giant", False)
+            return loop(self)
+
+        def declare_giant(self, g):
+            self._giant = True
+            return giant(self, g)
+
+        monkeypatch.setattr(eng, "_stage_b_wave", stage_b_wave)
+        monkeypatch.setattr(eng, "_stage_b_rounds", stage_b_rounds)
+        monkeypatch.setattr(eng, "declare_giant", declare_giant)
+        pts = uniform_points(600, seed=3)
+        if algorithm == "MGHS":
+            run_modified_ghs(pts)
+        elif algorithm == "MAINT":
+            plan = churn_plan(len(pts), seed=5, crashes_per_cycle=6, transient_rate=0.0)
+            run_maintenance(pts, scenario=plan)
+        else:
+            res = run_eopt(pts)
+            assert res.extras["giant_found"]
+        assert calls["wave"] > 0
+        assert calls["loop_before_giant"] == 0
+        assert (calls["loop"] > 0) == (algorithm == "EOPT")
+
+    def test_disconnected_instance_matches_legacy(self, monkeypatch):
+        """A hand-placed instance whose fragments halt at different
+        phases: an isolated node (halts in phase 1), a pair out of range
+        of the rest (merges in phase 1, halts in phase 2 while a random
+        cluster still merges) and an exact-tie lattice patch."""
+        from functools import partial
+
+        from repro.algorithms.ghs import run_ghs, run_modified_ghs, turbo
+
+        r = 0.1
+        iso = [[0.95, 0.05]]
+        pair = [[0.05, 0.95], [0.09, 0.93]]
+        cloud = 0.6 + 0.3 * np.random.default_rng(7).random((40, 2))
+        g = np.arange(5) / 16 + 1 / 16  # pitch 1/16 < r < 2/16: dyadic ties
+        patch = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        pts = np.concatenate((iso, pair, cloud, patch))
+        # Per stage-B wave: the roots it halted and the CONNECTs it sent.
+        phases = []
+        orig = turbo.TurboPhaseEngine._stage_b_wave
+
+        def stage_b_wave(self, parts, forest):
+            halted = self.halted.copy()
+            mbk = self.k._ledger.messages_by_kind
+            sent = mbk.get("CONNECT", 0)
+            orig(self, parts, forest)
+            new = np.flatnonzero(self.halted & ~halted).tolist()
+            phases.append((new, mbk.get("CONNECT", 0) - sent))
+
+        monkeypatch.setattr(turbo.TurboPhaseEngine, "_stage_b_wave", stage_b_wave)
+        for runner in (run_modified_ghs, run_ghs):
+            _, fast = self._assert_like_legacy(partial(runner, radius=r), pts)
+            assert fast.extras["n_fragments_final"] == 4
+        assert 0 in phases[0][0]  # the isolated node
+        assert 2 not in phases[0][0] and 2 in phases[1][0]  # the pair's leader
+        assert phases[1][1] > 0  # ... halts while the cluster merges
 
 
 class TestArrayEntry:
