@@ -2,8 +2,8 @@
 """Spec round-trip smoke: emit specs, execute them, diff against golden.
 
 The ``make spec-smoke`` gate for the runspec layer.  For each smoke
-:class:`~repro.runspec.spec.RunSpec` (the GHS family, EOPT and Co-NNT on
-one fixed instance, plus a faulted MGHS run):
+:class:`~repro.runspec.spec.RunSpec` (the GHS family, EOPT, Co-NNT and
+Rand-NNT on one fixed instance, plus faulted MGHS and Co-NNT runs):
 
 * the spec is emitted to JSON and reloaded — the loaded spec must equal
   the original exactly (exit code 2 on mismatch: the spec schema broke);
@@ -50,8 +50,15 @@ SPECS = (
     RunSpec(algorithm="MGHS", n=300, seed=7),
     RunSpec(algorithm="EOPT", n=300, seed=7),
     RunSpec(algorithm="Co-NNT", n=300, seed=7),
+    RunSpec(algorithm="Rand-NNT", n=300, seed=7),
     RunSpec(
         algorithm="MGHS",
+        n=300,
+        seed=7,
+        faults=FaultPlan(seed=1, drop_rate=0.1),
+    ),
+    RunSpec(
+        algorithm="Co-NNT",
         n=300,
         seed=7,
         faults=FaultPlan(seed=1, drop_rate=0.1),

@@ -1,21 +1,27 @@
-"""The Co-NNT node protocol (paper Thm 6.2).
+"""The nearest-neighbour-tree node protocol shared by Co-NNT and Rand-NNT.
 
-Every node ``u`` knows its own coordinates and (an estimate of) ``n``.  It
-must find its nearest node of higher *diagonal rank*
-(``(x+y, y, id)`` lexicographic — Sec. VI) inside its potential region:
+Every node ``u`` knows (an estimate of) ``n`` and a *rank key*; it must
+find its nearest node of higher rank.  The algorithm fixes the rank rule
+(:func:`diagonal_rank`, :func:`id_rank`), which also fixes the *cutoff*:
+the radius beyond which no higher-ranked node can live.
 
 * in probe phase ``i = 1, 2, ...`` the still-searching node broadcasts
-  ``REQUEST(x, y)`` to radius ``r_i = sqrt(2^i / n)``;
-* every listener of higher rank unicasts ``REPLY()`` back (the requester
-  reads the distance off the delivery — physically, off the radio);
+  ``REQUEST(key)`` to radius ``r_i = min(sqrt(2^i / n), sqrt(2))``;
+* every listener with a larger key unicasts ``REPLY()`` back (the
+  requester reads the distance off the delivery — physically, off the
+  radio);
 * if any replies arrived, the node picks the nearest replier, unicasts
   ``CONNECTION`` to it (both endpoints record the tree edge), and stops;
-* a node whose probe radius has reached its potential distance ``L_u``
-  without an answer is the highest-ranked node and terminates unconnected.
+* a node whose probe radius has reached its cutoff without an answer is
+  the highest-ranked node and terminates unconnected.
 
-Because the nearest higher-ranked node lies within ``L_u`` by definition,
-the protocol always terminates and reproduces the centralized NNT exactly
-(ties in distance are measure-zero under random coordinates).
+Co-NNT (paper Thm 6.2) ranks by the diagonal key ``(x+y, y, id)`` and
+stops at the potential distance ``L_u``: the nearest higher-ranked node
+lies within ``L_u`` by definition, so the protocol reproduces the
+centralized diagonal-rank NNT exactly (ties in distance are measure-zero
+under random coordinates).  Rand-NNT (the paper's refs [14, 15]) ranks
+by node id and never reads coordinates, so it cannot bound where its
+higher-ranked nodes live and searches out to the square's diameter.
 """
 
 from __future__ import annotations
@@ -39,22 +45,42 @@ def diagonal_key(x: float, y: float, node_id: int) -> tuple[float, float, int]:
     return (x + y, y, node_id)
 
 
-class CoNNTNode(NodeProcess):
-    """One processor running the Co-NNT doubling-radius protocol.
+def diagonal_rank(ctx, node_id: int) -> tuple[tuple[float, float, int], float]:
+    """Co-NNT's ``(key, cutoff)``: the diagonal key and ``L_u``.
 
-    With ``reliable=True`` (set by the runner when a fault plan is
-    active) the two unicast kinds that carry safety — REPLY (a missed
-    one can strand a requester) and CONNECTION (a missed one leaves an
-    asymmetric tree edge) — travel through a :class:`RetryBuffer`
-    ACK/retry layer, so under message loss the recorded tree stays
-    symmetric and every heard candidate is eventually counted.
+    ``L_u`` is locally computable from the node's own coordinates
+    (closed form), which the kernel must expose.
+    """
+    x, y = ctx.coords
+    return diagonal_key(x, y, node_id), float(potential_distance([[x, y]])[0])
+
+
+def id_rank(ctx, node_id: int) -> tuple[int, float]:
+    """Rand-NNT's ``(key, cutoff)``: the node id and the square's diameter.
+
+    Ids are assigned independently of geometry, so they are exchangeable
+    with the random ranks of [15].
+    """
+    return node_id, math.sqrt(2.0)
+
+
+class NNTNode(NodeProcess):
+    """One processor running the doubling-radius NNT search.
+
+    ``rank`` is :func:`diagonal_rank` (Co-NNT) or :func:`id_rank`
+    (Rand-NNT).  With ``reliable=True`` (set by the runner when a fault
+    plan is active) the two unicast kinds that carry safety — REPLY (a
+    missed one can strand a requester) and CONNECTION (a missed one
+    leaves an asymmetric tree edge) — travel through a
+    :class:`RetryBuffer` ACK/retry layer, so under message loss the
+    recorded tree stays symmetric and every heard candidate is
+    eventually counted.
     """
 
     __slots__ = (
-        "x",
-        "y",
+        "rank",
         "key",
-        "L",
+        "cutoff",
         "done",
         "connected_to",
         "tree_edges",
@@ -65,17 +91,17 @@ class CoNNTNode(NodeProcess):
         "retry",
     )
 
-    def __init__(self, node_id: int, ctx, *, reliable: bool = False) -> None:
+    def __init__(
+        self, node_id: int, ctx, *, rank=diagonal_rank, reliable: bool = False
+    ) -> None:
         super().__init__(node_id, ctx)
+        self.rank = rank
         self.reliable = reliable
         self.retry: RetryBuffer | None = None
 
     def on_start(self) -> None:
         self.retry = RetryBuffer(self.ctx) if self.reliable else None
-        self.x, self.y = self.ctx.coords
-        self.key = diagonal_key(self.x, self.y, self.id)
-        # L_u is locally computable from own coordinates (closed form).
-        self.L = float(potential_distance([[self.x, self.y]])[0])
+        self.key, self.cutoff = self.rank(self.ctx, self.id)
         self.done = False
         self.connected_to: int | None = None
         self.tree_edges: set[int] = set()
@@ -98,7 +124,7 @@ class CoNNTNode(NodeProcess):
             self._phase = int(i)
             radius = min(math.sqrt(2.0**i / max(self.ctx.n_nodes, 1)), math.sqrt(2.0))
             self.last_radius = radius
-            self.ctx.local_broadcast(radius, "REQUEST", self.x, self.y)
+            self.ctx.local_broadcast(radius, "REQUEST", self.key)
         elif signal == "retry_tick":
             if self.retry is not None:
                 self.retry.tick()
@@ -117,9 +143,9 @@ class CoNNTNode(NodeProcess):
             self.tree_edges.add(target)
             self._send(target, "CONNECTION")
             self.done = True
-        elif self.last_radius >= self.L:
-            # Probed the whole potential region and heard nothing: this is
-            # the highest-ranked node (paper: "it terminates anyway").
+        elif self.last_radius >= self.cutoff:
+            # Probed out to the cutoff and heard nothing: this is the
+            # highest-ranked node (paper: "it terminates anyway").
             self.done = True
 
     def _send(self, dst: int, kind: str, *payload) -> None:
@@ -154,8 +180,8 @@ class CoNNTNode(NodeProcess):
         self, kind: str, src: int, payload: tuple, distance: float
     ) -> None:
         if kind == "REQUEST":
-            rx, ry = payload
-            if self.key > diagonal_key(rx, ry, src):
+            (key,) = payload
+            if self.key > key:
                 self._send(src, "REPLY")
         elif kind == "REPLY":
             self._replies.append((distance, src))

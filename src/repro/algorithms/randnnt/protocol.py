@@ -6,89 +6,29 @@ itself against: it needs only O(log n) energy but returns an
 O(log n)-*approximate* MST, whereas EOPT gets the exact MST for the same
 energy order and Co-NNT gets a constant-factor tree with coordinates.
 
-Protocol (coordinate-free — note ``expose_coordinates`` stays False):
+It is the Co-NNT protocol (:mod:`repro.algorithms.connt`) under another
+rank rule, :func:`~repro.algorithms.connt.node.id_rank`: every node's
+rank is its unique id and its cutoff is the square's diameter, on a
+kernel built without ``expose_coordinates``.  The single highest-ranked
+node runs out of radius and terminates unconnected; every other edge
+points strictly uphill in rank, so the result is a spanning tree.
 
-* every node's rank is its unique id (ids are assigned independently of
-  geometry, so they are exchangeable with the random ranks of [15]);
-* in phase ``i`` every unfinished node broadcasts ``REQUEST(rank)`` to
-  radius ``r_i = sqrt(2^i / n)``; higher-ranked listeners reply; the
-  requester connects to the nearest replier (distance read off the
-  radio) and stops;
-* the single highest-ranked node runs out of radius (``r_i`` reaches the
-  unit-square diameter) and terminates unconnected.
-
-The result is a spanning tree: edges point strictly uphill in rank.
 Unlike Co-NNT there is no potential-distance cutoff — without
 coordinates a node cannot bound where its higher-ranked nodes live, which
 is precisely why a few unlucky high-ranked nodes must pay long edges and
-the tree is only O(log n)-approximate.
+the tree is only O(log n)-approximate.  There is no fault-recovery layer
+either: the registry rejects fault plans for Rand-NNT.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.algorithms.base import AlgorithmResult, collect_tree_edges
-from repro.errors import ProtocolError
+from repro.algorithms.base import AlgorithmResult
+from repro.algorithms.connt.node import id_rank
+from repro.algorithms.connt.runner import run_nnt
 from repro.runspec.registry import register_algorithm
-from repro.sim.kernel import SynchronousKernel
-from repro.sim.message import Message
-from repro.sim.node import NodeProcess
 from repro.sim.power import PathLossModel
-
-
-class RandNNTNode(NodeProcess):
-    """One processor running the random-rank doubling-radius search."""
-
-    __slots__ = ("done", "connected_to", "tree_edges", "last_radius", "_replies")
-
-    def on_start(self) -> None:
-        self.done = False
-        self.connected_to: int | None = None
-        self.tree_edges: set[int] = set()
-        self.last_radius = 0.0
-        self._replies: list[tuple[float, int]] = []
-
-    def on_wake(self, signal: str, payload: tuple = ()) -> None:
-        if signal == "probe":
-            if self.done:
-                return
-            (i,) = payload
-            radius = min(
-                math.sqrt(2.0**i / max(self.ctx.n_nodes, 1)), math.sqrt(2.0)
-            )
-            self.last_radius = radius
-            self._replies = []
-            self.ctx.local_broadcast(radius, "REQUEST", self.id)
-        elif signal == "decide":
-            if self.done:
-                return
-            if self._replies:
-                _, target = min(self._replies)
-                self.connected_to = target
-                self.tree_edges.add(target)
-                self.ctx.unicast(target, "CONNECTION")
-                self.done = True
-            elif self.last_radius >= math.sqrt(2.0):
-                # Searched the whole square: nobody outranks this node.
-                self.done = True
-        else:
-            raise ProtocolError(f"unknown wake signal {signal!r}")
-
-    def on_message(self, msg: Message, distance: float) -> None:
-        kind = msg.kind
-        if kind == "REQUEST":
-            (rank,) = msg.payload
-            if self.id > rank:
-                self.ctx.unicast(msg.src, "REPLY")
-        elif kind == "REPLY":
-            self._replies.append((distance, msg.src))
-        elif kind == "CONNECTION":
-            self.tree_edges.add(msg.src)
-        else:
-            raise ProtocolError(f"node {self.id}: unknown message kind {kind!r}")
 
 
 def run_randnnt(
@@ -103,44 +43,7 @@ def run_randnnt(
     Related-Work baseline between GHS (exact, log² n energy) and EOPT
     (exact, log n energy).
     """
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    kernel = SynchronousKernel(
-        pts, max_radius=math.sqrt(2.0), power=power, rx_cost=rx_cost
-    )
-    kernel.add_nodes(RandNNTNode)
-    kernel.start()
-    nodes = kernel.nodes
-
-    max_phase = int(math.ceil(math.log2(2.0 * max(n, 2)))) + 1
-    phase = 0
-    while True:
-        active = [nd.id for nd in nodes if not nd.done]
-        if not active:
-            break
-        phase += 1
-        if phase > max_phase + 1:
-            raise ProtocolError(
-                f"Rand-NNT did not terminate within {max_phase} probe phases"
-            )
-        kernel.wake(active, "probe", (phase,))
-        kernel.run_until_quiescent()
-        kernel.wake(active, "decide")
-        kernel.run_until_quiescent()
-
-    edges = collect_tree_edges((nd.id, nd.tree_edges) for nd in nodes)
-    unconnected = [nd.id for nd in nodes if nd.connected_to is None]
-    return AlgorithmResult(
-        name="Rand-NNT",
-        n=n,
-        tree_edges=edges,
-        stats=kernel.stats(),
-        phases=phase,
-        extras={
-            "unconnected_nodes": unconnected,
-            "max_probe_radius": max((nd.last_radius for nd in nodes), default=0.0),
-        },
-    )
+    return run_nnt(points, "Rand-NNT", id_rank, power=power, rx_cost=rx_cost)
 
 
 # -- runspec registration -----------------------------------------------------

@@ -4,9 +4,11 @@ The retry world fuzzes :class:`~repro.sim.faults.RetryBuffer` bare; this
 world fuzzes it *embedded* — the REPLY/CONNECTION traffic of a real
 Co-NNT run, where the reliable layer carries protocol safety (a missed
 REPLY strands a searcher, a missed CONNECTION leaves an asymmetric tree
-edge).  The driver loop is re-cut into fuzz rules so adversarial crash
-windows and retry bursts can land *between* probe phases, interleavings
-the runner's fixed loop never produces.
+edge).  The world steps the production driver
+(:meth:`~repro.algorithms.connt.runner.NNTRun.steps`) one probe phase or
+idle tick at a time, so adversarial crash windows and retry bursts can
+land *between* probe phases, interleavings the runner's own drain never
+produces, and a driver change reaches the fuzzer with no copy to update.
 
 Invariants at finish (``check_final``) are the retry world's contract
 lifted to the protocol:
@@ -36,8 +38,8 @@ from __future__ import annotations
 
 import math
 
-from repro.algorithms.connt.node import CoNNTNode, diagonal_key
-from repro.algorithms.connt.runner import _reprobe_stranded
+from repro.algorithms.connt.node import NNTNode
+from repro.algorithms.connt.runner import NNTRun
 from repro.errors import ProtocolError
 from repro.fuzz.recorder import RecordingFaultPlane, verify_fate_determinism
 from repro.sim.faults import FaultPlan, RetryBuffer, drain_reliable
@@ -73,7 +75,7 @@ class RecordingRetryBuffer(RetryBuffer):
         return ok
 
 
-class ConntFuzzNode(CoNNTNode):
+class ConntFuzzNode(NNTNode):
     """A reliable Co-NNT node whose retry layer records acceptances."""
 
     __slots__ = ()
@@ -144,12 +146,12 @@ class ConntRetryWorld:
         if record_fates:
             self.kernel.faults = RecordingFaultPlane(self.kernel.faults)
         self.nodes = self.kernel.nodes
-        self.max_phase = int(math.ceil(math.log2(2.0 * max(self.n, 2)))) + 1
+        self.run = NNTRun("Co-NNT", self.kernel, reliable=True)
+        self._driver = self.run.steps()
         #: Generous progress bound: each node decides within its own
         #: ``max_phase + 2`` probes; window stalls burn one tick each
         #: (durations are bounded by the machine's strategy).
-        self.max_steps = 4 * (self.max_phase + 2) + 12 * self.n
-        self.phase = 0
+        self.max_steps = 4 * (self.run.max_phase + 2) + 12 * self.n
         self.steps = 0
         self.windowed: set[int] = {c[0] for c in self.initial_crashes}
         self.ops: list[list] = []
@@ -157,6 +159,11 @@ class ConntRetryWorld:
         self.failed = False
 
     # -- state predicates --------------------------------------------------
+
+    @property
+    def phase(self) -> int:
+        """Probe phases the driver has run so far."""
+        return self.run.phase
 
     @property
     def _plane(self):
@@ -175,46 +182,27 @@ class ConntRetryWorld:
     # -- rules -------------------------------------------------------------
 
     def probe_step(self) -> None:
-        """One protocol phase: probe wave, settle, decide, settle.
-
-        Mirrors the runner's loop body exactly (including per-node phase
-        resumption for nodes that slept through wakes in crash windows),
-        so rule interleavings explore real executions.
-        """
+        """One step of the production driver: a probe phase (probe wave,
+        settle, decide, settle) or, while every searcher sits in a
+        crash window, one idle tick.  A no-op once nobody searches:
+        the driver's re-probe stage belongs to :meth:`finish`."""
         self.ops.append(["probe_step"])
+        self._count_step()
+        if not self.active_searchers():
+            return
+        try:
+            next(self._driver)
+        except Exception:
+            self.failed = True
+            raise
+
+    def _count_step(self) -> None:
         self.steps += 1
         if self.steps > self.max_steps:
             self.failed = True
             raise ProtocolError(
                 f"Co-NNT world made no progress within {self.max_steps} steps"
             )
-        active = self.active_searchers()
-        if not active:
-            return
-        rnd = self.kernel.rounds
-        alive = [i for i in active if not self._plane.crashed(i, rnd)]
-        try:
-            if not alive:
-                # Every searcher is inside a transient window: idle the
-                # clock one round instead of probing nobody.
-                self.kernel.tick()
-                return
-            self.phase += 1
-            groups: dict[int, list[int]] = {}
-            for i in alive:
-                groups.setdefault(
-                    min(self.nodes[i]._phase + 1, self.phase), []
-                ).append(i)
-            for ph in sorted(groups):
-                self.kernel.wake(groups[ph], "probe", (ph,))
-            self.kernel.run_until_quiescent()
-            drain_reliable(self.kernel, self.nodes)
-            self.kernel.wake(alive, "decide")
-            self.kernel.run_until_quiescent()
-            drain_reliable(self.kernel, self.nodes)
-        except Exception:
-            self.failed = True
-            raise
 
     def run_rounds(self, k: int) -> None:
         """Idle the clock (ages crash windows and retry backoffs)."""
@@ -270,35 +258,11 @@ class ConntRetryWorld:
         self.ops.append(["finish"])
         try:
             while self.active_searchers():
-                self.steps += 1
-                if self.steps > self.max_steps:
-                    raise ProtocolError(
-                        f"Co-NNT world did not terminate within "
-                        f"{self.max_steps} steps"
-                    )
-                rnd = self.kernel.rounds
-                alive = [
-                    i
-                    for i in self.active_searchers()
-                    if not self._plane.crashed(i, rnd)
-                ]
-                if not alive:
-                    self.kernel.tick()
-                    continue
-                self.phase += 1
-                groups: dict[int, list[int]] = {}
-                for i in alive:
-                    groups.setdefault(
-                        min(self.nodes[i]._phase + 1, self.phase), []
-                    ).append(i)
-                for ph in sorted(groups):
-                    self.kernel.wake(groups[ph], "probe", (ph,))
-                self.kernel.run_until_quiescent()
-                drain_reliable(self.kernel, self.nodes)
-                self.kernel.wake(alive, "decide")
-                self.kernel.run_until_quiescent()
-                drain_reliable(self.kernel, self.nodes)
-            _reprobe_stranded(self.kernel, self.nodes, self.max_phase)
+                self._count_step()
+                next(self._driver)
+            # The driver's re-probe stage for stranded nodes.
+            for _ in self._driver:
+                pass
             drain_reliable(self.kernel, self.nodes)
             self.finished = True
             self.check_final()
@@ -388,9 +352,7 @@ class ConntRetryWorld:
         # Protocol safety: symmetric, rank-monotone, everyone (but the
         # top-ranked survivor) connected.
         if live:
-            top = max(
-                live, key=lambda nd: diagonal_key(nd.x, nd.y, nd.id)
-            ).id
+            top = max(live, key=lambda nd: nd.key).id
             for nd in live:
                 if nd.id == top:
                     continue
@@ -399,9 +361,7 @@ class ConntRetryWorld:
                     raise ProtocolError(
                         f"live non-top node {nd.id} ended unconnected"
                     )
-                if diagonal_key(
-                    self.nodes[tgt].x, self.nodes[tgt].y, tgt
-                ) <= diagonal_key(nd.x, nd.y, nd.id):
+                if self.nodes[tgt].key <= nd.key:
                     raise ProtocolError(
                         f"node {nd.id} connected downrank to {tgt}"
                     )

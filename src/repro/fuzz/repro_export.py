@@ -37,21 +37,12 @@ def _traced_replay(scenario: dict, *, configs=None) -> list[dict]:
     """Replay a scenario with tracing on; tolerate the expected failure."""
     from repro.fuzz.corpus import replay_scenario
 
-    was_enabled = trace.enabled
-    saved = trace.snapshot()
-    trace.reset()
-    trace.enable()
-    try:
-        replay_scenario(scenario, configs=configs, record_fates=False)
-    except Exception:
-        pass  # the counterexample still reproduces — that's the point
-    finally:
-        events = trace.snapshot()
-        trace.reset()
-        trace.merge(saved)
-        if not was_enabled:
-            trace.disable()
-    return events
+    with trace.isolated() as cap:
+        try:
+            replay_scenario(scenario, configs=configs, record_fates=False)
+        except Exception:
+            pass  # the counterexample still reproduces — that's the point
+    return cap.data
 
 
 def _trace_report(world) -> tuple[str, dict | None]:

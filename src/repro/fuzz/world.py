@@ -268,19 +268,9 @@ class GHSFuzzWorld:
         default kernel, which must take the whole-round phase engine."""
         from repro.algorithms.ghs import run_ghs
 
-        was_on, prev = perf.enabled, perf.snapshot()
-        perf.reset()
-        perf.enable()
-        try:
+        with perf.isolated() as cap:
             res = run_ghs(self.points, radius=self.radius)
-            engaged = perf.counters.get("kernel.turbo_engine_rounds", 0) > 0
-        finally:
-            perf.disable()
-            perf.reset()
-            perf.merge(prev)
-            if was_on:
-                perf.enable()
-        if not engaged:
+        if not cap.data["counters"].get("kernel.turbo_engine_rounds", 0):
             raise ProtocolError("fault-free GHS did not engage the whole-round engine")
         return res.tree_edges, res.stats
 

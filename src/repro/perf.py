@@ -24,7 +24,8 @@ from __future__ import annotations
 import resource
 import sys
 import time
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 #: Counter holding the high-water-mark resident set size in bytes.
 #: It is a *level*, not an event count: :meth:`PerfRegistry.sample_rss`
@@ -73,7 +74,47 @@ class _NullTimed:
 _NULL_TIMED = _NullTimed()
 
 
-class PerfRegistry:
+class Capture:
+    """The data one :meth:`Isolated.isolated` block recorded (set on exit)."""
+
+    __slots__ = ("data",)
+
+    def __init__(self) -> None:
+        self.data: Any = None
+
+
+class Isolated:
+    """``isolated()`` for a registry with the ``enabled`` / ``enable`` /
+    ``disable`` / ``reset`` / ``snapshot`` / ``merge`` lifecycle."""
+
+    __slots__ = ()
+
+    @contextmanager
+    def isolated(self) -> Iterator[Capture]:
+        """Record the ``with`` body alone into this registry.
+
+        The body starts from an empty, enabled registry.  On exit, also
+        when the body raises, its snapshot lands in the yielded
+        :class:`Capture` and the ambient state (enabled flag and data
+        recorded so far) is restored exactly, so an isolated run inside
+        a larger instrumented session never clobbers the session.
+        """
+        was_on, saved = self.enabled, self.snapshot()
+        self.reset()
+        self.enable()
+        cap = Capture()
+        try:
+            yield cap
+        finally:
+            cap.data = self.snapshot()
+            self.disable()
+            self.reset()
+            self.merge(saved)
+            if was_on:
+                self.enable()
+
+
+class PerfRegistry(Isolated):
     """Process-global accumulator of named timers and counters.
 
     Attributes

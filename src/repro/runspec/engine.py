@@ -63,6 +63,7 @@ import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from typing import Iterable
 
 from repro.errors import ExperimentError
@@ -135,36 +136,18 @@ def execute(spec: RunSpec, *, store=None) -> RunReport:
         perf.add("engine.store_misses")
     entry = get(spec.algorithm)
     pts = get_points(spec.n, spec.seed)
-    psnap = tsnap = None
-    if spec.perf:
-        perf_was_on, perf_prev = perf.enabled, perf.snapshot()
-        perf.reset()
-        perf.enable()
-    if spec.trace:
-        trace_was_on, trace_prev = trace.enabled, trace.snapshot()
-        trace.reset()
-        trace.enable()
-    try:
+    # Each registry records the run alone; the ambient state of a larger
+    # instrumented session is restored on exit, also when the run raises.
+    with ExitStack() as stack:
+        pcap = stack.enter_context(perf.isolated()) if spec.perf else None
+        tcap = stack.enter_context(trace.isolated()) if spec.trace else None
         result = dispatch(entry, pts, spec)
-    finally:
-        # Snapshot the run's own data, then restore the ambient registry
-        # state exactly (a spec-managed run inside a larger instrumented
-        # session must not clobber what the session already accumulated).
-        if spec.perf:
-            psnap = perf.snapshot()
-            perf.disable()
-            perf.reset()
-            perf.merge(perf_prev)
-            if perf_was_on:
-                perf.enable()
-        if spec.trace:
-            tsnap = trace.snapshot()
-            trace.disable()
-            trace.reset()
-            trace.merge(trace_prev)
-            if trace_was_on:
-                trace.enable()
-    report = RunReport(spec=spec, result=result, perf=psnap, trace=tsnap)
+    report = RunReport(
+        spec=spec,
+        result=result,
+        perf=pcap.data if pcap is not None else None,
+        trace=tcap.data if tcap is not None else None,
+    )
     if store is not None:
         store.put_report(report)
     return report

@@ -40,6 +40,8 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro.perf import Isolated
+
 __all__ = [
     "TraceRegistry",
     "trace",
@@ -61,7 +63,7 @@ def _copy_event(event: dict) -> dict:
     return out
 
 
-class TraceRegistry:
+class TraceRegistry(Isolated):
     """Process-global, append-only event stream.
 
     Attributes

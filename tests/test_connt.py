@@ -12,6 +12,7 @@ from repro.geometry.ranks import diagonal_ranks
 from repro.mst.delaunay import euclidean_mst
 from repro.mst.nnt import nearest_neighbor_tree
 from repro.mst.quality import same_tree, tree_cost, verify_spanning_tree
+from repro.sim.faults import FaultPlan
 
 
 class TestCorrectness:
@@ -98,3 +99,16 @@ class TestComplexity:
         assert kinds <= {"REQUEST", "REPLY", "CONNECTION"}
         # Every non-top node sends exactly one CONNECTION.
         assert res.stats.messages_by_kind["CONNECTION"] == 99
+
+
+class TestRecovery:
+    def test_crash_window_idle_ticks_are_not_reprobe_attempts(self):
+        """A stranded node down for 250 rounds: the driver idles through
+        the window without spending its re-probe budget, then connects
+        it, so only the top-ranked node ends unconnected."""
+        pts = uniform_points(6, seed=0)
+        plan = FaultPlan(seed=0, drop_rate=0.6, crashes=((3, 94, 344),))
+        res = run_connt(pts, faults=plan)
+        assert int(np.argmax(diagonal_ranks(pts))) == 2
+        assert res.extras["unconnected_nodes"] == [2]
+        assert res.stats.rounds > 344

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.algorithms.base import collect_tree_edges
+from repro.algorithms.connt import run_connt
 from repro.algorithms.ghs import run_ghs, run_modified_ghs
 from repro.errors import ProtocolError
 from repro.experiments.instances import get_points
@@ -254,6 +257,25 @@ class TestRetryFuzzWorld:
         with pytest.raises(ProtocolError, match="unacked"):
             w.crash_forever(3)  # node 1 holds traffic addressed to 3
 
+    @pytest.mark.parametrize(
+        "faults",
+        [{}, {"drop_rate": 0.25, "dup_rate": 0.2}, {"drop_rate": 0.3}],
+        ids=["clean", "drop-dup", "drop"],
+    )
+    def test_finish_runs_the_production_driver(self, faults):
+        """Stepped to the end with no interleaved rules, the world is
+        exactly ``run_connt`` under the world's own plan."""
+        w = ConntRetryWorld(n=9, seed=4, fault_seed=7, **faults)
+        w.finish()
+        res = run_connt(get_points(w.n, w.seed), faults=w.plan)
+        edges = collect_tree_edges((nd.id, nd.tree_edges) for nd in w.nodes)
+        assert np.array_equal(edges, res.tree_edges)
+        stats = w.kernel.stats()
+        assert w.phase == res.phases
+        assert stats.energy_total == res.stats.energy_total
+        assert stats.messages_total == res.stats.messages_total
+        assert stats.rounds == res.stats.rounds
+
     def test_planned_midrun_permanent_death_rejected(self):
         with pytest.raises(ProtocolError, match="start=0"):
             RetryFuzzWorld(n=5, crashes=((0, 3, None),))
@@ -301,6 +323,25 @@ class TestConntRetryWorld:
         assert any(
             nd.retry.accepted for nd in w.nodes if nd.retry is not None
         )
+
+    @pytest.mark.parametrize(
+        "faults",
+        [{}, {"drop_rate": 0.25, "dup_rate": 0.2}, {"drop_rate": 0.3}],
+        ids=["clean", "drop-dup", "drop"],
+    )
+    def test_finish_runs_the_production_driver(self, faults):
+        """Stepped to the end with no interleaved rules, the world is
+        exactly ``run_connt`` under the world's own plan."""
+        w = ConntRetryWorld(n=9, seed=4, fault_seed=7, **faults)
+        w.finish()
+        res = run_connt(get_points(w.n, w.seed), faults=w.plan)
+        edges = collect_tree_edges((nd.id, nd.tree_edges) for nd in w.nodes)
+        assert np.array_equal(edges, res.tree_edges)
+        stats = w.kernel.stats()
+        assert w.phase == res.phases
+        assert stats.energy_total == res.stats.energy_total
+        assert stats.messages_total == res.stats.messages_total
+        assert stats.rounds == res.stats.rounds
 
     def test_planned_midrun_permanent_death_rejected(self):
         with pytest.raises(ProtocolError, match="start=0"):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.geometry.points import uniform_points
 from repro.perf import PerfRegistry, _NULL_TIMED, perf
+from repro.trace import TraceRegistry
 from repro.sim import LegacyKernel
 from repro.sim.faults import FaultPlan
 from repro.sim.interference import ContentionKernel
@@ -171,3 +172,38 @@ def test_merge_folds_snapshots_additively():
     dst.merge(snap)
     assert dst.counters == {"events": 6}
     assert dst.timers["phase"][1] == 2
+
+
+@pytest.mark.parametrize("registry_cls", [PerfRegistry, TraceRegistry])
+@pytest.mark.parametrize("ambient_on", [False, True])
+def test_isolated_restores_ambient_state_even_when_the_body_raises(
+    registry_cls, ambient_on
+):
+    """``isolated()`` records the body alone and puts the ambient switch
+    and data back exactly, on a clean exit and on an exception."""
+
+    def record(reg, label):
+        if isinstance(reg, PerfRegistry):
+            reg.add(label)
+        else:
+            reg.emit(label)
+
+    reg = registry_cls()
+    reg.enable()
+    record(reg, "ambient")
+    if not ambient_on:
+        reg.disable()
+    ambient = reg.snapshot()
+
+    with reg.isolated() as cap:
+        assert reg.enabled and reg.snapshot() != ambient
+        record(reg, "inside")
+    assert (reg.enabled, reg.snapshot()) == (ambient_on, ambient)
+    inside = cap.data
+
+    with pytest.raises(RuntimeError):
+        with reg.isolated() as cap:
+            record(reg, "inside")
+            raise RuntimeError("run failed")
+    assert (reg.enabled, reg.snapshot()) == (ambient_on, ambient)
+    assert cap.data == inside

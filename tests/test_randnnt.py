@@ -13,6 +13,7 @@ from repro.geometry.points import uniform_points
 from repro.mst.delaunay import euclidean_mst
 from repro.mst.nnt import nearest_neighbor_tree
 from repro.mst.quality import same_tree, tree_cost, verify_spanning_tree
+from repro.trace import trace
 
 
 class TestCorrectness:
@@ -52,6 +53,30 @@ class TestCorrectness:
     def test_property_spanning(self, seed, n):
         res = run_randnnt(uniform_points(n, seed=seed))
         verify_spanning_tree(n, res.tree_edges)
+
+
+class TestTrace:
+    def test_traced_run_emits_the_nnt_events(self):
+        """Rand-NNT runs the NNT driver, so it brackets its rounds with
+        the same run_start / probe_phase / run_end events as Co-NNT."""
+        n = 200
+        with trace.isolated() as cap:
+            res = run_randnnt(uniform_points(n, seed=1))
+        events = cap.data
+        assert {k: events[0][k] for k in ("ev", "alg", "n")} == {
+            "ev": "run_start", "alg": "Rand-NNT", "n": n,
+        }
+        phases = [e for e in events if e["ev"] == "probe_phase"]
+        assert len(phases) == res.phases
+        assert [e["phase"] for e in phases] == list(range(1, res.phases + 1))
+        assert phases[0]["searching"] == n
+        end = events[-1]
+        assert end["ev"] == "run_end" and end["alg"] == "Rand-NNT"
+        assert end["phases"] == res.phases
+        assert end["round"] == res.stats.rounds
+        assert end["unconnected"] == 1
+        rounds = [e for e in events if e["ev"] == "round"]
+        assert len(rounds) == res.stats.rounds
 
 
 class TestPositioning:
