@@ -90,8 +90,8 @@ scenario-smoke:
 
 # Run-cache smoke: duplicated sweep through the process backend against
 # a throwaway store — cold/warm timing (>=20x warm gate), byte-identity
-# of cached vs fresh reports, per-worker RSS with and without the SHM
-# fabric.  Writes benchmarks/out/BENCH_cache.json.  See docs/performance.md.
+# of cached vs fresh reports, golden stats diff.  Writes
+# benchmarks/out/BENCH_cache.json.  See docs/performance.md.
 cache-smoke:
 	$(PY) benchmarks/bench_run_cache.py --quick
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Run-cache and instance-fabric smoke: cold vs warm, dedupe, SHM RSS.
+"""Run-cache smoke: cold vs warm, dedupe, byte-identity.
 
 The ``make cache-smoke`` gate for the store layer.  One duplicated
-sweep of specs goes through ``execute_batch`` four ways:
+sweep of specs goes through ``execute_batch`` three ways:
 
 * **cold** — process backend against a fresh sqlite store: every
   distinct spec computes once (in-batch singleflight), duplicates are
@@ -12,10 +12,7 @@ sweep of specs goes through ``execute_batch`` four ways:
   times faster than the cold pass (exit code 1 otherwise);
 * **equivalence** — a storeless serial pass; cold, warm and serial
   reports must be byte-identical JSON (exit code 2: the cache returned
-  something the engine would not have produced);
-* **rss** — a perf-instrumented process pass with the shared-memory
-  fabric on and then forced off (``REPRO_NO_SHM=1``), recording the
-  max per-worker peak RSS either way plus the fabric's segment stats.
+  something the engine would not have produced).
 
 Headline stats per spec are diffed against the committed golden in
 ``benchmarks/golden/run_cache.json`` (exit code 1 on divergence).
@@ -44,10 +41,7 @@ REPO = Path(__file__).resolve().parent.parent
 if str(REPO / "src") not in sys.path:
     sys.path.insert(0, str(REPO / "src"))
 
-import os  # noqa: E402
-
-from repro.perf import PEAK_RSS_COUNTER  # noqa: E402
-from repro.runspec import RunSpec, execute_batch, shutdown  # noqa: E402
+from repro.runspec import RunSpec, execute_batch  # noqa: E402
 from repro.store import ResultStore  # noqa: E402
 
 GOLDEN_PATH = REPO / "benchmarks" / "golden" / "run_cache.json"
@@ -101,22 +95,6 @@ def _timed_batch(specs, store):
     return reports, time.perf_counter() - t0
 
 
-def _max_worker_rss(specs) -> tuple[int, dict]:
-    """Max per-worker peak RSS across a perf-instrumented process batch."""
-    from repro.experiments import fabric
-
-    shutdown()  # fresh pool so the current REPRO_NO_SHM setting applies
-    reports = execute_batch(
-        [s.with_(perf=True) for s in specs], backend="process", workers=WORKERS
-    )
-    peak = max(
-        (r.perf or {}).get("counters", {}).get(PEAK_RSS_COUNTER, 0) for r in reports
-    )
-    stats = fabric.stats()
-    shutdown()
-    return int(peak), stats
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="smaller sweep")
@@ -156,18 +134,6 @@ def main(argv=None) -> int:
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     print(f"cold: {cold_s:.3f}s   warm: {warm_s:.3f}s   speedup: {speedup:.1f}x")
 
-    rss_shm, fabric_shm = _max_worker_rss(specs)
-    os.environ["REPRO_NO_SHM"] = "1"
-    try:
-        rss_noshm, fabric_noshm = _max_worker_rss(specs)
-    finally:
-        os.environ.pop("REPRO_NO_SHM", None)
-    print(
-        f"worker peak RSS: {rss_shm / 1e6:.1f} MB (shm, "
-        f"{fabric_shm['published_segments']} segments) vs "
-        f"{rss_noshm / 1e6:.1f} MB (rebuilt per worker)"
-    )
-
     rows = {
         "sweep": {
             "specs": len(specs),
@@ -180,12 +146,6 @@ def main(argv=None) -> int:
             "cold_s": round(cold_s, 4),
             "warm_s": round(warm_s, 4),
             "warm_speedup": round(speedup, 2),
-        },
-        "rss": {
-            "peak_rss_shm_bytes": rss_shm,
-            "peak_rss_noshm_bytes": rss_noshm,
-            "published_segments": fabric_shm["published_segments"],
-            "published_bytes": fabric_shm.get("published_bytes", 0),
         },
         "stats": {_key(s): _headline(r) for s, r in zip(specs, cold)},
     }

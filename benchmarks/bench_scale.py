@@ -4,10 +4,9 @@
 Runs modified GHS on the default kernel (whole-round phase engine) at
 n in {10^4, 10^5, 10^6}, recording wall time, throughput in nodes/sec,
 round counts and the peak-RSS counter sampled at round boundaries by
-``repro.perf``.  Each row also times an RGG build of its instance with
-:func:`~repro.rgg.build_rgg_chunked` (chunked CSR, memmap spill past the
-threshold, which is what lets the million-node graph fit) and records
-its edge count; the run itself does not read that graph.
+``repro.perf``.  Each row also records the run's own neighbor-table
+build: its edge count (``kernel.nbr_table_entries`` halved) and its
+``kernel.nbr_table_build`` time.
 
 Three gates, each fatal:
 
@@ -47,13 +46,11 @@ REPO = Path(__file__).resolve().parent.parent
 if str(REPO / "src") not in sys.path:
     sys.path.insert(0, str(REPO / "src"))
 
-from repro.experiments.instances import get_points  # noqa: E402
 from repro.geometry.radius import (  # noqa: E402
     PAPER_GHS_RADIUS_CONST,
     connectivity_radius,
 )
 from repro.perf import PEAK_RSS_COUNTER  # noqa: E402
-from repro.rgg import build_rgg_chunked  # noqa: E402
 from repro.runspec import RunSpec, execute  # noqa: E402
 from repro.trace.diff import diff_traces, format_divergence  # noqa: E402
 
@@ -187,19 +184,15 @@ def speedup_gate(reps: int) -> dict:
 
 
 def scale_row(n: int) -> dict:
-    """Build the chunked RGG, run MGHS, record throughput."""
-    r = connectivity_radius(n, PAPER_GHS_RADIUS_CONST)
-    t0 = time.perf_counter()
-    m = int(build_rgg_chunked(get_points(n, SEED), r).m)
-    build_s = time.perf_counter() - t0
+    """Run MGHS, record throughput and its neighbor-table build."""
     report, run_s = _run(n, perf=True)
     counters = report.perf["counters"]
+    build = report.perf["timers"].get("kernel.nbr_table_build", {})
     row = {
         "n": n,
-        "radius": r,
-        "layout": "chunked",
-        "edges": m,
-        "build_s": round(build_s, 3),
+        "radius": connectivity_radius(n, PAPER_GHS_RADIUS_CONST),
+        "edges": int(counters.get("kernel.nbr_table_entries", 0)) // 2,
+        "build_s": round(build.get("total_s", 0.0), 3),
         "run_s": round(run_s, 3),
         "nodes_per_s": round(n / run_s, 1),
         "peak_rss_bytes": int(counters.get(PEAK_RSS_COUNTER, 0)),

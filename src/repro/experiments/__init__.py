@@ -17,13 +17,7 @@ paper's numbers verbatim.
 """
 
 from repro.experiments.config import SweepConfig, PAPER_NS, SMOKE_NS, BENCH_NS
-from repro.experiments.instances import (
-    adopt_points,
-    cache_info,
-    clear_cache,
-    evict_points,
-    get_points,
-)
+from repro.experiments.instances import cache_info, clear_cache, get_points
 from repro.experiments.runner import sweep_energy, EnergySweep
 from repro.experiments.parallel import sweep_energy_parallel
 from repro.experiments.figures import (
@@ -45,8 +39,6 @@ __all__ = [
     "sweep_energy_parallel",
     "EnergySweep",
     "get_points",
-    "adopt_points",
-    "evict_points",
     "cache_info",
     "clear_cache",
     "fig1_percolation",

@@ -10,9 +10,10 @@ array in place.
 
 The cache is a small LRU (instances are cheap to rebuild; the win is
 skipping redundant builds *within* a sweep, not pinning memory forever).
-Worker processes share the cache automatically because it is module-level
-state: with cell-major task ordering and a chunk per cell, one worker
-sees all algorithms of a cell back to back.
+Every process keeps its own cache: a pool worker derives each ``(n,
+seed)`` it is sent exactly as a serial run does, and with cell-major
+task ordering and a chunk per cell, one worker sees all algorithms of a
+cell back to back.
 """
 
 from __future__ import annotations
@@ -52,53 +53,6 @@ def get_points(n: int, seed: int) -> np.ndarray:
     while len(_cache) > _CACHE_SIZE:
         _cache.popitem(last=False)
     return pts
-
-
-def adopt_points(n: int, seed: int, pts: np.ndarray) -> np.ndarray:
-    """Install an externally built instance for ``(n, seed)`` in the cache.
-
-    The shared-memory instance fabric attaches the parent's published
-    array in each worker and adopts it here, so every later
-    :func:`get_points` call serves the attached view instead of
-    rebuilding.  The array must hold exactly ``uniform_points(n,
-    seed=seed)`` — adoption trusts the caller (the fabric publishes from
-    the same builder) and only enforces shape and read-only-ness.
-    Neither a hit nor a miss is counted: nothing was requested yet.
-    """
-    pts = np.asarray(pts, dtype=float)
-    if pts.shape != (int(n), 2):
-        from repro.errors import ExperimentError
-
-        raise ExperimentError(
-            f"adopted instance for (n={n}) has shape {pts.shape}, wanted ({n}, 2)"
-        )
-    if pts.flags.writeable:
-        pts = pts.view()
-        pts.setflags(write=False)
-    key = (int(n), int(seed))
-    _cache[key] = pts
-    _cache.move_to_end(key)
-    while len(_cache) > _CACHE_SIZE:
-        _cache.popitem(last=False)
-    return pts
-
-
-def evict_points(n: int, seed: int, *, only: np.ndarray | None = None) -> None:
-    """Drop the cached instance for ``(n, seed)``, if present.
-
-    With ``only``, the entry is dropped just when it *is* that array
-    (identity, not equality) — the instance fabric uses this to retire
-    exactly the shared-memory view it adopted without disturbing an
-    entry something else has since installed.  The next
-    :func:`get_points` call rebuilds from the seed.
-    """
-    key = (int(n), int(seed))
-    cur = _cache.get(key)
-    if cur is None:
-        return
-    if only is not None and cur is not only:
-        return
-    del _cache[key]
 
 
 def cache_info() -> dict:

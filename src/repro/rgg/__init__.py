@@ -6,7 +6,7 @@ Construction uses a KD-tree, so the cost is O(n log n + |E|) rather than
 O(n^2).
 """
 
-from repro.rgg.build import GeometricGraph, build_rgg, build_rgg_chunked
+from repro.rgg.build import GeometricGraph, build_rgg
 from repro.rgg.components import connected_components, component_sizes, is_connected
 from repro.rgg.connectivity import (
     critical_connectivity_radius,
@@ -17,7 +17,6 @@ from repro.rgg.knn import knn_graph, knn_equivalent_radius
 __all__ = [
     "GeometricGraph",
     "build_rgg",
-    "build_rgg_chunked",
     "connected_components",
     "component_sizes",
     "is_connected",

@@ -8,10 +8,7 @@ and the undirected edge list with Euclidean lengths.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -155,126 +152,6 @@ def build_rgg(points: np.ndarray, radius: float) -> GeometricGraph:
         pairs = np.zeros((0, 2), dtype=np.int64)
         lengths = np.zeros(0)
     return _assemble(pts, float(radius), pairs, lengths)
-
-
-class _ArraySink:
-    """Append-only array accumulator that spills to a scratch memmap.
-
-    Chunks stay in RAM until their cumulative size crosses ``threshold``
-    bytes; from then on everything streams into an unlinked temp file
-    and :meth:`finish` hands back a ``np.memmap`` over it.  Unlinking
-    immediately after mapping means the disk space is reclaimed as soon
-    as the array (and its mapping) is garbage collected — no cleanup
-    protocol leaks scratch files on crash.
-    """
-
-    def __init__(self, dtype, threshold: int | None, workdir: str | None) -> None:
-        self.dtype = np.dtype(dtype)
-        self.threshold = threshold
-        self.workdir = workdir
-        self.chunks: list[np.ndarray] = []
-        self.nbytes = 0
-        self.count = 0
-        self.file = None
-
-    def append(self, arr: np.ndarray) -> None:
-        arr = np.ascontiguousarray(arr, dtype=self.dtype)
-        self.count += arr.size
-        if self.file is not None:
-            self.file.write(arr.tobytes())
-            return
-        self.chunks.append(arr)
-        self.nbytes += arr.nbytes
-        if self.threshold is not None and self.nbytes > self.threshold:
-            self.file = tempfile.NamedTemporaryFile(
-                dir=self.workdir, prefix="rgg-csr-", suffix=".bin", delete=False
-            )
-            for c in self.chunks:
-                self.file.write(c.tobytes())
-            self.chunks = []
-
-    def finish(self) -> np.ndarray:
-        if self.file is None:
-            if not self.chunks:
-                return np.zeros(0, dtype=self.dtype)
-            out = np.concatenate(self.chunks) if len(self.chunks) > 1 else self.chunks[0]
-            self.chunks = []
-            return out
-        self.file.flush()
-        path = self.file.name
-        self.file.close()
-        mm = np.memmap(path, dtype=self.dtype, mode="r+", shape=(self.count,))
-        os.unlink(path)  # POSIX: backing store lives until the map closes
-        return mm
-
-
-def build_rgg_chunked(
-    points: np.ndarray,
-    radius: float,
-    *,
-    chunk_nodes: int = 65536,
-    memmap_threshold_bytes: int | None = 512 << 20,
-    workdir: str | None = None,
-) -> GeometricGraph:
-    """:func:`build_rgg` in bounded memory: chunked queries, memmap spill.
-
-    Produces a graph **identical** to the dense builder — same edge set,
-    same ``(u, v)``-lexicographic edge order, the same float expression
-    for lengths, the same sorted CSR — but never materialises the whole
-    pair list at once.  Nodes are queried against the KD-tree in blocks
-    of ``chunk_nodes``; each block contributes its CSR rows, its
-    ``u < v`` edges and their lengths to append-only sinks that spill to
-    anonymous scratch memmaps once they exceed ``memmap_threshold_bytes``
-    (``None`` = never spill).  Million-node RGGs at the paper's
-    connectivity radius (~10^8 directed entries) build with a resident
-    footprint of one block plus the spill threshold per array.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise GeometryError(f"points must have shape (n, 2), got {pts.shape}")
-    if radius < 0:
-        raise GeometryError(f"radius must be non-negative, got {radius}")
-    if chunk_nodes <= 0:
-        raise GeometryError(f"chunk_nodes must be positive, got {chunk_nodes}")
-    n = len(pts)
-    if n == 0:
-        return _assemble(pts, float(radius), np.zeros((0, 2), dtype=np.int64), np.zeros(0))
-    tree = cKDTree(pts)
-    degrees = np.zeros(n, dtype=np.int64)
-    ind_sink = _ArraySink(np.int64, memmap_threshold_bytes, workdir)
-    edge_sink = _ArraySink(np.int64, memmap_threshold_bytes, workdir)
-    len_sink = _ArraySink(np.float64, memmap_threshold_bytes, workdir)
-    r = float(radius)
-    for lo in range(0, n, chunk_nodes):
-        hi = min(lo + chunk_nodes, n)
-        # Each list is ascending and includes the query point itself
-        # (d = 0 <= r); the self hit is stripped below.
-        lists = tree.query_ball_point(pts[lo:hi], r, return_sorted=True)
-        cnt = np.fromiter((len(l) for l in lists), dtype=np.int64, count=hi - lo)
-        flat = np.fromiter(
-            chain.from_iterable(lists), dtype=np.int64, count=int(cnt.sum())
-        )
-        src = np.repeat(np.arange(lo, hi, dtype=np.int64), cnt)
-        keep = flat != src
-        src, dst = src[keep], flat[keep]
-        degrees[lo:hi] = np.bincount(src - lo, minlength=hi - lo)
-        ind_sink.append(dst)
-        up = dst > src  # each undirected edge once, already (u, v)-sorted
-        eu, ev = src[up], dst[up]
-        edge_sink.append(np.stack([eu, ev], axis=1).ravel())
-        diffs = pts[eu] - pts[ev]
-        # Same float expression as the dense path: bit-identical lengths.
-        len_sink.append(np.sqrt(np.sum(diffs * diffs, axis=1)))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    return GeometricGraph(
-        points=pts,
-        radius=r,
-        edges=edge_sink.finish().reshape(-1, 2),
-        lengths=len_sink.finish(),
-        indptr=indptr,
-        indices=ind_sink.finish(),
-    )
 
 
 def complete_graph(points: np.ndarray) -> GeometricGraph:

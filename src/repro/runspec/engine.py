@@ -22,30 +22,25 @@ have produced (pinned by ``tests/test_store.py`` and the
 :func:`execute_batch` is the one fan-out path.  ``backend="serial"``
 executes in-process; ``backend="process"`` ships each spec to a worker as
 its serialized dict (small, self-describing task payloads — the worker
-re-derives the instance from the seed) and returns the reports in spec
-order.  Three batch-level optimizations sit in front of the fan-out:
+re-derives the instance from the seed through its own per-process
+cache, as a serial run does) and returns the reports in spec order.  Two
+batch-level optimizations sit in front of the fan-out:
 
 * **store consult** — with a store attached, cached specs are answered
   before any task is shipped; only the misses fan out.
 * **singleflight dedupe** — positions holding an identical spec (same
   :meth:`~RunSpec.spec_hash`) are computed once and the report fanned
   back to every position, preserving spec order.
-* **shared-memory instance fabric** — the parent publishes each unique
-  instance (points, and the CSR neighbor table for GHS-family runs)
-  once via :mod:`repro.experiments.fabric`; workers attach read-only
-  instead of rebuilding.  Unavailable shared memory degrades silently
-  to per-worker rebuilds.
 
 One :class:`~concurrent.futures.ProcessPoolExecutor` stays alive at
 module level across batches (spawning workers pays interpreter start-up
 and a cold instance cache otherwise) and is reused as long as it is at
 least as large as the requested worker count; :func:`shutdown` tears it
-down (releasing fabric segments with it), and an ``atexit`` hook reaps
-it at interpreter exit.  When the host cannot spawn a process pool at
-all (sandboxed CI, locked-down containers), the batch degrades to the
-serial backend with a single :class:`RuntimeWarning` **per process**
-instead of raising — every cell is deterministic, so the results are
-identical, only slower.  A long-lived server fanning every request
+down, and an ``atexit`` hook reaps it at interpreter exit.  When the
+host cannot spawn a process pool at all (sandboxed CI, locked-down
+containers), the batch degrades to the serial backend with a single
+:class:`RuntimeWarning` **per process** instead of raising — every cell
+is deterministic, so the results are identical, only slower.  A long-lived server fanning every request
 through here would otherwise log the same warning once per request;
 after the first warning the degraded state is surfaced through
 :func:`pool_state` (the serve layer exposes it in ``/stats``) rather
@@ -186,19 +181,14 @@ def _executor(workers: int) -> ProcessPoolExecutor:
     global _pool, _pool_workers
     with _pool_lock:
         if _pool is None or _pool_workers < workers:
-            _shutdown_pool()
+            shutdown()
             _pool = ProcessPoolExecutor(max_workers=workers)
             _pool_workers = workers
         return _pool
 
 
-def _shutdown_pool() -> None:
-    """Tear down just the process pool (idempotent).
-
-    Deliberately does *not* touch the instance fabric: a pool respawn
-    mid-batch (worker-count growth, failure recovery) must leave the
-    segments the already-shipped manifests reference alive.
-    """
+def shutdown() -> None:
+    """Tear down the shared pool (idempotent; next batch respawns it)."""
     global _pool, _pool_workers
     with _pool_lock:
         if _pool is not None:
@@ -212,24 +202,17 @@ def warm_pool(workers: int | None = None) -> None:
 
     Under the ``fork`` start method the first submit launches every
     worker, so one no-op round trip starts them all.  A server calls this
-    before it accepts connections: a worker forked later inherits every
-    open socket, and a client stream the server has closed would then
-    never reach end of file.  A host that cannot spawn a pool is left to
-    the batch path, which degrades to serial (warn-once).
-
-    The shared-memory resource tracker starts first: workers forked
-    before it exists would each start their own when they attach a
-    fabric segment.
+    before it accepts connections, so its workers hold no copy of a
+    client socket and ``/stats`` reports a live pool from start-up.  A
+    host that cannot spawn a pool is left to the batch path, which
+    degrades to serial (warn-once).
     """
     if workers is None:
         workers = os.cpu_count() or 1
     try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
         _executor(workers).submit(os.getpid).result()
     except _POOL_FAILURES:
-        _shutdown_pool()
+        shutdown()
 
 
 def pool_state() -> dict:
@@ -247,49 +230,21 @@ def pool_state() -> dict:
         }
 
 
-def shutdown() -> None:
-    """Tear down the shared pool (idempotent; next batch respawns it).
-
-    Fabric segments are released with it: the workers holding the
-    attachments are going away, so keeping the parent's shared maps
-    pinned would only defer the unlink to interpreter exit.
-    """
-    _shutdown_pool()
-    try:
-        from repro.experiments import fabric
-
-        fabric.release()
-    except Exception:
-        # Interpreter teardown (this also runs from atexit) may have
-        # already reaped the module; fabric registers its own backstop.
-        pass
-
-
 # A process that batches and exits without calling shutdown() would leak
 # the worker processes until interpreter teardown reaps them (and under
 # some start methods hang joining them).
 atexit.register(shutdown)
 
 
-def _execute_task(task: "dict | tuple") -> RunReport:
+def _execute_task(task: dict) -> RunReport:
     """Worker: one serialized spec -> its report.
 
     Module-level so it pickles under the spawn start method.  The task is
     the spec's JSON dict — small and self-describing; the worker derives
     the instance through its per-process cache and, because the spec
     carries the perf/trace switches, records isolated snapshots that ship
-    back inside the report for the parent to merge.  A task may arrive as
-    ``(spec_dict, manifest)``: the manifest lists shared-memory segments
-    published by the parent, attached (idempotently) before the run so
-    the instance cache serves the parent's arrays instead of rebuilding.
+    back inside the report for the parent to merge.
     """
-    manifest = None
-    if isinstance(task, tuple):
-        task, manifest = task
-    if manifest is not None:
-        from repro.experiments import fabric
-
-        fabric.attach_manifest(manifest)
     return execute(RunSpec.from_dict(task))
 
 
@@ -394,13 +349,7 @@ def _run_batch(
     if workers < 1:
         raise ExperimentError(f"workers must be >= 1, got {workers}")
 
-    from repro.experiments import fabric
-
-    manifest = fabric.manifest_for_specs(specs)
-    if manifest is not None:
-        tasks: list = [(s.to_dict(), manifest) for s in specs]
-    else:
-        tasks = [s.to_dict() for s in specs]
+    tasks = [s.to_dict() for s in specs]
     chunksize = _chunksize(len(tasks), workers, chunk_align)
     try:
         pool = _executor(workers)

@@ -207,6 +207,11 @@ async def _handle_connection(
         pass  # client went away mid-exchange; nothing to salvage
     finally:
         try:
+            # Half-close first: a forked pool worker holding a copy of
+            # this socket would otherwise keep a close-delimited stream
+            # from ever reaching end of stream.
+            if writer.can_write_eof():
+                writer.write_eof()
             writer.close()
             await writer.wait_closed()
         except (ConnectionError, OSError):

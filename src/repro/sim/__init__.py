@@ -29,9 +29,7 @@ from repro.sim.faults import FaultPlan, FaultPlane, RetryBuffer
 from repro.sim.kernel import (
     Context,
     SynchronousKernel,
-    make_neighbor_table,
     neighbor_csr_arrays,
-    set_table_provider,
     table_within_budget,
 )
 from repro.sim.legacy import LegacyKernel
@@ -62,8 +60,6 @@ __all__ = [
     "SynchronousKernel",
     "LegacyKernel",
     "Context",
-    "make_neighbor_table",
     "neighbor_csr_arrays",
-    "set_table_provider",
     "table_within_budget",
 ]

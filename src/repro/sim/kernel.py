@@ -140,8 +140,8 @@ def table_within_budget(n: int, radius: float) -> bool:
     """Whether the density gate admits a CSR table for ``(n, radius)``.
 
     The same budget :meth:`SynchronousKernel._build_neighbor_table`
-    applies; exposed so out-of-process table builders (the shared-memory
-    instance fabric) publish exactly the tables a kernel would build.
+    applies; exposed so a runner can tell up front whether a kernel at
+    ``radius`` will have a table.
     """
     est_entries = n * (n - 1) * min(1.0, math.pi * radius * radius)
     return est_entries <= max(_TABLE_MIN_BUDGET, _TABLE_DEGREE_BUDGET * n)
@@ -158,8 +158,7 @@ def neighbor_csr_arrays(
     ``[i->j | j->i]`` concatenation).  ``rev[e]`` is the index of the
     reverse entry of ``e``.  One sort over unique ``src * 2P + rank``
     keys places all ``2P`` directed entries, and ``rev`` falls out of
-    its inverse.  Plain arrays, so they can be staged in shared memory
-    and rehydrated elsewhere via :func:`make_neighbor_table`.
+    its inverse.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
@@ -229,35 +228,6 @@ def _rank_ties(
     k = k[np.lexsort((k, run))]
     key[k, 0] = pairs[k, 0] * m + q + start
     key[k, 1] = pairs[k, 1] * m + q + start + size
-
-
-def make_neighbor_table(
-    radius: float,
-    indptr: np.ndarray,
-    ids: np.ndarray,
-    dists: np.ndarray,
-    rev: np.ndarray,
-) -> "_NeighborTable":
-    """A neighbor table over its CSR payload arrays.
-
-    The arrays may be views over shared memory; the table never writes
-    to them (its lazy mirrors and caches are private side tables).
-    """
-    return _NeighborTable(float(radius), indptr, ids, dists, rev)
-
-
-#: Optional neighbor-table provider hook: ``fn(points, radius) ->
-#: _NeighborTable | None``.  Consulted before every in-kernel CSR build;
-#: a non-None return is used verbatim.  The shared-memory instance
-#: fabric registers a provider in pool workers so kernels attach the
-#: parent's prebuilt tables instead of re-deriving them.
-_table_provider: Callable | None = None
-
-
-def set_table_provider(fn: Callable | None) -> None:
-    """Install (or clear, with ``None``) the neighbor-table provider."""
-    global _table_provider
-    _table_provider = fn
 
 
 def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -532,14 +502,8 @@ class SynchronousKernel:
             if perf.enabled:
                 perf.add("kernel.nbr_table_fallbacks")
             return _NO_TABLE
-        if _table_provider is not None:
-            table = _table_provider(self.points, r)
-            if table is not None:
-                if perf.enabled:
-                    perf.add("kernel.nbr_table_provided")
-                return table
         with perf.timed("kernel.nbr_table_build"):
-            table = make_neighbor_table(
+            table = _NeighborTable(
                 r, *neighbor_csr_arrays(self.points, r, tree=self._tree)
             )
         if perf.enabled:

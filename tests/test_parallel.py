@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -13,17 +15,6 @@ from repro.experiments.runner import sweep_energy
 from repro.runspec import engine as engine_mod
 
 CFG = SweepConfig(ns=(50, 100), seeds=(0, 1), algorithms=("EOPT", "Co-NNT"))
-
-
-def _attached_table_arrays(manifest, n, seed, radius):
-    """Pool-worker side: attach ``manifest``, copy out one table's payload."""
-    from repro.experiments import fabric
-
-    fabric.attach_manifest(manifest)
-    tbl = fabric._attached[("table", n, seed, float(radius))]
-    return tuple(
-        np.array(a) for a in (tbl.indptr_arr, tbl.ids, tbl.dists, tbl.rev)
-    )
 
 
 class TestParallelSweep:
@@ -202,157 +193,42 @@ class TestAtexitCleanup:
         assert proc.returncode == 0, proc.stderr.decode()
 
 
-class TestInstanceFabric:
-    """The shared-memory instance fabric: zero-copy instance publication
-    for the process backend, with per-worker rebuilds as the always-
-    equivalent fallback."""
+@pytest.mark.parametrize("kernel", ["fast", "legacy"])
+def test_process_reports_match_serial(kernel):
+    """Pool workers derive every instance from ``(n, seed)`` themselves,
+    so a process batch reports byte for byte what a serial one does."""
+    from repro.runspec import RunSpec, execute_batch
 
-    def _specs(self, kernel="fast", n=300):
-        from repro.runspec import RunSpec
-
-        return [
-            RunSpec(algorithm=alg, n=n, seed=seed, kernel=kernel)
-            for alg in ("GHS", "MGHS")
-            for seed in (0, 1)
-        ]
-
-    @pytest.mark.parametrize("kernel", ["fast", "legacy"])
-    def test_shm_and_rebuilt_paths_identical(self, kernel, monkeypatch):
-        """The fabric is a pure accelerator: reports from SHM-attached
-        workers are byte-identical to per-worker-rebuilt ones — with
-        staged tables (the optimized kernel) and points only (the
-        reference kernel rebuilds its table path locally)."""
-        from repro.experiments import fabric
-        from repro.runspec import execute_batch
-
-        specs = self._specs(kernel=kernel)
+    specs = [
+        RunSpec(algorithm=alg, n=300, seed=seed, kernel=kernel)
+        for alg in ("GHS", "MGHS", "EOPT", "Co-NNT")
+        for seed in (0, 1)
+        if kernel == "fast" or alg != "Co-NNT"
+    ]
+    shutdown()
+    try:
+        pooled = execute_batch(specs, backend="process", workers=2)
+    finally:
         shutdown()
-        manifest = fabric.manifest_for_specs(specs)
-        assert manifest is not None
-        has_table = any(e["kind"] == "table" for e in manifest)
-        assert has_table == (kernel == "fast")
-        attached = execute_batch(specs, backend="process", workers=2)
-        assert fabric.stats()["published_segments"] > 0
-        shutdown()
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        assert not fabric.shm_available()
-        rebuilt = execute_batch(specs, backend="process", workers=2)
-        shutdown()
-        for a, b in zip(attached, rebuilt):
-            assert a.to_json() == b.to_json()
+    serial = execute_batch(specs, backend="serial")
+    for a, b in zip(pooled, serial):
+        assert a.to_json() == b.to_json()
 
-    def test_shutdown_unlinks_segments(self):
-        """Pool shutdown releases every published OS segment: the names
-        disappear and a fresh attach fails."""
-        from multiprocessing import shared_memory
 
-        from repro.experiments import fabric
-        from repro.runspec import execute_batch
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
+)
+def test_process_batch_leaves_no_shared_memory_mapped():
+    """A process batch over many distinct specs leaves no POSIX
+    shared-memory segment mapped in the parent once the pool is down."""
+    from repro.runspec import RunSpec, execute_batch
 
-        shutdown()
-        execute_batch(self._specs(), backend="process", workers=2)
-        names = [
-            pub.shm.name
-            for pub in fabric._published.values()
-            if hasattr(pub, "shm")
-        ]
-        assert names
-        shutdown()
-        assert fabric.stats()["published_segments"] == 0
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_pool_failure_releases_segments(self, monkeypatch):
-        """The pool-failure path (worker crash, sandboxed spawn) must not
-        leak segments: the serial fallback still answers, and the OS
-        names are gone afterwards."""
-        from repro.experiments import fabric
-        from repro.runspec import execute_batch
-
-        def no_pool(workers):
-            raise OSError("spawn blocked")
-
-        shutdown()
-        monkeypatch.setattr(engine_mod, "_executor", no_pool)
-        monkeypatch.setattr(engine_mod, "_fallback_warned", False)
-        specs = self._specs()
-        with pytest.warns(RuntimeWarning, match="falling back to the serial"):
-            degraded = execute_batch(specs, backend="process", workers=2)
-        assert fabric.stats()["published_segments"] == 0
-        monkeypatch.undo()
-        shutdown()
-        serial = execute_batch(specs, backend="serial")
-        for a, b in zip(degraded, serial):
-            assert a.to_json() == b.to_json()
-
-    def test_release_retires_adopted_views(self):
-        """After release, the parent instance cache must rebuild instead
-        of serving a retired shared view (use-after-unmap guard)."""
-        import numpy as np
-
-        from repro.experiments import fabric
-        from repro.experiments.instances import get_points
-        from repro.runspec import RunSpec
-
-        shutdown()
-        spec = RunSpec(algorithm="GHS", n=123, seed=7)
-        manifest = fabric.manifest_for_specs([spec])
-        if manifest is None:
-            pytest.skip("shared memory unavailable on this host")
-        shared = get_points(123, 7)
-        fabric.release()
-        rebuilt = get_points(123, 7)
-        assert rebuilt is not shared
-        assert np.array_equal(rebuilt, shared)
-
-    def test_worker_attached_table_carries_rev(self):
-        """A worker's attached table, ``rev`` included, equals the table a
-        kernel builds in-process for the same ``(n, seed, r)``."""
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.experiments import fabric
-        from repro.experiments.instances import get_points
-        from repro.runspec import RunSpec
-        from repro.sim import SynchronousKernel
-
-        shutdown()
-        spec = RunSpec(algorithm="MGHS", n=400, seed=3)
-        manifest = fabric.manifest_for_specs([spec])
-        if manifest is None:
-            pytest.skip("shared memory unavailable on this host")
-        (entry,) = [e for e in manifest if e["kind"] == "table"]
-        assert "shm_rev" in entry
-        r = entry["radius"]
-        # A copy of the points: the kernel builds its own table instead of
-        # being served the published one by the provider hook.
-        pts = np.array(get_points(400, 3))
-        built = SynchronousKernel(pts, max_radius=r).neighbor_table()
-        try:
-            ctx = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-                got = pool.submit(
-                    _attached_table_arrays, manifest, 400, 3, r
-                ).result()
-        finally:
-            shutdown()
-        want = (built.indptr_arr, built.ids, built.dists, built.rev)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            np.testing.assert_array_equal(g, w)
-
-    def test_attach_of_missing_segment_degrades(self):
-        """A worker racing an eviction just rebuilds locally."""
-        from repro.experiments import fabric
-        from repro.experiments.instances import get_points
-
-        before = len(fabric._attached)
-        fabric.attach_manifest(
-            [{"kind": "points", "n": 50, "seed": 0, "shm": "psm_gone_gone"}]
-        )
-        assert len(fabric._attached) == before
-        assert get_points(50, 0).shape == (50, 2)
+    specs = [RunSpec(algorithm="MGHS", n=200, seed=seed) for seed in range(12)]
+    shutdown()
+    execute_batch(specs, backend="process", workers=2)
+    shutdown()
+    with open("/proc/self/maps") as fh:
+        assert [line for line in fh if "/dev/shm/" in line] == []
 
 
 class TestSerialFallback:

@@ -342,6 +342,65 @@ def test_events_stream_ends_across_first_pool_compute(monkeypatch):
     assert kinds[0] == "queued" and kinds[-1] == "done"
 
 
+def test_events_stream_ends_when_pool_respawns_mid_stream(monkeypatch):
+    """An ``/events`` stream still reaches end of stream when the pool is
+    re-forked while it is open (as after a crashed worker): the new
+    workers inherit the client socket, so only the server's half-close
+    can end the stream."""
+    import http.client
+    import threading
+
+    from repro.runspec import engine as engine_mod
+    from repro.serve import broker as broker_mod
+
+    opened = threading.Event()
+    real = broker_mod.execute_batch
+
+    def respawn_after_stream_opens(*args, **kwargs):
+        assert opened.wait(30), "the /events stream never opened"
+        engine_mod.shutdown()  # the batch below forks a fresh pool
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(broker_mod, "execute_batch", respawn_after_stream_opens)
+
+    def stream(port: int, job_id: str) -> list[str]:
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=15)
+        try:
+            conn.request("GET", f"/runs/{job_id}/events")
+            resp = conn.getresponse()
+            first = resp.readline()  # the server now holds this socket
+            opened.set()
+            rest = resp.read()  # returns at end of stream; times out if hung
+        finally:
+            conn.close()
+        lines = (first + rest).decode().splitlines()
+        return [json.loads(line)["event"] for line in lines]
+
+    async def main():
+        server, app = await create_app("127.0.0.1", 0, backend="process", workers=1)
+        port = server.sockets[0].getsockname()[1]
+        base = f"http://127.0.0.1:{port}"
+        loop = asyncio.get_event_loop()
+        try:
+            spec = {"algorithm": "MGHS", "n": 60, "seed": 4}
+            status, body = await loop.run_in_executor(
+                None, _http, base, "POST", "/runs", spec
+            )
+            assert status == 201
+            job_id = json.loads(body)["id"]
+            return await loop.run_in_executor(None, stream, port, job_id)
+        finally:
+            server.close()
+            await server.wait_closed()
+            await app.broker.close()
+
+    try:
+        kinds = asyncio.run(main())
+    finally:
+        engine_mod.shutdown()
+    assert kinds[0] == "queued" and kinds[-1] == "done"
+
+
 class TestCancellation:
     def test_cancel_queued_job_via_http(self):
         # A broker that was never started keeps jobs QUEUED forever —

@@ -1,12 +1,10 @@
-"""Whole-round engine unit tests: chunked CSR, engagement, registry.
+"""Whole-round engine unit tests: engagement, waves, registry.
 
 The end-to-end observational contract lives in
 ``tests/test_hotpath_equivalence.py`` (parametrized over every registered
 backend).  This module pins the engine's supporting mechanisms in
 isolation:
 
-* chunked / memory-mapped CSR builds round-trip bit-identically to the
-  dense builder;
 * the whole-round phase engine engages on eligible default-kernel runs
   (and only then); its MOE cursor agrees with ``FloodCache.moe_batch``,
   it leaves the same flood cache as the per-message phase loop, and a
@@ -33,48 +31,8 @@ import pytest
 from repro.errors import ExperimentError, ProtocolError
 from repro.geometry.points import uniform_points
 from repro.perf import PEAK_RSS_COUNTER, perf
-from repro.rgg import build_rgg, build_rgg_chunked
 from repro.sim import LegacyKernel, SynchronousKernel, kernel_class, kernel_names
 from repro.sim.faults import FaultPlan
-
-
-# -- chunked CSR round trips --------------------------------------------------
-
-
-class TestChunkedCSR:
-    @pytest.mark.parametrize("n,seed,r", [(500, 0, 0.08), (977, 7, 0.3)])
-    def test_chunked_matches_dense(self, n, seed, r):
-        pts = uniform_points(n, seed=seed)
-        dense = build_rgg(pts, r)
-        # Odd chunk size forces several partial blocks.
-        chunked = build_rgg_chunked(pts, r, chunk_nodes=173)
-        assert np.array_equal(dense.edges, chunked.edges)
-        assert np.array_equal(dense.lengths, chunked.lengths)
-        assert np.array_equal(dense.indptr, chunked.indptr)
-        assert np.array_equal(dense.indices, chunked.indices)
-
-    def test_memmap_spill_round_trip(self, tmp_path):
-        pts = uniform_points(600, seed=4)
-        dense = build_rgg(pts, 0.1)
-        spilled = build_rgg_chunked(
-            pts, 0.1, chunk_nodes=100, memmap_threshold_bytes=64,
-            workdir=str(tmp_path),
-        )
-        assert isinstance(spilled.indices, np.memmap)
-        assert isinstance(spilled.edges.base, np.memmap)
-        assert np.array_equal(dense.indices, spilled.indices)
-        assert np.array_equal(dense.edges, spilled.edges)
-        assert np.array_equal(dense.lengths, spilled.lengths)
-        # Scratch files are unlinked immediately: nothing left behind.
-        assert list(tmp_path.iterdir()) == []
-
-    def test_empty_and_validation(self):
-        g = build_rgg_chunked(np.zeros((0, 2)), 0.1)
-        assert g.n == 0 and g.m == 0
-        from repro.errors import GeometryError
-
-        with pytest.raises(GeometryError):
-            build_rgg_chunked(np.zeros((4, 2)), 0.1, chunk_nodes=0)
 
 
 # -- phase engine engagement --------------------------------------------------
