@@ -11,13 +11,17 @@ neighbors sorted by distance; slot ``j`` in that row is the edge
 ``(i, ids[j])``.  The cache keeps, per slot,
 
 * ``fid[j]``   — the fragment id ``i`` last heard from ``ids[j]``
-  (``-1`` = never heard, the numpy stand-in for "absent from the dict");
+  (``-1`` = never heard, the numpy stand-in for "absent from the dict"),
+  in the table's slot dtype (a fragment id is a node id);
 * ``known[j]`` — whether ``i`` has heard from ``ids[j]`` at all (the
   dict-membership bit: a HELLO at radius ``r < max_radius`` only reaches
   a prefix of each row);
 * ``lo[j]`` / ``hi[j]`` — ``min``/``max`` of the edge's endpoint ids,
-  precomputed so the globally consistent edge key
-  ``(distance, lo, hi)`` is a gather away.
+  so the globally consistent edge key ``(distance, lo, hi)`` is a
+  gather away.  Built on first read: only the per-message path
+  (:meth:`FloodCache.attach`, :meth:`FloodCache.moe_batch`) reads them,
+  and the engine derives the key of the few slots it picks from
+  ``ids``.
 
 Delivery (:meth:`FloodCache.on_plane`) maps the plane's sender-major edge
 indices through the table's reverse permutation to recipient-side slots
@@ -57,21 +61,35 @@ PLANE_KINDS = ("HELLO", "ANNOUNCE")
 class FloodCache:
     """Shared, table-aligned neighbour/fragment cache for all nodes."""
 
-    __slots__ = ("table", "indptr", "ids", "dists", "lo", "hi", "fid", "known")
+    __slots__ = ("table", "indptr", "ids", "dists", "fid", "known", "_lohi")
 
     def __init__(self, table) -> None:
         self.table = table
         self.indptr = table.indptr_arr
         self.ids = table.ids
         self.dists = table.dists
-        m = len(self.ids)
-        n = len(self.indptr) - 1
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-        ids64 = self.ids.astype(np.int64, copy=False)
-        self.lo = np.minimum(src, ids64)
-        self.hi = np.maximum(src, ids64)
-        self.fid = np.full(m, -1, dtype=np.int64)
-        self.known = np.zeros(m, dtype=bool)
+        self.fid = np.full(len(self.ids), -1, dtype=self.ids.dtype)
+        self.known = np.zeros(len(self.ids), dtype=bool)
+        self._lohi: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def lo(self) -> np.ndarray:
+        """``min`` of each slot's endpoint ids (built on first read)."""
+        return self._edge_keys()[0]
+
+    @property
+    def hi(self) -> np.ndarray:
+        """``max`` of each slot's endpoint ids (built on first read)."""
+        return self._edge_keys()[1]
+
+    def _edge_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._lohi is None:
+            src = np.repeat(
+                np.arange(len(self.indptr) - 1, dtype=self.ids.dtype),
+                np.diff(self.indptr),
+            )
+            self._lohi = (np.minimum(src, self.ids), np.maximum(src, self.ids))
+        return self._lohi
 
     @classmethod
     def ensure(cls, kernel) -> "FloodCache | None":
@@ -120,7 +138,8 @@ class FloodCache:
         if kind not in PLANE_KINDS:
             raise SimulationError(f"flood cache cannot apply plane kind {kind!r}")
         slots = table.rev[edge_idx]
-        self.fid[slots] = np.repeat(payloads, counts)
+        sent = payloads.astype(self.fid.dtype, copy=False)
+        self.fid[slots] = np.repeat(sent, counts)
         self.known[slots] = True
 
     # -- modified-mode MOE search ----------------------------------------------

@@ -466,11 +466,10 @@ class TurboPhaseEngine:
         """
         c = self.cache
         m = self.ann_mask
+        sent = self._sent_fids()
         if m is None:
-            return bool(c.known.all()) and np.array_equal(c.fid, self.fid[c.ids])
-        return np.array_equal(c.known, m) and np.array_equal(
-            c.fid[m], self.fid[c.ids[m]]
-        )
+            return bool(c.known.all()) and np.array_equal(c.fid, sent[c.ids])
+        return np.array_equal(c.known, m) and np.array_equal(c.fid[m], sent[c.ids[m]])
 
     def probes_ready(self) -> bool:
         """The original-mode entry check.
@@ -493,10 +492,16 @@ class TurboPhaseEngine:
         """Derive ``cache.fid`` from ``fid``: each sender's last ANNOUNCE."""
         c = self.cache
         m = self.ann_mask
+        sent = self._sent_fids()
         if m is None:
-            np.take(self.fid, c.ids, out=c.fid)
+            c.fid[:] = sent[c.ids]
         else:
-            c.fid[m] = self.fid[c.ids[m]]
+            c.fid[m] = sent[c.ids[m]]
+
+    def _sent_fids(self) -> np.ndarray:
+        """``fid`` in the cache's slot dtype, so slot-sized gathers from it
+        stay in that dtype (``np.take`` would also widen the indices)."""
+        return self.fid.astype(self.cache.fid.dtype)
 
     #: Walk positions one cursor step examines per still-scanning node.
     _WINDOW = 8
@@ -567,10 +572,11 @@ class TurboPhaseEngine:
         pos, found = self._walk(parts, self.cur[parts])
         has = np.flatnonzero(found)
         j = self._slot(pos[has])
-        cand[has] = c.ids[j]
+        u, nb = parts[has], c.ids[j]
+        cand[has] = nb
         kdist[has] = c.dists[j]
-        klo[has] = c.lo[j]
-        khi[has] = c.hi[j]
+        klo[has] = np.minimum(u, nb)
+        khi[has] = np.maximum(u, nb)
         return cand, kdist, klo, khi
 
     # -- geometry ----------------------------------------------------------
@@ -616,8 +622,9 @@ class TurboPhaseEngine:
             allc = self.edge_chunks[0]
         # Dedup (protocol adds each direction at its own endpoint; the
         # reciprocal-CONNECT core adds one direction twice) and sort so
-        # each row enumerates neighbours ascending.
-        keys = sorted_unique(allc[0] * n + allc[1])
+        # each row enumerates neighbours ascending.  The keys need int64
+        # (u * n wraps int32 from n = 46,341), whatever the slot dtype.
+        keys = sorted_unique(allc[0].astype(np.int64, copy=False) * n + allc[1])
         u = keys // n
         self.t_adj = keys % n
         self.t_indptr = np.zeros(n + 1, dtype=np.int64)
@@ -1225,10 +1232,11 @@ class TurboPhaseEngine:
         au = dst[a]
         if len(au):
             j = self._slot(self.cur[au])
-            self.cand_nb[au] = c.ids[j]
+            nb = c.ids[j]
+            self.cand_nb[au] = nb
             self.cand_d[au] = c.dists[j]
-            self.cand_lo[au] = c.lo[j]
-            self.cand_hi[au] = c.hi[j]
+            self.cand_lo[au] = np.minimum(au, nb)
+            self.cand_hi[au] = np.maximum(au, nb)
             end_u = np.concatenate((end_u, au))
             end_q = np.concatenate((end_q, seq[a]))
         if len(end_u):

@@ -21,6 +21,7 @@ so ``--perf`` on a parallel sweep reports the whole sweep.
 
 from __future__ import annotations
 
+import os
 import resource
 import sys
 import time
@@ -35,10 +36,30 @@ PEAK_RSS_COUNTER = "mem.peak_rss_bytes"
 #: ``ru_maxrss`` unit: kilobytes on Linux, bytes on macOS.
 _RU_MAXRSS_SCALE = 1 if sys.platform == "darwin" else 1024
 
+#: ``/proc/self/statm`` unit: pages.
+_PAGE_SIZE = resource.getpagesize()
+
 
 def peak_rss_bytes() -> int:
     """The process's peak resident set size, in bytes."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * _RU_MAXRSS_SCALE
+
+
+def current_rss_bytes() -> int:
+    """The process's resident set size now (VmRSS), in bytes.
+
+    Read from ``/proc/self/statm``; where that file is absent, falls
+    back to the process-lifetime peak :func:`peak_rss_bytes`.
+    """
+    try:
+        fd = os.open("/proc/self/statm", os.O_RDONLY)
+    except OSError:
+        return peak_rss_bytes()
+    try:
+        statm = os.read(fd, 128)
+    finally:
+        os.close(fd)
+    return int(statm.split()[1]) * _PAGE_SIZE
 
 
 class _Timed:
@@ -176,17 +197,19 @@ class PerfRegistry(Isolated):
         self.counters[name] = self.counters.get(name, 0) + value
 
     def sample_rss(self) -> None:
-        """Record the current peak RSS under :data:`PEAK_RSS_COUNTER`.
+        """Record the current RSS under :data:`PEAK_RSS_COUNTER`.
 
-        Sampled at round boundaries by the kernels (one ``getrusage``
-        call per round, behind the same ``if perf.enabled`` guard as the
-        round counters — the zero-cost-when-off contract holds).  The
-        counter keeps the maximum seen, so sampling is idempotent and
-        order-free.
+        Sampled at round boundaries by the kernels (one
+        :func:`current_rss_bytes` read per round, behind the same ``if
+        perf.enabled`` guard as the round counters — the zero-cost-when-off
+        contract holds).  The counter keeps the maximum seen since the
+        last :meth:`reset`, so sampling is idempotent and order-free, and
+        a run's peak does not include what earlier runs in the process
+        held.
         """
         if not self.enabled:
             return
-        rss = peak_rss_bytes()
+        rss = current_rss_bytes()
         if rss > self.counters.get(PEAK_RSS_COUNTER, 0):
             self.counters[PEAK_RSS_COUNTER] = rss
 

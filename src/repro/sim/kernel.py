@@ -23,9 +23,12 @@ Hot-path layout (see docs/performance.md for the full story):
 * **Neighbor table** — a CSR array of (neighbor id, distance) per node,
   sorted by distance, plus the reverse-edge permutation ``rev`` that
   flood planes use.  Built lazily from one ``cKDTree.query_pairs`` call:
-  one argsort ranks the pair distances, one argsort over unique
-  ``src * 2P + rank`` keys places every directed entry, and ``rev``
-  falls out of that permutation's inverse.  Invalidated only when
+  one argsort ranks the pair distances, a stable radix bucket by source
+  places the directed entries (listed in that rank order) into their
+  rows, and ``rev`` falls out of that permutation's inverse.  Neighbor
+  ids and ``rev`` are int32 whenever the node and entry counts fit
+  (:func:`slot_dtype`), so a table costs 16 bytes per directed entry
+  (int32 id and reverse index, float64 distance).  Invalidated only when
   ``set_max_radius`` *raises* the power cap.
   ``local_broadcast`` becomes a cached-slice lookup plus one
   ``searchsorted`` cutoff; ``unicast`` reads a cached distance.  Kernels
@@ -147,6 +150,33 @@ def table_within_budget(n: int, radius: float) -> bool:
     return est_entries <= max(_TABLE_MIN_BUDGET, _TABLE_DEGREE_BUDGET * n)
 
 
+def slot_dtype(n: int, entries: int) -> np.dtype:
+    """The dtype of a table's ``ids`` and ``rev`` and of slot-aligned arrays.
+
+    int32 when both ``n`` and ``entries`` are below ``2**31``, so every
+    node id and every entry index fits; int64 otherwise.  The density
+    gate caps ``entries`` at about ``128 n``, so int32 covers every
+    table up to n ~ 1.6 * 10^7.
+    """
+    return np.dtype(np.int32 if max(n, entries) < 2**31 else np.int64)
+
+
+def radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
+
+    numpy's stable argsort is a radix sort only for keys of 16 bits or
+    fewer (timsort above that), so wider keys take one stable 16-bit
+    pass per digit, least significant first.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while bound > 1 << shift:
+        digit = (keys >> shift).astype(np.uint16)[order]
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
 def neighbor_csr_arrays(
     points: np.ndarray, radius: float, *, tree: "cKDTree | None" = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -156,9 +186,14 @@ def neighbor_csr_arrays(
     ``query_pairs`` order, every ``i -> j`` entry of a pair ``(i, j)``
     ahead of every ``j -> i`` one (a stable ``(src, dist)`` sort of the
     ``[i->j | j->i]`` concatenation).  ``rev[e]`` is the index of the
-    reverse entry of ``e``.  One sort over unique ``src * 2P + rank``
-    keys places all ``2P`` directed entries, and ``rev`` falls out of
-    its inverse.
+    reverse entry of ``e``.  ``indptr`` is int64 and ``dists`` float64;
+    ``ids`` and ``rev`` take :func:`slot_dtype`.
+
+    The build lists the ``2P`` directed entries in global rank order
+    (pair by pair in distance order, both directions of a pair adjacent,
+    tie runs fixed up by :func:`_rank_ties`) and places them with one
+    stable bucket by source (:func:`radix_argsort`); ``rev`` falls out
+    of that permutation's inverse.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
@@ -167,56 +202,56 @@ def neighbor_csr_arrays(
     pairs = tree.query_pairs(radius, output_type="ndarray")
     p = len(pairs)
     m = 2 * p
+    dt = slot_dtype(n, m)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(pairs.ravel(), minlength=n), out=indptr[1:])
     # Entry 2k + h of the flat pair list is pairs[k, h] -> pairs[k, 1 - h].
-    diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
-    dx, dy = diff[:, 0], diff[:, 1]
+    flat = pairs.astype(dt).ravel()
+    del pairs
     # Same float expression as the scalar unicast path, so the cached
     # distances are bit-identical to recomputation (in both directions:
     # fl(a - b) == -fl(b - a)).
-    d = np.sqrt(dx * dx + dy * dy)
-    del diff, dx, dy
+    i, j = flat[0::2], flat[1::2]
+    d = pts[i, 0] - pts[j, 0]
+    d *= d
+    dy = pts[i, 1] - pts[j, 1]
+    dy *= dy
+    d += dy
+    del dy, i, j
+    np.sqrt(d, out=d)
     # Need not be stable: _rank_ties orders each run of ties by pair index.
     by_d = np.argsort(d)
-    rank = np.empty(p, dtype=np.int64)
-    rank[by_d] = np.arange(0, m, 2, dtype=np.int64)
-    key = pairs * m
-    key[:, 0] += rank
-    rank += 1
-    key[:, 1] += rank
-    del rank
+    # ranked[r] = the entry of rank r: 2 by_d[q] + h at rank 2q + h.
+    ranked = np.repeat(by_d.astype(dt) * 2, 2)
+    ranked[1::2] += 1
     d_sorted = d[by_d]
     eq = d_sorted[1:] == d_sorted[:-1]
     del d_sorted
     if eq.any():
-        _rank_ties(key, pairs, by_d, eq)
+        _rank_ties(ranked, by_d, eq)
     del by_d, eq
-    # Keys are below n * 2P, which fits int64 for any table the density
-    # gate admits (2P ~ 128 n).
-    order = np.argsort(key.ravel())
-    del key
-    inv = np.empty_like(order)
-    inv[order] = np.arange(m, dtype=order.dtype)
+    # A stable bucket by source keeps rank order within each row.
+    place = radix_argsort(flat[ranked], n)
+    order = ranked[place]
+    del ranked, place
+    inv = np.empty(m, dtype=dt)
+    inv[order] = np.arange(m, dtype=dt)
     dists = d[order >> 1]
     del d
     order ^= 1  # each slot's reverse entry
-    ids = pairs.ravel()[order]
+    ids = flat[order]
     rev = inv[order]
     return indptr, ids, dists, rev
 
 
-def _rank_ties(
-    key: np.ndarray, pairs: np.ndarray, by_d: np.ndarray, eq: np.ndarray
-) -> None:
-    """Re-key, in place, the pairs whose distance ties with another pair's.
+def _rank_ties(ranked: np.ndarray, by_d: np.ndarray, eq: np.ndarray) -> None:
+    """Re-rank, in place, the pairs whose distance ties with another pair's.
 
     ``eq[q]`` says ``by_d`` positions ``q`` and ``q + 1`` hold equal
     distances.  A run at positions ``s..s+g-1`` ranks by pair index, all
-    ``i -> j`` entries first: ``2s + h*g + t`` for the ``t``-th pair of
-    the run and half ``h``.
+    ``i -> j`` entries first: the ``t``-th pair ``k`` of the run puts
+    entry ``2k + h`` at rank ``2s + h*g + t``.
     """
-    m = 2 * len(pairs)
     tied = np.flatnonzero(eq)
     q = np.union1d(tied, tied + 1)
     first = np.ones(len(q), dtype=bool)
@@ -225,9 +260,10 @@ def _rank_ties(
     start = q[first][run]
     size = np.diff(np.append(np.flatnonzero(first), len(q)))[run]
     k = by_d[q]
-    k = k[np.lexsort((k, run))]
-    key[k, 0] = pairs[k, 0] * m + q + start
-    key[k, 1] = pairs[k, 1] * m + q + start + size
+    k = 2 * k[np.lexsort((k, run))]
+    at = q + start
+    ranked[at] = k
+    ranked[at + size] = k + 1
 
 
 def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -235,14 +271,20 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
     Vectorized multi-``arange``: the result lists every index of every
     range, in range order.  Zero-length ranges are skipped naturally.
+    The output is the only allocation of its size: ones, with the jump
+    to each range's start written at that range's head, cumulatively
+    summed in place.
     """
     counts = ends - starts
-    total = int(counts.sum())
-    if total == 0:
+    nz = counts > 0
+    starts, ends, counts = starts[nz], ends[nz], counts[nz]
+    if len(counts) == 0:
         return np.empty(0, dtype=np.intp)
-    out = np.repeat(starts.astype(np.intp, copy=False), counts)
-    shift = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    out += np.arange(total, dtype=np.intp) - np.repeat(shift, counts)
+    heads = np.cumsum(counts)
+    out = np.ones(int(heads[-1]), dtype=np.intp)
+    out[0] = starts[0]
+    out[heads[:-1]] = starts[1:] - ends[:-1] + 1
+    np.cumsum(out, out=out)
     return out
 
 
@@ -260,7 +302,7 @@ class _NeighborTable:
     The mirrors are built lazily: at n=10^6 an RGG table holds ~10^8
     entries and the eager ``tolist()`` copies alone cost multiple GB,
     while the only consumer of the full mirrors is the legacy kernel's
-    flat broadcast path (``tolist`` of a float64/intp array yields the
+    flat broadcast path (``tolist`` of a float64/int32 array yields the
     same native values either way, so laziness is unobservable).
     """
 

@@ -50,6 +50,31 @@ def test_concat_ranges_matches_manual_aranges():
     np.testing.assert_array_equal(concat_ranges(starts, ends), expected)
 
 
+def _aranges(starts, ends):
+    parts = [np.arange(s, e, dtype=np.intp) for s, e in zip(starts, ends)]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+
+
+@pytest.mark.parametrize(
+    "starts, ends",
+    [
+        ([3, 0, 7], [3, 4, 9]),  # leading empty range
+        ([0, 5, 8], [2, 7, 8]),  # trailing empty range
+        ([10, 4, 4, 0], [12, 4, 6, 3]),  # interior empty range, descending
+        ([6], [11]),  # a single range
+        ([0, 100, 40], [3, 104, 41]),  # non-adjacent, jumping back
+        ([2, 0, 3, 3], [6, 5, 4, 9]),  # overlapping
+        ([5, 5, 0], [5, 6, 0]),  # empties around a one-element range
+    ],
+)
+def test_concat_ranges_edge_cases(starts, ends):
+    starts = np.array(starts, dtype=np.int64)
+    ends = np.array(ends, dtype=np.int64)
+    out = concat_ranges(starts, ends)
+    assert out.dtype == np.intp
+    np.testing.assert_array_equal(out, _aranges(starts, ends))
+
+
 def test_concat_ranges_all_empty():
     starts = np.array([4, 7], dtype=np.intp)
     ends = np.array([4, 7], dtype=np.intp)

@@ -1,18 +1,25 @@
-"""The one-sort CSR neighbor table, pinned bit for bit to a two-sort reference.
+"""The radix-placed CSR neighbor table, pinned bit for bit to a two-sort reference.
 
 :func:`repro.sim.kernel.neighbor_csr_arrays` builds ``(indptr, ids,
-dists, rev)`` with one argsort over unique ``src * 2P + rank`` keys and
-reads ``rev`` off the inverse permutation.  The reference below is the
-direct formula: a ``lexsort((dist, src))`` over the ``[i->j | j->i]``
-concatenation of the ``query_pairs`` output, then two more lexsorts for
-the reverse permutation.  Every array must match it exactly, dtype
-included, on uniform instances, exact-distance ties, coincident points,
-degenerate sizes and the density gate's threshold.
+dists, rev)`` by listing the directed entries in global rank order and
+placing them with one stable bucket by source
+(:func:`~repro.sim.kernel.radix_argsort`: one 16-bit pass up to 65,536
+nodes, two above), and reads ``rev`` off the inverse permutation.  The
+reference below is the direct formula: a ``lexsort((dist, src))`` over
+the ``[i->j | j->i]`` concatenation of the ``query_pairs`` output, then
+two more lexsorts for the reverse permutation.  Every array must match
+it exactly on uniform instances, exact-distance ties, coincident
+points, degenerate sizes, both radix paths and the density gate's
+threshold.  ``indptr`` and ``dists`` keep the reference's int64 and
+float64; ``ids`` and ``rev`` hold the same values in the int32 slot
+dtype (:func:`~repro.sim.kernel.slot_dtype`).  A tracemalloc guard
+bounds the build's peak bytes per directed entry.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +29,15 @@ from repro.geometry.points import uniform_points
 from repro.geometry.radius import connectivity_radius, giant_radius
 from repro.sim import SynchronousKernel
 from repro.sim import kernel as kernel_mod
-from repro.sim.kernel import neighbor_csr_arrays, table_within_budget
+from repro.sim.kernel import (
+    neighbor_csr_arrays,
+    radix_argsort,
+    slot_dtype,
+    table_within_budget,
+)
+
+#: Dtypes of ``(indptr, ids, dists, rev)`` for every table these tests build.
+TABLE_DTYPES = (np.int64, np.int32, np.float64, np.int32)
 
 
 def reference_csr(points, radius):
@@ -59,12 +74,13 @@ def reference_csr(points, radius):
 
 
 def assert_pinned(points, radius):
-    """The one-sort build equals the reference, array and dtype."""
+    """The radix-placed build equals the reference, value for value."""
     got = neighbor_csr_arrays(points, radius)
     want = reference_csr(points, radius)
     assert len(got) == 4
-    for name, g, w in zip(("indptr", "ids", "dists", "rev"), got, want):
-        assert g.dtype == w.dtype, name
+    names = ("indptr", "ids", "dists", "rev")
+    for name, g, w, dt in zip(names, got, want, TABLE_DTYPES):
+        assert g.dtype == dt, name
         np.testing.assert_array_equal(g, w, err_msg=name)
     return want
 
@@ -146,6 +162,69 @@ def test_kernel_table_carries_the_build():
     indptr, ids, dists, rev, _ = reference_csr(pts, r)
     np.testing.assert_array_equal(tbl.indptr_arr, indptr)
     assert tbl.indptr == indptr.tolist()
-    for g, w in ((tbl.ids, ids), (tbl.dists, dists), (tbl.rev, rev)):
-        assert g.dtype == w.dtype
+    got = (tbl.ids, tbl.dists, tbl.rev)
+    for g, w, dt in zip(got, (ids, dists, rev), TABLE_DTYPES[1:]):
+        assert g.dtype == dt
         np.testing.assert_array_equal(g, w)
+
+
+def test_two_pass_radix_above_65536_nodes():
+    """Node ids past 16 bits take the two-pass placement; still pinned."""
+    n = 70_000
+    # About 10^4 pairs: P ~ n^2 pi r^2 / 2.
+    r = math.sqrt(2e4 / (math.pi * n * n))
+    pts = uniform_points(n, seed=8)
+    indptr, ids, _, _, _ = assert_pinned(pts, r)
+    assert 5_000 < len(ids) // 2 < 20_000
+    # Rows above the 16-bit boundary are populated, and ids cross it.
+    assert indptr[-1] > indptr[1 << 16]
+    assert (ids >= 1 << 16).any() and (ids < 1 << 16).any()
+
+
+@pytest.mark.parametrize("bound", [1, 2, 1 << 16, (1 << 16) + 1, 1 << 20, 1 << 31])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_radix_argsort_is_the_stable_argsort(bound, dtype):
+    rng = np.random.default_rng(bound)
+    # Few distinct keys spread over the whole range: long runs of equal
+    # keys whose order only a stable sort keeps.
+    pool = rng.integers(0, bound, size=min(bound, 97), dtype=np.int64)
+    keys = rng.choice(pool, size=20_000).astype(dtype)
+    keys[:2] = (0, bound - 1)
+    np.testing.assert_array_equal(
+        radix_argsort(keys, bound), np.argsort(keys, kind="stable")
+    )
+
+
+def test_radix_argsort_empty():
+    assert len(radix_argsort(np.zeros(0, dtype=np.int32), 0)) == 0
+
+
+def test_slot_dtype_at_the_int32_boundary():
+    top = 2**31
+    assert slot_dtype(0, 0) == np.int32
+    assert slot_dtype(top - 1, top - 1) == np.int32
+    assert slot_dtype(top, 0) == np.int64
+    assert slot_dtype(10, top) == np.int64
+    assert slot_dtype(top, top) == np.int64
+
+
+def test_build_peak_memory_per_entry():
+    """tracemalloc peak of one build, per directed entry.
+
+    The int64 build (one argsort over ``src * 2P + rank`` keys) peaked at
+    40 bytes per entry; the int32 radix build peaks at 28.  The bound
+    leaves room for one more 4-byte array, not for an 8-byte one.
+    """
+    n = 20_000
+    pts = uniform_points(n, seed=0)
+    r = connectivity_radius(n, 1.6)
+    tree = cKDTree(pts)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = neighbor_csr_arrays(pts, r, tree=tree)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_entry = peak / len(out[1])
+    assert per_entry < 33, per_entry

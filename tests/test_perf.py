@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import types
+
+import numpy as np
 import pytest
 
+import repro.perf as perf_mod
 from repro.geometry.points import uniform_points
-from repro.perf import PerfRegistry, _NULL_TIMED, perf
+from repro.perf import PEAK_RSS_COUNTER, PerfRegistry, _NULL_TIMED, perf
 from repro.trace import TraceRegistry
 from repro.sim import LegacyKernel
 from repro.sim.faults import FaultPlan
@@ -126,6 +131,26 @@ def test_disabled_registry_empty_after_full_mghs_run():
 
     run_modified_ghs(uniform_points(150, seed=2))
     assert perf.snapshot() == {"timers": {}, "counters": {}}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
+def test_rss_sample_excludes_memory_freed_before_the_reset():
+    """The counter is the highest VmRSS sampled since the reset, not the
+    process-lifetime peak: 64 MiB touched and freed beforehand is gone."""
+    big = np.ones(8 << 20)
+    del big
+    reg = PerfRegistry()
+    reg.enable()
+    reg.sample_rss()
+    assert reg.counters[PEAK_RSS_COUNTER] < perf_mod.peak_rss_bytes() - (32 << 20)
+
+
+def test_current_rss_falls_back_to_peak_without_proc(monkeypatch):
+    def no_proc(*args):
+        raise FileNotFoundError(args[0])
+
+    monkeypatch.setattr(perf_mod, "os", types.SimpleNamespace(open=no_proc, O_RDONLY=0))
+    assert perf_mod.current_rss_bytes() == perf_mod.peak_rss_bytes()
 
 
 def test_back_to_back_runs_report_identical_numbers():

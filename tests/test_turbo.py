@@ -57,6 +57,27 @@ class TestPhaseEngine:
         assert counters.get("kernel.turbo_engine_rounds", 0) > 0
         assert counters.get(PEAK_RSS_COUNTER, 0) > 0  # sampled at rounds
 
+    def test_engine_runs_never_build_slot_edge_keys(self, monkeypatch):
+        """The engine keys each MOE by ``min``/``max(u, ids[j])``; the
+        cache's slot-sized ``lo``/``hi`` exist for the per-message path."""
+        from repro.algorithms.ghs import turbo
+        from repro.algorithms.ghs.plane import FloodCache
+
+        built = []
+        real = FloodCache._edge_keys
+
+        def spy(cache):
+            built.append(cache._lohi is None)
+            return real(cache)
+
+        monkeypatch.setattr(FloodCache, "_edge_keys", spy)
+        assert self._counters()["kernel.turbo_engine_rounds"] > 0
+        assert built == []
+        # The per-message phase loop over the same planes does build them.
+        monkeypatch.setattr(turbo, "engine_cache", lambda kernel: None)
+        assert self._counters().get("kernel.turbo_engine_rounds", 0) == 0
+        assert built and built[0]
+
     def test_engine_disengages_under_faults(self):
         counters = self._counters(faults=FaultPlan(seed=1, drop_rate=0.05))
         assert counters.get("kernel.turbo_engine_rounds", 0) == 0
