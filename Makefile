@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify lint perf-smoke bench bench-planes bench-scale chaos trace-smoke spec-smoke scenario-smoke cache-smoke serve-smoke fuzz-smoke fuzz-deep golden-regen
+.PHONY: verify loc lint perf-smoke bench bench-planes bench-scale chaos trace-smoke spec-smoke scenario-smoke cache-smoke serve-smoke fuzz-smoke fuzz-deep golden-regen
 
 # Tier 1: lint gate plus the full unit/property suite (must stay green),
 # plus the run-cache smoke so a cache regression cannot land silently,
@@ -33,6 +33,11 @@ fuzz-deep:
 		$(PY) -m repro fuzz --machine all --examples 75 --steps 50 \
 			--seed $$s --corpus tests/corpus || exit 1; \
 	done
+
+# Python line count of the package source (src/), the size figure the
+# ROADMAP north star and simplicity changes report.
+loc:
+	@find src -name '*.py' -exec cat {} + | wc -l
 
 # Lint: ruff (configured in pyproject.toml) when installed, an AST
 # fallback (syntax errors + unused imports) otherwise.

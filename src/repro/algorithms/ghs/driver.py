@@ -733,7 +733,7 @@ def hello_round_steps(
     This is the neighbour-discovery step: receivers learn (id, distance,
     fragment id) for everyone in range.  One local broadcast per node.
 
-    When the kernel supports it (non-flat kernel, neighbor table built),
+    When the kernel supports it (``kernel.planes``, neighbor table built),
     the whole round runs as one flood plane: a fresh :class:`FloodCache`
     is attached to every node, one ``broadcast_plane`` call registers all
     n HELLOs (charged in node-id order, exactly like the per-node wake),

@@ -95,12 +95,13 @@ class FloodCache:
     def ensure(cls, kernel) -> "FloodCache | None":
         """A fresh cache over ``kernel``'s current table, or ``None``.
 
-        ``None`` means the plane fast path is unavailable: flat-delivery
-        kernels (legacy reference, contention) must keep the bit-exact
-        per-message order, and the density gate may have rejected the
-        table outright.  Callers fall back to per-message HELLOs.
+        ``None`` means the plane fast path is unavailable: kernels
+        without planes (legacy reference, contention) must keep the
+        bit-exact per-message order, and the density gate may have
+        rejected the table outright.  Callers fall back to per-message
+        HELLOs.
         """
-        if kernel._flat_pending or kernel.n == 0:
+        if not kernel.planes or kernel.n == 0:
             return None
         tbl = kernel.neighbor_table()
         if tbl is None:

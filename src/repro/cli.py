@@ -7,8 +7,8 @@ Gives downstream users the paper's experiments without writing code:
   :func:`repro.runspec.engine.execute`; ``--spec``/``--emit-spec``
   round-trip the spec as JSON);
 * ``algorithms`` — the registered algorithm labels and capabilities;
-* ``kernels``    — the registered kernel backends (see
-  :mod:`repro.sim.backends`);
+* ``kernels``    — the kernel modes (see
+  :data:`repro.runspec.spec.KERNELS`);
 * ``fig3a`` / ``fig3b`` — the energy sweep and the slope fits;
 * ``fig1`` / ``fig2``   — percolation picture / potential-region lemmas;
 * ``tab1``   — the Co-NNT vs MST quality comparison;
@@ -26,8 +26,7 @@ import sys
 
 from repro.experiments.config import BENCH_NS, SweepConfig
 from repro.experiments.report import format_table
-from repro.runspec import KERNEL_MODES, algorithm_names
-from repro.sim.backends import KERNEL_ALIASES
+from repro.runspec import KERNEL_ALIASES, KERNEL_MODES, algorithm_names
 
 
 def _parse_crash(spec: str) -> tuple[int, int, int | None]:
@@ -203,11 +202,18 @@ def _cmd_scenarios(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
-    from repro.sim.backends import kernel_entries
+    import inspect
+
+    from repro.runspec import KERNELS
+    from repro.sim.legacy import LegacyKernel
 
     rows = [
-        (e.name, "yes" if e.reference else "no", e.summary)
-        for e in kernel_entries()
+        (
+            name,
+            "yes" if cls is LegacyKernel else "no",
+            (inspect.getdoc(cls) or "").splitlines()[0],
+        )
+        for name, cls in KERNELS.items()
     ]
     print(format_table(["kernel", "reference", "summary"], rows))
     for alias, target in KERNEL_ALIASES.items():
@@ -567,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     algs.set_defaults(func=_cmd_algorithms)
 
     kerns = sub.add_parser(
-        "kernels", help="list the registered kernel backends"
+        "kernels", help="list the kernel modes"
     )
     kerns.set_defaults(func=_cmd_kernels)
 

@@ -19,24 +19,17 @@ start-up and a cold instance cache on every call otherwise);
 ``atexit`` hook reaps it at interpreter exit, and a host that cannot
 spawn a pool at all (sandboxed CI) degrades to the serial backend with a
 single :class:`RuntimeWarning` — every cell is deterministic, so the
-results are identical, only slower.
+results are identical, only slower.  The hook is the engine's, so
+importing this module alone still makes sweep-and-exit safe.
 """
 
 from __future__ import annotations
-
-import atexit
 
 from repro.experiments.config import SweepConfig
 from repro.experiments.runner import EnergySweep, sweep_from_reports, sweep_specs
 from repro.runspec.engine import execute_batch, shutdown
 
 __all__ = ["sweep_energy_parallel", "shutdown"]
-
-
-# The engine registers its own hook; registering the (idempotent)
-# shutdown here as well preserves this module's historical contract that
-# importing it alone makes sweep-and-exit safe.
-atexit.register(shutdown)
 
 
 def sweep_energy_parallel(

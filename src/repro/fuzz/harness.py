@@ -9,8 +9,8 @@ between kernel rounds.  Because equivalent configurations advance their
 rounds bit-identically (the kernel equivalence contract pinned by
 ``tests/test_hotpath_equivalence.py``), several harnesses driven with
 the same step counts stay in lockstep — which is what lets
-:class:`repro.fuzz.world.GHSFuzzWorld` cross-check every registered
-backend against every other after every rule.
+:class:`repro.fuzz.world.GHSFuzzWorld` cross-check every kernel
+mode against every other after every rule.
 
 The harness owns only the controls: stepping, the power cap, the
 barrier count and the state audit at every barrier.  The whole-round
@@ -34,7 +34,7 @@ from repro.algorithms.ghs.driver import (
     hello_round_steps,
 )
 from repro.errors import ProtocolError
-from repro.sim.backends import kernel_class
+from repro.runspec.spec import kernel_class
 
 __all__ = ["StepHarness"]
 

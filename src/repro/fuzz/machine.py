@@ -81,7 +81,7 @@ def fuzz_settings(*, examples: int, steps: int, derandomize: bool = True) -> set
 
 class GHSFuzzMachine(RuleBasedStateMachine):
     SEED_OFFSET = 0
-    CONFIGS = None  # None -> every registered backend configuration
+    CONFIGS = None  # None -> every kernel mode
 
     def __init__(self) -> None:
         super().__init__()
@@ -342,7 +342,7 @@ class ConntFuzzMachine(RuleBasedStateMachine):
 
 class MaintFuzzMachine(RuleBasedStateMachine):
     SEED_OFFSET = 0
-    CONFIGS = None  # None -> every registered backend configuration
+    CONFIGS = None  # None -> every kernel mode
 
     #: Scenario worlds build their initial MST up front, so instances
     #: stay small; the interesting state space is the event schedule.

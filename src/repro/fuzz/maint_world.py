@@ -1,7 +1,7 @@
 """Multi-backend lockstep world for scenario-plane (MAINT) fuzzing.
 
 A :class:`ScenarioFuzzWorld` holds one :class:`~repro.scenario.scheduler.
-ScenarioScheduler` per registered kernel configuration over the *same*
+ScenarioScheduler` per kernel mode over the *same*
 instance, and applies every fuzz rule — crash (permanent or transient),
 join, leave, move, repair/rebuild checkpoints — to all of them.  This is
 the headroom the step harness deliberately leaves on the table: the
@@ -41,7 +41,7 @@ from repro.geometry.radius import connectivity_radius
 from repro.rgg.build import build_rgg
 from repro.scenario.plan import CHECKPOINT_KINDS, ScenarioEvent
 from repro.scenario.scheduler import ScenarioScheduler
-from repro.sim.backends import kernel_class
+from repro.runspec.spec import kernel_class
 
 __all__ = ["ScenarioFuzzWorld"]
 

@@ -8,7 +8,7 @@ on synthetic batches; the fuzzer pins it on the *exact* batches a real
 run produced: :class:`RecordingFaultPlane` wraps the kernel's plane and
 records both directions — every vectorized ``times()`` batch (emitted by
 broadcast-carrying rounds) *and* every scalar ``fate()`` call (emitted
-by unicast-only rounds and flat kernels) — and
+by unicast-only rounds and the per-message kernels) — and
 :func:`verify_fate_determinism` replays each recorded element through
 the *other* path afterwards.
 

@@ -48,7 +48,7 @@ def link_loss_entries(n_max: int):
 
 
 #: GHS-world constructor draws.  n stays small: every example runs the
-#: full protocol once per registered kernel configuration.
+#: full protocol once per kernel mode.
 ghs_instances = st.fixed_dictionaries(
     {
         "n": st.integers(12, 28),

@@ -1,7 +1,7 @@
 """Multi-backend lockstep world for GHS-family fuzzing.
 
 A :class:`GHSFuzzWorld` holds one :class:`~repro.fuzz.harness.
-StepHarness` per registered kernel mode (``fast`` and ``legacy``)
+StepHarness` per kernel mode (``fast`` and ``legacy``)
 over the *same* instance and fault plan, and applies
 every fuzz rule — advance N rounds, open a transient crash window, move
 the power cap — to all of them.  Because equivalent configurations are
@@ -34,14 +34,15 @@ from repro.mst.kruskal import kruskal_mst
 from repro.mst.quality import same_tree
 from repro.perf import perf
 from repro.rgg.build import build_rgg
+from repro.runspec.spec import KERNEL_MODES
 from repro.sim.faults import FaultPlan
 
 __all__ = ["GHSFuzzWorld", "default_configs"]
 
 
 def default_configs() -> list[str]:
-    """Every registered kernel mode."""
-    return ["fast", "legacy"]
+    """Every kernel mode."""
+    return list(KERNEL_MODES)
 
 
 class GHSFuzzWorld:

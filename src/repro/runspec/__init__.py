@@ -28,7 +28,9 @@ from repro.runspec.registry import get as get_algorithm
 from repro.runspec.registry import names as algorithm_names
 from repro.runspec.report import RunReport, result_from_dict, result_to_dict
 from repro.runspec.spec import (
+    KERNEL_ALIASES,
     KERNEL_MODES,
+    KERNELS,
     SCHEMA_VERSION,
     RunSpec,
     faultplan_from_dict,
@@ -41,7 +43,9 @@ from repro.runspec.spec import (
 
 __all__ = [
     "AlgorithmEntry",
+    "KERNEL_ALIASES",
     "KERNEL_MODES",
+    "KERNELS",
     "RunReport",
     "RunSpec",
     "SCHEMA_VERSION",

@@ -86,7 +86,7 @@ def dispatch(entry: AlgorithmEntry, points, spec: RunSpec):
     if spec.kernel != "fast" and not entry.supports_kernel_mode:
         raise ExperimentError(
             f"{entry.name} does not support kernel={spec.kernel!r}; "
-            f"only the GHS family accepts alternate kernel backends"
+            f"only the GHS family accepts alternate kernel modes"
         )
     if (
         spec.faults is not None

@@ -26,12 +26,15 @@ import numpy as np
 from repro.errors import ExperimentError
 from repro.geometry.radius import PAPER_EOPT_STEP1_CONST, PAPER_GHS_RADIUS_CONST
 from repro.scenario.plan import ScenarioPlan, scenarioplan_from_dict, scenarioplan_to_dict
-from repro.sim.backends import canonical_kernel
 from repro.sim.faults import FaultPlan
+from repro.sim.kernel import SynchronousKernel
+from repro.sim.legacy import LegacyKernel
 
 __all__ = [
     "SCHEMA_VERSION",
+    "KERNELS",
     "KERNEL_MODES",
+    "KERNEL_ALIASES",
     "RunSpec",
     "jsonable",
     "kernel_class",
@@ -45,63 +48,19 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def _kernel_modes() -> tuple[str, ...]:
-    """Registered kernel modes (lazy: the registry imports kernel modules)."""
-    from repro.sim.backends import kernel_names
+#: The kernel modes, default first: the optimized kernel and the frozen
+#: pre-optimization reference (equivalence checks and benchmarks).
+KERNELS = {"fast": SynchronousKernel, "legacy": LegacyKernel}
 
-    return kernel_names()
-
-
-class _KernelModes(tuple):
-    """A tuple view over the kernel registry, resolved on first use.
-
-    ``KERNEL_MODES`` predates the registry and is imported by the CLI and
-    external callers as a plain tuple (argparse choices, membership
-    tests).  Keeping the name while sourcing it from
-    :mod:`repro.sim.backends` needs one indirection: this subclass defers
-    the registry import until the tuple is actually *used*, so importing
-    :mod:`repro.runspec.spec` stays cheap.
-    """
-
-    _resolved: tuple[str, ...] | None = None
-
-    @classmethod
-    def _get(cls) -> tuple[str, ...]:
-        if cls._resolved is None:
-            cls._resolved = _kernel_modes()
-        return cls._resolved
-
-    def __iter__(self):
-        return iter(self._get())
-
-    def __len__(self):
-        return len(self._get())
-
-    def __getitem__(self, i):
-        return self._get()[i]
-
-    def __contains__(self, item):
-        return item in self._get()
-
-    def __eq__(self, other):
-        return self._get() == other
-
-    def __ne__(self, other):
-        return self._get() != other
-
-    def __hash__(self):
-        return hash(self._get())
-
-    def __repr__(self):
-        return repr(self._get())
-
-
-#: Registered kernel implementations, in registry order: the optimized
-#: kernel and the frozen pre-optimization reference (benchmarks only).
-#: Sourced from the kernel-backend registry (:mod:`repro.sim.backends`);
-#: resolves lazily on first use.  Aliases (``"turbo"``) are accepted by
+#: Kernel mode labels, in :data:`KERNELS` order.  Aliases are accepted by
 #: :class:`RunSpec` but not listed here.
-KERNEL_MODES = _KernelModes()
+KERNEL_MODES = tuple(KERNELS)
+
+#: Accepted alternate labels -> canonical mode.  Aliases resolve at parse
+#: time (``RunSpec`` stores the canonical label), so an aliased and a
+#: canonical spec share one ``spec_hash`` and one store entry.  ``turbo``
+#: stays for stored specs and callers (``perfbench``) that still pass it.
+KERNEL_ALIASES = {"turbo": "fast"}
 
 
 def jsonable(obj: Any) -> Any:
@@ -145,14 +104,14 @@ def _json_key(key: Any) -> Any:
 
 
 def kernel_class(mode: str):
-    """Resolve a kernel-mode label via the kernel-backend registry.
-
-    Kept as a public re-export (callers predate the registry); unknown
-    labels raise with the registered names listed.
-    """
-    from repro.sim.backends import kernel_class as _kernel_class
-
-    return _kernel_class(mode)
+    """The kernel class for a mode label (or alias); unknown labels list
+    the modes."""
+    cls = KERNELS.get(KERNEL_ALIASES.get(mode, mode))
+    if cls is None:
+        raise ExperimentError(
+            f"unknown kernel mode {mode!r}; kernel modes: " + ", ".join(KERNEL_MODES)
+        )
+    return cls
 
 
 def faultplan_to_dict(plan: FaultPlan | None) -> dict | None:
@@ -207,7 +166,7 @@ class RunSpec:
     rx_cost:
         Optional constant reception cost (Sec. VIII extension).
     kernel:
-        A registered kernel mode: ``"fast"`` (default: the optimized
+        A kernel mode (:data:`KERNELS`): ``"fast"`` (default: the optimized
         kernel, whole-round phase engine included) or ``"legacy"`` (the
         frozen pre-optimization reference used by equivalence
         benchmarks).  The alias ``"turbo"`` is accepted and stored as
@@ -249,12 +208,10 @@ class RunSpec:
             raise ExperimentError("spec needs an algorithm label")
         if self.n < 2:
             raise ExperimentError(f"spec needs n >= 2, got {self.n}")
-        object.__setattr__(self, "kernel", canonical_kernel(self.kernel))
-        if self.kernel not in KERNEL_MODES:
-            raise ExperimentError(
-                f"unknown kernel mode {self.kernel!r}; registered kernels: "
-                + ", ".join(KERNEL_MODES)
-            )
+        kernel_class(self.kernel)  # rejects unknown labels
+        object.__setattr__(
+            self, "kernel", KERNEL_ALIASES.get(self.kernel, self.kernel)
+        )
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise ExperimentError(
                 f"faults must be a FaultPlan or None, got {type(self.faults).__name__}"

@@ -33,22 +33,8 @@ from repro.sim.kernel import (
     table_within_budget,
 )
 from repro.sim.legacy import LegacyKernel
-from repro.sim.backends import (
-    KernelEntry,
-    get_kernel,
-    kernel_class,
-    kernel_entries,
-    kernel_names,
-    register_kernel,
-)
 
 __all__ = [
-    "KernelEntry",
-    "get_kernel",
-    "kernel_class",
-    "kernel_entries",
-    "kernel_names",
-    "register_kernel",
     "PathLossModel",
     "Message",
     "EnergyLedger",

@@ -22,9 +22,14 @@ most (max conflict degree + 1).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.sim.kernel import SynchronousKernel
+
+#: Sort key restoring send order (a broadcast's recipients share one seq).
+_BY_SEQ = operator.itemgetter(3)
 
 
 class ContentionKernel(SynchronousKernel):
@@ -52,11 +57,10 @@ class ContentionKernel(SynchronousKernel):
         0 until the first non-empty round is stepped.
     """
 
+    planes = False
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # Conflict grouping needs the flat, send-ordered delivery list
-        # (greedy coloring is defined over transmission arrival order).
-        self._flat_pending = True
         self.slots = 0
         # 0, not 1: a run that never steps a non-empty round has observed
         # no inflation, and must not report a factor of 1.
@@ -71,13 +75,26 @@ class ContentionKernel(SynchronousKernel):
         arrives, so its loss draw legitimately differs from the
         collision-free kernel's — determinism holds per kernel class.
         """
-        if not self._pending:
+        uni, bc = self._uni, self._bcasts
+        if not uni and not bc:
             return 0
-        deliveries = self._pending
-        self._pending = []
+        self._uni = []
+        self._bcasts = []
+        self._n_pending = 0
+        # Conflict grouping and greedy coloring are defined over
+        # transmission order: expand the broadcast descriptors and order
+        # every (dst, msg, dist, seq) delivery by send sequence.  One
+        # send's deliveries share a seq and sit in one queue, so the
+        # stable sort keeps each broadcast's recipients in table order.
+        deliveries = uni
+        for msg, ids, dists, seq in bc:
+            deliveries.extend(
+                (dst, msg, dist, seq) for dst, dist in zip(ids.tolist(), dists.tolist())
+            )
+        deliveries.sort(key=_BY_SEQ)
 
         # Group deliveries by physical transmission (same Message object).
-        by_msg: dict[int, list[tuple[int, object, float]]] = {}
+        by_msg: dict[int, list[tuple[int, object, float, int]]] = {}
         order: list = []
         for item in deliveries:
             key = id(item[1])
@@ -92,7 +109,7 @@ class ContentionKernel(SynchronousKernel):
         senders = np.array([m.src for m in order])
         radii = np.array([m.radius for m in order])
         receivers = [
-            np.array([dst for dst, _, _ in by_msg[id(m)]], dtype=np.int64)
+            np.array([t[0] for t in by_msg[id(m)]], dtype=np.int64)
             for m in order
         ]
         k = len(order)
@@ -124,14 +141,14 @@ class ContentionKernel(SynchronousKernel):
         ledger = self._ledger
         fp = self.faults
         for slot in range(n_slots):
-            batch: list[tuple[int, object, float]] = []
+            batch: list[tuple[int, object, float, int]] = []
             for i in range(k):
                 if color[i] == slot:
                     batch.extend(by_msg[id(order[i])])
             batch.sort(key=lambda t: t[0])
             if fp is not None:
                 batch = self._apply_faults_list(batch)
-            for dst, msg, dist in batch:
+            for dst, msg, dist, _ in batch:
                 if rx:
                     ledger.charge_rx(dst, rx)
                 nodes[dst].on_message(msg, dist)

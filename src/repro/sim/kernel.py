@@ -41,9 +41,6 @@ Hot-path layout (see docs/performance.md for the full story):
   list.  ``step`` expands the descriptors with numpy and orders all
   deliveries by one ``lexsort`` over (recipient id, send sequence) — the
   same stable order as sorting the send-ordered flat list by recipient.
-  Subclasses that need the flat, send-ordered delivery list (the
-  contention kernel, the legacy reference kernel) set
-  ``_flat_pending = True``.
 * **Batched charges** — the headline ``energy_total``/``messages_total``
   stay exact running sums, but the per-kind / per-stage / per-node
   breakdowns accumulate in plain dict/list accumulators flushed into the
@@ -70,7 +67,8 @@ Hot-path layout (see docs/performance.md for the full story):
   programs over the same table and closes it through
   :meth:`_advance_round`, the one place every delivery path advances the
   clock.  This kernel (``"fast"``, alias ``"turbo"``) is the one
-  optimized backend; the flat-delivery subclasses never engage the
+  optimized kernel; subclasses with per-message semantics set
+  :attr:`SynchronousKernel.planes` to ``False`` and never engage the
   planes or the engine, and a density-gated table leaves this kernel on
   per-message floods too.  Outside the engine, the phase driver
   (:mod:`repro.algorithms.ghs.driver`) steps every stage round by round
@@ -83,7 +81,7 @@ verbatim as :class:`~repro.sim.legacy.LegacyKernel`);
 
 **Fault plane** — an optional, seeded :class:`~repro.sim.faults.FaultPlan`
 (message loss, duplicate delivery, node crash windows) is applied at
-*delivery* time on every path (flat, unicast-only, merged, flood plane):
+*delivery* time on every path (unicast-only, merged, flood plane):
 the sender's TX charge stands, the lost/extra copies are tallied per kind
 in the ledger, and ``rx_cost`` is charged only for copies actually
 delivered.  Fates are counter-free hashes of ``(seed, src, dst, kind,
@@ -295,15 +293,9 @@ class _NeighborTable:
     cutoffs need the float64 array; broadcast descriptors keep views into
     both); ``rev`` maps every entry ``(src, dst)`` to the index of its
     reverse ``(dst, src)`` — an involution that flood-plane delivery uses
-    to map a sender's CSR row onto the recipients' cache slots.
-    ``ids_list``/``dists_list`` mirror ``ids``/``dists`` as plain Python
-    lists so the per-source ``{neighbor: distance}`` dicts (``dist_of``,
-    built lazily on a node's first unicast) hold native ints and floats.
-    The mirrors are built lazily: at n=10^6 an RGG table holds ~10^8
-    entries and the eager ``tolist()`` copies alone cost multiple GB,
-    while the only consumer of the full mirrors is the legacy kernel's
-    flat broadcast path (``tolist`` of a float64/int32 array yields the
-    same native values either way, so laziness is unobservable).
+    to map a sender's CSR row onto the recipients' cache slots.  The
+    per-source ``{neighbor: distance}`` dicts (``dist_of``, built lazily
+    on a node's first unicast) hold native ints and floats.
     """
 
     __slots__ = (
@@ -313,8 +305,6 @@ class _NeighborTable:
         "ids",
         "dists",
         "rev",
-        "_ids_list",
-        "_dists_list",
         "dist_of",
     )
 
@@ -332,33 +322,13 @@ class _NeighborTable:
         self.ids = ids
         self.dists = dists
         self.rev = rev
-        self._ids_list: list[int] | None = None
-        self._dists_list: list[float] | None = None
         self.dist_of: list[dict[int, float] | None] = [None] * (len(self.indptr) - 1)
-
-    @property
-    def ids_list(self) -> list[int]:
-        """Native-int mirror of ``ids`` (lazy; legacy flat path only)."""
-        m = self._ids_list
-        if m is None:
-            m = self._ids_list = self.ids.tolist()
-        return m
-
-    @property
-    def dists_list(self) -> list[float]:
-        """Native-float mirror of ``dists`` (lazy; legacy flat path only)."""
-        m = self._dists_list
-        if m is None:
-            m = self._dists_list = self.dists.tolist()
-        return m
 
     def neighbors_of(self, src: int) -> dict[int, float]:
         """The (lazily built) ``{neighbor: distance}`` map for ``src``."""
         m = self.dist_of[src]
         if m is None:
             s, e = self.indptr[src], self.indptr[src + 1]
-            # Row-sized tolist() slices: identical native values to the
-            # full mirrors without materializing them.
             m = dict(zip(self.ids[s:e].tolist(), self.dists[s:e].tolist()))
             self.dist_of[src] = m
         return m
@@ -421,7 +391,13 @@ class Context:
 
 
 class SynchronousKernel:
-    """Synchronous, collision-free message-passing simulator."""
+    """Optimized synchronous, collision-free kernel (flood planes, phase engine)."""
+
+    #: Whether flood planes (and so the whole-round phase engine) may run.
+    #: Subclasses with per-message delivery semantics set it False:
+    #: ``set_plane_handler`` refuses a handler, plane sends return False,
+    #: and :meth:`~repro.algorithms.ghs.plane.FloodCache.ensure` declines.
+    planes = True
 
     def __init__(
         self,
@@ -468,12 +444,6 @@ class SynchronousKernel:
         #: Send-call sequence number (ties delivery order to send order).
         self._seq = 0
         self._n_pending = 0
-        #: Subclasses set True to receive the flat, send-ordered
-        #: ``(dst, Message, distance)`` list instead of bucket queues.
-        #: Flat kernels (legacy reference, contention) never take the
-        #: plane fast path: their semantics are per-message.
-        self._flat_pending = False
-        self._pending: list[tuple[int, Message, float]] = []
         #: Flood-plane state: the vectorized delivery callback (None =
         #: planes unavailable), buffered single-sender registrations per
         #: kind, batch descriptors from broadcast_plane, the table all of
@@ -583,16 +553,16 @@ class SynchronousKernel:
         (sender, recipient) edges into ``table.ids`` / ``table.dists``
         (recipient-side cache slots are ``table.rev[edge_idx]``).
 
-        Flat-delivery kernels (legacy reference, contention) have strict
-        per-message semantics and never run planes; registering a
-        handler on one is a caller bug and raises immediately rather
-        than silently never delivering.  ``plane_broadcast`` /
-        ``broadcast_plane`` on such kernels return ``False`` (the
-        documented per-message fallback) instead.
+        Kernels without planes (:attr:`planes` False: the legacy
+        reference, contention) have strict per-message semantics;
+        registering a handler on one is a caller bug and raises
+        immediately rather than silently never delivering.
+        ``plane_broadcast`` / ``broadcast_plane`` on such kernels return
+        ``False`` (the documented per-message fallback) instead.
         """
-        if handler is not None and self._flat_pending:
+        if handler is not None and not self.planes:
             raise SimulationError(
-                "flat-delivery kernel (per-message semantics) cannot take a "
+                "per-message kernel (planes = False) cannot take a "
                 "plane handler; use the per-message fallback (honor "
                 "broadcast_plane() returning False)"
             )
@@ -601,10 +571,10 @@ class SynchronousKernel:
     def _plane_table(self) -> "_NeighborTable | None":
         """The table plane sends may slice, or ``None`` if planes are off.
 
-        Planes need a per-message-free delivery path (no flat subclass),
-        a registered handler, and the CSR table at the current cap.
+        Planes need a kernel that allows them (:attr:`planes`), a
+        registered handler, and the CSR table at the current cap.
         """
-        if self._flat_pending or self._plane_handler is None or self._tree is None:
+        if not self.planes or self._plane_handler is None or self._tree is None:
             return None
         return self._table()
 
@@ -633,7 +603,7 @@ class SynchronousKernel:
         slice from the CSR table, and schedules one plane descriptor for
         next round's vectorized delivery.  Returns ``False`` — sending
         and charging nothing — when the plane fast path is unavailable
-        (flat-delivery kernel, no handler registered, or the density
+        (per-message kernel, no handler registered, or the density
         gate rejected the table); callers fall back to per-sender
         ``local_broadcast``.
         """
@@ -878,13 +848,9 @@ class SynchronousKernel:
             dist = math.sqrt(d[0] * d[0] + d[1] * d[1])
         self._check_power(src, dist)
         self._charge_tx(src, kind, self.power.energy(dist))
-        msg = Message(kind, src, dst, payload, dist)
-        if self._flat_pending:
-            self._pending.append((dst, msg, dist))
-        else:
-            self._uni.append((dst, msg, dist, self._seq))
-            self._seq += 1
-            self._n_pending += 1
+        self._uni.append((dst, Message(kind, src, dst, payload, dist), dist, self._seq))
+        self._seq += 1
+        self._n_pending += 1
 
     def _send_broadcast(self, src: int, radius: float, kind: str, payload: tuple) -> None:
         if radius < 0:
@@ -910,32 +876,20 @@ class SynchronousKernel:
                     continue
                 d = src_pt - self.points[r]
                 dist = math.sqrt(d[0] * d[0] + d[1] * d[1])
-                self._deliver_one(r, msg, dist, seq)
+                self._uni.append((r, msg, dist, seq))
+                self._n_pending += 1
             return
         s, e = tbl.indptr[src], tbl.indptr[src + 1]
         if radius < tbl.max_radius:
             # Distances are sorted per source: binary-search the cutoff
             # (side="right" keeps the closed ball, dist <= radius).
             e = s + int(np.searchsorted(tbl.dists[s:e], radius, side="right"))
-        if self._flat_pending:
-            pend = self._pending
-            for dst, dk in zip(tbl.ids_list[s:e], tbl.dists_list[s:e]):
-                pend.append((dst, msg, dk))
-            return
         if e > s:
             # O(1) enqueue: views into the table arrays keep the table
             # alive even if set_max_radius invalidates it before step().
             self._bcasts.append((msg, tbl.ids[s:e], tbl.dists[s:e], self._seq))
             self._n_pending += e - s
         self._seq += 1
-
-    def _deliver_one(self, dst: int, msg: Message, dist: float, seq: int) -> None:
-        """Schedule one delivery for the next round (slow-path helper)."""
-        if self._flat_pending:
-            self._pending.append((dst, msg, dist))
-            return
-        self._uni.append((dst, msg, dist, seq))
-        self._n_pending += 1
 
     # -- running -----------------------------------------------------------------
 
@@ -971,7 +925,7 @@ class SynchronousKernel:
         round advance (``None`` detaches it).
 
         This is the scenario plane's round-boundary anchor: every kernel
-        path — scalar step, flat legacy step, plane-only rounds, idle
+        path — scalar step, legacy step, plane-only rounds, idle
         ticks, contention slots and the whole-round phase engine —
         advances through :meth:`_advance_round`, so a global clock driven
         by it is backend-invariant.  The hook must not send messages or
@@ -1016,8 +970,6 @@ class SynchronousKernel:
         deliveries (the ledger's drop tallies hold the difference); a
         round whose deliveries are all dropped still advances the clock.
         """
-        if self._pending:
-            return self._step_flat()
         uni = self._uni
         bc = self._bcasts
         if not uni and not bc and not self._n_plane_pending:
@@ -1128,8 +1080,8 @@ class SynchronousKernel:
     def _apply_faults_list(self, deliveries: list) -> list:
         """Filter a delivery list through the fault plane (scalar path).
 
-        Accepts the flat ``(dst, msg, dist)`` tuples and the unicast
-        ``(dst, msg, dist, seq)`` tuples alike (only ``t[0]``/``t[1]``
+        Accepts the legacy kernel's ``(dst, msg, dist)`` tuples and the
+        queued ``(dst, msg, dist, seq)`` tuples alike (only ``t[0]``/``t[1]``
         are read; surviving tuples pass through unchanged, duplicates
         are delivered back to back).
         """
@@ -1151,24 +1103,6 @@ class SynchronousKernel:
                 led.crash_drops_by_kind[msg.kind] += 1
         return out
 
-    def _step_flat(self) -> int:
-        """Flat-list delivery for subclasses that set ``_flat_pending``."""
-        deliveries = self._pending
-        self._pending = []
-        # Deterministic order: recipients ascending, then send order.
-        deliveries.sort(key=lambda t: t[0])
-        if self.faults is not None:
-            deliveries = self._apply_faults_list(deliveries)
-        nodes = self.nodes
-        rx = self.rx_cost
-        led = self._ledger
-        for dst, msg, dist in deliveries:
-            if rx:
-                led.charge_rx(dst, rx)
-            nodes[dst].on_message(msg, dist)
-        self._advance_round(len(deliveries))
-        return len(deliveries)
-
     def quiescence_steps(self, max_rounds: int = 1_000_000) -> Iterator[None]:
         """Step rounds until no messages are in flight, yielding after each.
 
@@ -1176,7 +1110,7 @@ class SynchronousKernel:
         guard) for drivers that hand control back between rounds.
         """
         ran = 0
-        while self._n_pending or self._pending or self._n_plane_pending:
+        while self.in_flight:
             self.step()
             yield
             ran += 1
@@ -1196,21 +1130,9 @@ class SynchronousKernel:
     @property
     def in_flight(self) -> int:
         """Number of deliveries scheduled for the next round."""
-        return self._n_pending + len(self._pending) + self._n_plane_pending
+        return self._n_pending + self._n_plane_pending
 
     def stats(self) -> SimStats:
         """Snapshot of the energy ledger and round count."""
         self._flush_charges()
         return self._ledger.snapshot(self.rounds)
-
-
-# Self-registration in the kernel-backend registry (repro.sim.backends):
-# "fast" is the default mode every spec resolves to.
-from repro.sim.backends import register_kernel as _register_kernel  # noqa: E402
-
-_register_kernel(
-    "fast",
-    cls=SynchronousKernel,
-    order=0,
-    summary="optimized: flood planes + whole-round phase engine (default)",
-)

@@ -24,11 +24,14 @@ from repro.sim.message import Message
 
 
 class LegacyKernel(SynchronousKernel):
-    """Drop-in kernel with the original (pre-cache) hot path."""
+    """Frozen pre-optimization reference kernel (the equivalence baseline)."""
+
+    planes = False
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._flat_pending = True
+        #: Pending deliveries for the next round, in send order.
+        self._pending: list[tuple[int, Message, float]] = []
 
     def _send_unicast(self, src: int, dst: int, kind: str, payload: tuple) -> None:
         if not (0 <= dst < self.n):
@@ -63,16 +66,22 @@ class LegacyKernel(SynchronousKernel):
     def step(self) -> int:
         if not self._pending:
             return 0
-        return self._step_flat()
+        deliveries = self._pending
+        self._pending = []
+        # Deterministic order: recipients ascending, then send order.
+        deliveries.sort(key=lambda t: t[0])
+        if self.faults is not None:
+            deliveries = self._apply_faults_list(deliveries)
+        nodes = self.nodes
+        rx = self.rx_cost
+        led = self._ledger
+        for dst, msg, dist in deliveries:
+            if rx:
+                led.charge_rx(dst, rx)
+            nodes[dst].on_message(msg, dist)
+        self._advance_round(len(deliveries))
+        return len(deliveries)
 
-
-# Self-registration in the kernel-backend registry (repro.sim.backends).
-from repro.sim.backends import register_kernel as _register_kernel  # noqa: E402
-
-_register_kernel(
-    "legacy",
-    cls=LegacyKernel,
-    order=1,
-    summary="frozen pre-optimization reference (equivalence baseline)",
-    reference=True,
-)
+    @property
+    def in_flight(self) -> int:
+        return len(self._pending)

@@ -33,7 +33,8 @@ from repro.algorithms.eopt import run_eopt
 from repro.algorithms.ghs import run_ghs, run_modified_ghs
 from repro.geometry.points import uniform_points
 from repro.perf import perf
-from repro.sim import LegacyKernel, NodeProcess, SynchronousKernel, kernel_class, kernel_names
+from repro.runspec.spec import KERNEL_MODES, kernel_class
+from repro.sim import LegacyKernel, NodeProcess, SynchronousKernel
 from repro.sim.faults import FaultPlan
 from tests.conftest import per_message_floods
 
@@ -97,7 +98,7 @@ def test_algorithms_bit_identical(runner, n, seed):
 
 @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faults"])
 @pytest.mark.parametrize("planes", [True, False], ids=["planes", "noplanes"])
-@pytest.mark.parametrize("mode", [m for m in kernel_names() if m != "legacy"])
+@pytest.mark.parametrize("mode", [m for m in KERNEL_MODES if m != "legacy"])
 def test_registered_backends_match_reference(mode, planes, faulty):
     """Every registered backend honors the observational contract against
     the frozen legacy reference, across the flood-planes x faults matrix

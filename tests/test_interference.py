@@ -173,3 +173,54 @@ class TestRoundAccounting:
         assert all(not nd.heard for nd in k.nodes)
         assert k.stats().dropped_total == 6
         assert k.stats().energy_total > 0
+
+
+class TestContentionPins:
+    """Exact GHS-on-contention figures, pinned before any kernel refactor.
+
+    The contention kernel replays each base round's sends in send order
+    through greedy slot colouring, so any change to how sends are queued
+    shows up here as a different slot count, round count or energy bit
+    pattern.
+    """
+
+    @staticmethod
+    def _run(faults=None):
+        from repro.algorithms.ghs import run_modified_ghs
+        from repro.geometry.points import uniform_points
+
+        seen = []
+
+        class Captured(ContentionKernel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append(self)
+
+        kwargs = {} if faults is None else {"faults": faults}
+        res = run_modified_ghs(
+            uniform_points(80, seed=4), kernel_cls=Captured, **kwargs
+        )
+        (kernel,) = seen
+        return res.stats, kernel
+
+    @pytest.mark.parametrize(
+        "drop, want",
+        [
+            (None, (378, 1101, "0x1.c4e2e58395546p+5", 378, 46)),
+            (0.05, (863, 2257, "0x1.a2c008a821f17p+6", 859, 46)),
+        ],
+        ids=["clean", "drops"],
+    )
+    def test_mghs_figures(self, drop, want):
+        from repro.sim.faults import FaultPlan
+
+        plan = None if drop is None else FaultPlan(seed=3, drop_rate=drop)
+        stats, k = self._run(plan)
+        got = (
+            stats.rounds,
+            stats.messages_total,
+            stats.energy_total.hex(),
+            k.slots,
+            k.max_slot_factor,
+        )
+        assert got == want

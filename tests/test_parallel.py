@@ -167,8 +167,11 @@ class TestAtexitCleanup:
 
         # Python exposes no public registry; unregister() returns None
         # whether or not present, so probe by re-registering: unregister
-        # then restore, asserting the module wired it at import time.
-        assert getattr(parallel_mod, "atexit", None) is atexit
+        # then restore, asserting the engine wired it at import time; the
+        # parallel module re-exports that same shutdown, so importing it
+        # alone makes sweep-and-exit safe.
+        assert getattr(engine_mod, "atexit", None) is atexit
+        assert parallel_mod.shutdown is engine_mod.shutdown
         # And the hook must be idempotent / callable with no pool alive.
         shutdown()
         shutdown()

@@ -31,7 +31,8 @@ import pytest
 from repro.errors import ExperimentError, ProtocolError
 from repro.geometry.points import uniform_points
 from repro.perf import PEAK_RSS_COUNTER, perf
-from repro.sim import LegacyKernel, SynchronousKernel, kernel_class, kernel_names
+from repro.runspec.spec import KERNEL_MODES, kernel_class
+from repro.sim import LegacyKernel, SynchronousKernel
 from repro.sim.faults import FaultPlan
 
 
@@ -822,7 +823,7 @@ class TestArrayEntry:
 
 class TestKernelRegistry:
     def test_canonical_modes(self):
-        names = kernel_names()
+        names = KERNEL_MODES
         assert names[0] == "fast"  # default first
         assert names == ("fast", "legacy")  # aliases are not listed
 
@@ -848,7 +849,7 @@ class TestKernelRegistry:
     def test_unknown_mode_lists_backends(self):
         with pytest.raises(ExperimentError, match="fast") as ei:
             kernel_class("warp9")
-        for name in kernel_names():
+        for name in KERNEL_MODES:
             assert name in str(ei.value)
 
 
