@@ -4,7 +4,7 @@
 Runs modified GHS and EOPT on fixed (n, seed) instances through the fast
 kernel twice — per-message (``Message`` dispatch of every HELLO and
 ANNOUNCE over the same neighbor table, whole-round engine off: the
-baseline forces ``FloodCache.ensure`` to decline, as it does on a
+baseline forces ``plane.flood_table`` to decline, as it does on a
 density-gated table) and with vectorized flood planes (the default
 run) — interleaved and best-of-``--reps`` timed.  Alongside wall-clock it reads
 the ``repro.perf`` stage timers to isolate the *flood-dominated* stages
@@ -45,7 +45,7 @@ if str(REPO / "src") not in sys.path:
 
 from repro.algorithms.eopt import run_eopt  # noqa: E402
 from repro.algorithms.ghs import run_modified_ghs  # noqa: E402
-from repro.algorithms.ghs.plane import FloodCache  # noqa: E402
+from repro.algorithms.ghs import plane  # noqa: E402
 from repro.geometry.points import uniform_points  # noqa: E402
 from repro.perf import perf  # noqa: E402
 
@@ -86,12 +86,12 @@ def _stats_record(res) -> dict:
 def _run_once(alg: str, pts, planes: bool):
     """One instrumented run: (result, wall_s, flood_s, plane_sends).
 
-    ``planes=False`` is the per-message baseline: the flood cache is
+    ``planes=False`` is the per-message baseline: the flood table is
     refused for this run only, so nodes keep their dict caches.
     """
-    ensure = FloodCache.__dict__["ensure"]
+    flood_table = plane.flood_table
     if not planes:
-        FloodCache.ensure = classmethod(lambda cls, kernel: None)
+        plane.flood_table = lambda kernel: None
     perf.reset()
     perf.enable()
     try:
@@ -99,7 +99,7 @@ def _run_once(alg: str, pts, planes: bool):
         res = RUNNERS[alg](pts)
         wall = time.perf_counter() - t0
     finally:
-        FloodCache.ensure = ensure
+        plane.flood_table = flood_table
     snap = perf.snapshot()
     perf.disable()
     flood = sum(

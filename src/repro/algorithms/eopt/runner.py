@@ -9,7 +9,7 @@ Interlude — every fragment counts itself (broadcast + convergecast over
 its tree); a fragment larger than ``beta log^2 n`` declares itself the
 giant and goes passive.  The ``eopt.census`` timer covers both waves.
 
-An engine-eligible run (:func:`repro.algorithms.ghs.turbo.engine_cache`:
+An engine-eligible run (:func:`repro.algorithms.ghs.turbo.engine_eligible`:
 default kernel, no fault plan, no reception cost, and step 2's table
 within the density gate too) keeps its whole state in one
 :class:`~repro.algorithms.ghs.turbo.TurboPhaseEngine`: step 1, the census

@@ -328,7 +328,7 @@ class GHSRecovery:
                             trace.emit(
                                 "rewake", round=rnd, phase=phase, nodes=len(todo)
                             )
-                        kernel.wake(todo, "find_moe", (phase,))
+                        search_moe(kernel, nodes, todo, phase)
                         continue
                     if waiting:
                         kernel.tick()
@@ -417,6 +417,38 @@ def phase_budget(n: int) -> int:
     return 2 * int(math.log2(max(n, 2))) + 20
 
 
+def search_moe(
+    kernel: SynchronousKernel,
+    nodes: Sequence[GHSNode],
+    participants: Sequence[int],
+    phase: int,
+) -> None:
+    """Start the MOE search of ``participants`` (alive, woken in order).
+
+    Modified-mode runs over the flood cache search in one masked
+    segment-min for all of them (:meth:`FloodCache.moe_batch`), applied
+    in the order ``wake`` would visit them so report traffic is
+    identical; every other run wakes them with ``find_moe``.  Stage B's
+    search and the settle loop's straggler re-wake both start here.
+    """
+    cache = nodes[0].cache if nodes else None
+    if cache is None or nodes[0].use_tests:
+        kernel.wake(participants, "find_moe", (phase,))
+        return
+    if not participants:
+        return
+    pids = np.asarray(participants, dtype=np.intp)
+    cand, kdist, klo, khi = cache.moe_batch(pids, node_fids(nodes)[pids])
+    cand_l = cand.tolist()
+    kd_l = kdist.tolist()
+    klo_l = klo.tolist()
+    khi_l = khi.tolist()
+    for idx, i in enumerate(participants):
+        nd = nodes[i]
+        if nd.cur_phase == phase and not nd.passive:
+            nd.apply_moe(cand_l[idx], kd_l[idx], klo_l[idx], khi_l[idx])
+
+
 def ghs_phase_steps(
     kernel: SynchronousKernel,
     nodes: Sequence[GHSNode],
@@ -461,23 +493,7 @@ def ghs_phase_steps(
             # re-wakes it once its window expires.
             rnd = kernel.rounds
             participants = [i for i in participants if not fp.crashed(i, rnd)]
-        cache = nodes[0].cache if nodes else None
-        if participants and cache is not None and not nodes[0].use_tests:
-            # Modified-mode MOE over the flood cache: one masked
-            # segment-min for all participants, applied in the same order
-            # ``wake`` would visit them so report traffic is identical.
-            pids = np.asarray(participants, dtype=np.intp)
-            cand, kdist, klo, khi = cache.moe_batch(pids, node_fids(nodes)[pids])
-            cand_l = cand.tolist()
-            kd_l = kdist.tolist()
-            klo_l = klo.tolist()
-            khi_l = khi.tolist()
-            for idx, i in enumerate(participants):
-                nd = nodes[i]
-                if nd.cur_phase == phase and not nd.passive:
-                    nd.apply_moe(cand_l[idx], kd_l[idx], klo_l[idx], khi_l[idx])
-        else:
-            kernel.wake(participants, "find_moe", (phase,))
+        search_moe(kernel, nodes, participants, phase)
         yield from _barrier_steps(kernel, recovery, phase)
         if trace.enabled:
             fragments, sizes = fragment_histogram(node_fids(nodes))
@@ -695,7 +711,7 @@ def start_run(
     """The protocol state a GHS-family run over ``kernel`` starts from.
 
     A :class:`~repro.algorithms.ghs.turbo.TurboPhaseEngine` when the run
-    is engine-eligible (:func:`~repro.algorithms.ghs.turbo.engine_cache`,
+    is engine-eligible (:func:`~repro.algorithms.ghs.turbo.engine_eligible`,
     decided here, before any node exists) and ``engine`` allows it;
     otherwise a :class:`NodeRun`.  Both start from fresh singleton
     fragments, or from the forest ``fid``/``leader``/``edges`` of
@@ -705,10 +721,9 @@ def start_run(
     # end) does not load the engine.
     from repro.algorithms.ghs import turbo
 
-    cache = turbo.engine_cache(kernel) if engine else None
-    if cache is not None:
+    if engine and turbo.engine_eligible(kernel):
         return turbo.TurboPhaseEngine(
-            kernel, cache, tests=tests, fid=fid, leader=leader, edges=edges
+            kernel, tests=tests, fid=fid, leader=leader, edges=edges
         )
     return NodeRun(
         kernel,
@@ -731,50 +746,33 @@ def hello_round_steps(
     stepped (see the module docstring).
 
     This is the neighbour-discovery step: receivers learn (id, distance,
-    fragment id) for everyone in range.  One local broadcast per node.
+    fragment id) for everyone in range.  One local broadcast per node,
+    each from its own ``hello`` wake (a crashed node's wake is skipped;
+    recovery re-floods it on restart).
 
-    When the kernel supports it (``kernel.planes``, neighbor table built),
-    the whole round runs as one flood plane: a fresh :class:`FloodCache`
-    is attached to every node, one ``broadcast_plane`` call registers all
-    n HELLOs (charged in node-id order, exactly like the per-node wake),
-    and delivery is a single vectorized cache update.  Otherwise —
-    legacy/contention kernels or density-gated tables — the classic
-    per-node wake path runs and nodes fall back to their dict caches.
+    When the kernel has a flood table (:meth:`FloodCache.ensure`), a
+    fresh cache is attached to every node and each HELLO goes out as a
+    single-sender plane (``ctx.plane_broadcast``), all of them delivered
+    as one vectorized cache update.  Otherwise — legacy/contention
+    kernels or density-gated tables — nodes broadcast per message and
+    keep their dict caches.
     """
     nodes = kernel.nodes
-    fp = kernel.faults
     r = float(radius)
     # No plane/cache-mode field here: whether the flood plane engages
     # depends on the kernel flavor, and equivalent legacy/fast runs must
     # emit identical traces.
     if trace.enabled:
         trace.emit("hello", round=kernel.rounds, radius=r)
-    cache = None
-    if nodes and all(isinstance(nd, GHSNode) for nd in nodes):
-        cache = FloodCache.ensure(kernel)
-    if cache is not None:
-        kernel.set_plane_handler(cache.on_plane)
-        for nd in nodes:
-            nd.attach_cache(cache)
-        for nd in nodes:
-            nd.radio_radius = r
-        senders = np.arange(kernel.n, dtype=np.intp)
-        if fp is not None and fp.has_crashes:
-            # Crashed nodes transmit nothing (matches the wake path,
-            # which skips them); recovery re-floods them on restart.
-            senders = senders[~fp.crashed_mask(senders, kernel.rounds)]
-        fids = node_fids(nodes)[senders]
-        if len(senders) and not kernel.broadcast_plane(senders, r, "HELLO", fids):
-            cache = None  # table vanished between ensure() and send
-    if cache is None:
-        kernel.set_plane_handler(None)
-        for nd in nodes:
-            if isinstance(nd, GHSNode):
-                nd.attach_cache(None)
-                # Pre-assign the radius: a node crashed through this
-                # wake still needs it for recovery re-floods.
-                nd.radio_radius = r
-        kernel.wake(range(kernel.n), "hello", (radius,))
+    ghs = [nd for nd in nodes if isinstance(nd, GHSNode)]
+    cache = FloodCache.ensure(kernel) if ghs and len(ghs) == len(nodes) else None
+    kernel.set_plane_handler(None if cache is None else cache.on_plane)
+    for nd in ghs:
+        nd.attach_cache(cache)
+        # Pre-assign the radius: a node crashed through this wake still
+        # needs it for recovery re-floods.
+        nd.radio_radius = r
+    kernel.wake(range(kernel.n), "hello", (radius,))
     if recovery is not None:
         recovery._radius = r
     yield from _barrier_steps(kernel, recovery)

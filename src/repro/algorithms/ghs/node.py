@@ -411,11 +411,10 @@ class GHSNode(NodeProcess):
             self._test_idx = 0
             self._continue_tests()
         elif self.cache is not None:
-            # Masked argmin over the CSR row (driver-batched runs go
-            # through FloodCache.moe_batch + apply_moe instead).
-            self._cand_nb, self._cand_key = self._search_cache()
-            self._search_done = True
-            self._try_report()
+            raise ProtocolError(
+                f"node {self.id}: find_moe wake in flood-cache mode; the "
+                "driver searches cache runs in one batch (driver.search_moe)"
+            )
         else:
             best_nb, best_key = None, NO_EDGE
             fid = self.fid
@@ -435,29 +434,12 @@ class GHSNode(NodeProcess):
             self._search_done = True
             self._try_report()
 
-    def _search_cache(self) -> tuple[int | None, tuple[float, int, int]]:
-        """Modified-mode MOE from the flood-cache views (one node)."""
-        mask = self.nb_known & (self.nb_fid != self.fid)
-        if not mask.any():
-            return None, NO_EDGE
-        d = np.where(mask, self.nb_dist, math.inf)
-        j = int(np.argmin(d))
-        ties = np.flatnonzero(d == d[j])
-        if len(ties) > 1:
-            # Measure-zero distance tie: the (lo, hi) key decides.
-            j = int(ties[np.lexsort((self.nb_hi[ties], self.nb_lo[ties]))[0]])
-        return int(self.nb_ids[j]), (
-            float(d[j]),
-            int(self.nb_lo[j]),
-            int(self.nb_hi[j]),
-        )
-
     def apply_moe(self, nb: int, dist: float, lo: int, hi: int) -> None:
         """Accept a driver-computed MOE (batched modified-mode search).
 
-        ``nb < 0`` means no outgoing edge.  Equivalent to what
-        ``find_moe`` + ``_search_cache`` would conclude locally, applied
-        in the driver's wake order so report traffic is identical.
+        ``nb < 0`` means no outgoing edge.  The flood-cache counterpart
+        of the ``find_moe`` dict scan, applied in the driver's wake
+        order so report traffic is identical.
         """
         if nb < 0:
             self._cand_nb, self._cand_key = None, NO_EDGE

@@ -1,10 +1,12 @@
-"""Index-aligned flood cache for the GHS family's plane fast path.
+"""Index-aligned flood cache for the GHS family's per-message plane path.
 
 The kernel's flood planes (see ``repro.sim.kernel`` — "Flood planes")
 deliver HELLO/ANNOUNCE floods as arrays of CSR edge indices instead of
 per-recipient :class:`~repro.sim.message.Message` dispatch.  This module
 holds the receiving side: one :class:`FloodCache` shared by every node,
-aligned slot-for-slot with the kernel's neighbor table.
+aligned slot-for-slot with the kernel's neighbor table, and
+:func:`flood_table`, the one place that decides whether a kernel has
+such a table at all.
 
 Layout: the neighbor table's CSR row for node ``i`` lists ``i``'s
 neighbors sorted by distance; slot ``j`` in that row is the edge
@@ -18,29 +20,20 @@ neighbors sorted by distance; slot ``j`` in that row is the edge
   a prefix of each row);
 * ``lo[j]`` / ``hi[j]`` — ``min``/``max`` of the edge's endpoint ids,
   so the globally consistent edge key ``(distance, lo, hi)`` is a
-  gather away.  Built on first read: only the per-message path
-  (:meth:`FloodCache.attach`, :meth:`FloodCache.moe_batch`) reads them,
-  and the engine derives the key of the few slots it picks from
-  ``ids``.
+  gather away.
 
 Delivery (:meth:`FloodCache.on_plane`) maps the plane's sender-major edge
 indices through the table's reverse permutation to recipient-side slots
 and overwrites ``fid``/``known`` in bulk — planes are order-free because
 that overwrite is all a HELLO/ANNOUNCE receiver ever does.  Modified-mode
-MOE search (:meth:`FloodCache.moe_batch`) becomes one masked segment-min
+MOE search (:meth:`FloodCache.moe_batch`) is one masked segment-min
 over the participants' rows instead of a per-node Python scan.
 
-The whole-round phase engine (``repro.algorithms.ghs.turbo``) owns the
-cache of an engine run outright — no node object exists to hold a view
-(:meth:`FloodCache.attach` serves the per-message path only).  Its HELLO
-is the one delivery the cache receives; in modified mode the engine
-checks at entry that the cache holds every sender's current fragment id
-over the announce radius, counts its ANNOUNCEs instead of writing them,
-finds MOEs with its own cursor, and derives ``fid`` from the final
-fragment ids on exit (original-mode GHS announces nothing and leaves
-the cache as its HELLO flood wrote it).  Per-message deliveries and
-``moe_batch`` serve the per-message phase loop, where faults can leave
-the cache stale.
+A cache serves the per-message phase loop only (fault plans, reception
+costs), where every node holds views of it (:meth:`FloodCache.attach`).
+The whole-round phase engine (``repro.algorithms.ghs.turbo``) keeps no
+cache: it counts its HELLO and ANNOUNCE deliveries and reads fragment
+membership off its own ``fid`` array and the kernel's table.
 
 This module deliberately does not import ``repro.algorithms.ghs.node``
 (nodes hold cache views by duck-typing), so either side can be loaded
@@ -58,55 +51,45 @@ from repro.sim.kernel import concat_ranges
 PLANE_KINDS = ("HELLO", "ANNOUNCE")
 
 
+def flood_table(kernel):
+    """``kernel``'s neighbour table if it can carry flood planes, else ``None``.
+
+    ``None`` means no plane path: kernels without planes (the legacy
+    reference, contention) keep the bit-exact per-message order, an
+    empty instance has nothing to flood, and the density gate may have
+    rejected the table outright.  The per-message flood cache
+    (:meth:`FloodCache.ensure`) and the whole-round engine's eligibility
+    both ask this one function.
+    """
+    if not kernel.planes or kernel.n == 0:
+        return None
+    return kernel.neighbor_table()
+
+
 class FloodCache:
     """Shared, table-aligned neighbour/fragment cache for all nodes."""
 
-    __slots__ = ("table", "indptr", "ids", "dists", "fid", "known", "_lohi")
+    __slots__ = ("table", "indptr", "ids", "dists", "fid", "known", "lo", "hi")
 
     def __init__(self, table) -> None:
         self.table = table
         self.indptr = table.indptr_arr
-        self.ids = table.ids
+        self.ids = ids = table.ids
         self.dists = table.dists
-        self.fid = np.full(len(self.ids), -1, dtype=self.ids.dtype)
-        self.known = np.zeros(len(self.ids), dtype=bool)
-        self._lohi: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def lo(self) -> np.ndarray:
-        """``min`` of each slot's endpoint ids (built on first read)."""
-        return self._edge_keys()[0]
-
-    @property
-    def hi(self) -> np.ndarray:
-        """``max`` of each slot's endpoint ids (built on first read)."""
-        return self._edge_keys()[1]
-
-    def _edge_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._lohi is None:
-            src = np.repeat(
-                np.arange(len(self.indptr) - 1, dtype=self.ids.dtype),
-                np.diff(self.indptr),
-            )
-            self._lohi = (np.minimum(src, self.ids), np.maximum(src, self.ids))
-        return self._lohi
+        self.fid = np.full(len(ids), -1, dtype=ids.dtype)
+        self.known = np.zeros(len(ids), dtype=bool)
+        src = np.repeat(
+            np.arange(len(self.indptr) - 1, dtype=ids.dtype), np.diff(self.indptr)
+        )
+        self.lo = np.minimum(src, ids)
+        self.hi = np.maximum(src, ids)
 
     @classmethod
     def ensure(cls, kernel) -> "FloodCache | None":
-        """A fresh cache over ``kernel``'s current table, or ``None``.
-
-        ``None`` means the plane fast path is unavailable: kernels
-        without planes (legacy reference, contention) must keep the
-        bit-exact per-message order, and the density gate may have
-        rejected the table outright.  Callers fall back to per-message
-        HELLOs.
-        """
-        if not kernel.planes or kernel.n == 0:
-            return None
-        tbl = kernel.neighbor_table()
-        if tbl is None:
-            return None
-        return cls(tbl)
+        """A fresh cache over ``kernel``'s :func:`flood_table`, or ``None``
+        (callers fall back to per-message HELLOs)."""
+        tbl = flood_table(kernel)
+        return None if tbl is None else cls(tbl)
 
     def attach(self, node) -> None:
         """Bind ``node``'s cache views to its CSR row (zero-copy slices)."""

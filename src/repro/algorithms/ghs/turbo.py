@@ -4,14 +4,16 @@ This is the optimized kernel's path for both GHS modes of the paper:
 *modified* GHS (Sec. V-A: cached neighbour fragment ids, per-phase
 ANNOUNCE; MGHS, both EOPT steps and MAINT's repair cycles) and
 *original* GHS (TEST/ACCEPT/REJECT probes, the Sec. V baseline).  A run
-is *eligible* when :func:`engine_cache` returns a cache — no fault plan,
-no reception cost, and flood planes available (the flat-delivery
-kernels, ``legacy`` and :class:`~repro.sim.interference.ContentionKernel`,
-never get them; neither does a density-gated table).  The runners decide
-this before any node exists: an eligible run keeps its protocol state
-in one :class:`TurboPhaseEngine`'s arrays from the HELLO flood to the
-result and builds no :class:`~repro.algorithms.ghs.node.GHSNode`; every
-other run builds the nodes and drains the per-message driver loop.
+is *eligible* when :func:`engine_eligible` says so — no fault plan, no
+reception cost, and a flood table (:func:`~repro.algorithms.ghs.plane.flood_table`:
+the flat-delivery kernels, ``legacy`` and
+:class:`~repro.sim.interference.ContentionKernel`, never have one;
+neither does a density-gated table).  The runners decide this before
+any node exists: an eligible run keeps its protocol state in one
+:class:`TurboPhaseEngine`'s arrays from the HELLO flood to the result
+and builds no :class:`~repro.algorithms.ghs.node.GHSNode`; every other
+run builds the nodes and drains the per-message driver loop.  Every
+round of an eligible run, its HELLOs included, runs in the engine.
 
 The engine is an *observational clone* of the per-message path, not an
 approximation of it.  The contract (checked by the hot-path equivalence
@@ -28,14 +30,23 @@ suite and ``trace/diff.py`` triage) is:
   ledger contract already allows that); ``energy_by_node`` likewise;
 * the result — tree edges, fragment count, census sizes, the giant —
   is read off the arrays and equals what the per-message loop leaves
-  in its node objects; in modified mode the flood cache also ends as
-  the per-message ANNOUNCE deliveries would leave it.
+  in its node objects.
 
 EOPT's interlude runs on the same engine: after step 1,
 :meth:`TurboPhaseEngine.census` (SIZE_REQ/SIZE_RESP) and
 :meth:`TurboPhaseEngine.declare_giant` (GIANT) replace the per-message
 census and giant declaration under the same contract, and step 2 binds
 the same engine to its raised radius with a second :meth:`hello`.
+
+The engine keeps no flood cache.  :meth:`TurboPhaseEngine.hello` is a
+one-round wave of every node's HELLO at the radius, and an ANNOUNCE is
+charged like any other send; both are *counted* as delivered (each
+sender's announce-row length) and never written anywhere.  Modified
+mode reads a neighbour's fragment off ``fid`` itself: every
+fragment-id change is announced, so what a per-message receiver would
+hold for an in-radius neighbour at a stage-B wake is that neighbour's
+current ``fid``.  Original mode never reads neighbours' fragment ids
+(membership is what the TEST probes ask).
 
 To make send order a pure function of protocol state,
 :mod:`repro.algorithms.ghs.node` iterates tree edges in sorted order —
@@ -73,22 +84,6 @@ per round of that loop recovers the global charge order, and rounds of
 at most 64 emissions (16 REPORT rows or completions) run as plain
 Python loops with the same result.
 
-In modified mode the engine never writes the flood cache while it
-runs.  At entry it checks the *cache invariant*: every slot within the
-announce radius is known and holds its sender's current fragment id,
-and no slot beyond it is known (:meth:`TurboPhaseEngine.cache_in_sync`;
-a HELLO sent from the engine's own ``fid`` leaves it so, and a run that
-fails it raises — there are no node objects to fall back to).  Every
-fragment-id
-change is announced, so the invariant holds again at every stage-B
-wake.  An ANNOUNCE is therefore charged like any other send and
-*counted* as delivered at the next round boundary (planes deliver
-before unicasts), and the cache is derived from ``fid`` once, on exit.
-Original mode never reads cached fragment ids (membership is what the
-TEST probes ask), so it only needs every in-radius slot known
-(:meth:`TurboPhaseEngine.probes_ready`), and it leaves the cache exactly
-as the HELLO flood wrote it.
-
 The MOE cursor: ``cur[i]`` is a position in node ``i``'s *walk* — its
 CSR row in ``(d, lo, hi)`` edge-key order, which is the table's
 distance order with each run of exact ties reordered by ascending
@@ -117,13 +112,13 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from repro.errors import ProtocolError
 from repro.algorithms.ghs.driver import fragment_histogram, phase_budget
-from repro.algorithms.ghs.plane import FloodCache
+from repro.algorithms.ghs import plane
 from repro.perf import perf
 from repro.sim._jit import HAVE_NUMBA, njit
 from repro.trace import trace
 
 __all__ = [
-    "engine_cache",
+    "engine_eligible",
     "TurboPhaseEngine",
     "seq_energy_accumulate",
 ]
@@ -132,11 +127,11 @@ __all__ = [
 # probe kinds come last: ``_finalize`` splits them off as ``kind >= _TEST``.
 (
     _INITIATE, _ANNOUNCE, _REPORT, _CHANGEROOT, _CONNECT, _ABSORB,
-    _SIZE_REQ, _SIZE_RESP, _GIANT, _TEST, _ACCEPT, _REJECT,
-) = range(12)
+    _SIZE_REQ, _SIZE_RESP, _GIANT, _HELLO, _TEST, _ACCEPT, _REJECT,
+) = range(13)
 _KIND_NAMES = (
     "INITIATE", "ANNOUNCE", "REPORT", "CHANGEROOT", "CONNECT", "ABSORB",
-    "SIZE_REQ", "SIZE_RESP", "GIANT", "TEST", "ACCEPT", "REJECT",
+    "SIZE_REQ", "SIZE_RESP", "GIANT", "HELLO", "TEST", "ACCEPT", "REJECT",
 )
 
 _INF = math.inf
@@ -200,20 +195,20 @@ def walk_order(
     return np.lexsort((ids, dists, row))
 
 
-def engine_cache(kernel) -> FloodCache | None:
-    """The flood cache an engine run over ``kernel`` starts from, or ``None``.
+def engine_eligible(kernel) -> bool:
+    """Whether a GHS-family run over ``kernel`` may run on the engine.
 
-    ``None`` keeps the run on the per-message path: a fault plan or a
-    reception cost (the array programs model neither), or no flood
-    cache — a flat-delivery kernel (``legacy``,
-    :class:`~repro.sim.interference.ContentionKernel`) or a
-    density-gated table (:meth:`FloodCache.ensure`).  A pure function of
-    the kernel, decided before any node object exists: an eligible run
-    never builds one.
+    Not under a fault plan or a reception cost (the array programs model
+    neither), and only with a flood table
+    (:func:`~repro.algorithms.ghs.plane.flood_table`: not on a
+    flat-delivery kernel, ``legacy`` or
+    :class:`~repro.sim.interference.ContentionKernel`, nor over a
+    density-gated table).  A pure function of the kernel, decided before
+    any node object exists: an eligible run never builds one.
     """
     if kernel.faults is not None or kernel.rx_cost:
-        return None
-    return FloodCache.ensure(kernel)
+        return False
+    return plane.flood_table(kernel) is not None
 
 
 class _Emits:
@@ -313,16 +308,15 @@ class TurboPhaseEngine:
     """A run's protocol state as arrays, from its first HELLO to its result.
 
     The array counterpart of :class:`~repro.algorithms.ghs.driver.NodeRun`,
-    with its interface.  It starts from ``cache`` (made by
-    :func:`engine_cache`) and from fresh singleton fragments or the
+    with its interface.  It starts from fresh singleton fragments or the
     forest ``fid``/``leader``/``edges`` of
-    :func:`~repro.algorithms.ghs.driver.seeded_forest`.
+    :func:`~repro.algorithms.ghs.driver.seeded_forest`, over a kernel
+    that :func:`engine_eligible` accepts.
     """
 
     def __init__(
         self,
         kernel,
-        cache: FloodCache | None,
         *,
         tests: bool,
         fid: np.ndarray | None = None,
@@ -330,7 +324,6 @@ class TurboPhaseEngine:
         edges: np.ndarray | None = None,
     ) -> None:
         self.k = kernel
-        self.cache = cache
         #: The HELLO radius (``None`` before the first HELLO).
         self.r: float | None = None
         self.n = n = kernel.n
@@ -402,51 +395,53 @@ class TurboPhaseEngine:
         self.pend_ann = None
         self._seq = 0
 
-    # -- HELLO and the flood cache -------------------------------------------
+    # -- HELLO ---------------------------------------------------------------
 
     def hello(self, r: float) -> None:
-        """Every node floods HELLO(fid) at radius ``r``; bind to its cache.
+        """Every node floods HELLO(fid) at radius ``r``, as one wave.
 
-        The same plane round as the per-message ``hello_round`` (one
-        ``broadcast_plane`` charged in node-id order, delivered into the
-        cache by the kernel), sent from ``fid``.  Later phases announce
-        within ``r`` and walk the cache's table.  The first HELLO fills
-        the engine's own cache; a later one (EOPT's step 2, at its raised
-        radius) takes a fresh :func:`engine_cache` over the new table.
+        The same round as the per-message ``hello_round``: every HELLO
+        charged in node-id order, each delivered to its sender's
+        announce row (the neighbours within ``r``), and no round at all
+        when nobody is in range.  Later phases announce within ``r`` and
+        walk the kernel's neighbour table, which a later HELLO (EOPT's
+        step 2, at its raised radius) takes afresh.
         """
-        cache = self.cache if self.r is None else engine_cache(self.k)
-        if cache is None:
+        kern = self.k
+        tbl = plane.flood_table(kern)
+        r = float(r)
+        if tbl is None or r > tbl.max_radius:
             raise ProtocolError(
-                f"no flood cache for the engine's HELLO at radius {r}; "
+                f"no flood table for the engine's HELLO at radius {r}; "
                 "a run without one must start on the per-message path"
             )
-        kern = self.k
-        r = float(r)
+        kern._check_power(0, r)
+        self.tbl = tbl
+        self.r = r
         if trace.enabled:
             trace.emit("hello", round=kern.rounds, radius=r)
-        kern.set_plane_handler(cache.on_plane)
-        if not kern.broadcast_plane(np.arange(self.n), r, "HELLO", self.fid):
-            raise ProtocolError(f"HELLO radius {r} exceeds the flood cache's table")
-        kern.run_until_quiescent()
-        self.cache = cache
-        self.tbl = tbl = cache.table
-        self.r = r
-        # Announce rows: per-sender cache-slot prefix covered by radius r
-        # (== the full row when r is the table's power cap).  Same closed
+        # Announce rows: per-sender slot prefix covered by radius r (==
+        # the full row when r is the table's power cap).  Same closed
         # ball the kernel's searchsorted(..., side="right") cutoff keeps.
-        ip = cache.indptr
-        #: Recipient-side announce slots (``None`` = every slot); the
-        #: same set as the senders' announce rows, distances being symmetric.
-        self.ann_mask = None if r >= tbl.max_radius else cache.dists <= r
-        if self.ann_mask is None:
+        ip = tbl.indptr_arr
+        if r >= tbl.max_radius:
             self.ann_ends = ip[1:]
         else:
-            within = np.concatenate(([0], np.cumsum(self.ann_mask)))
+            within = np.concatenate(([0], np.cumsum(tbl.dists <= r)))
             self.ann_ends = ip[:-1] + (within[ip[1:]] - within[ip[:-1]])
         self.ann_cnt = self.ann_ends - ip[:-1]
+        n = self.n
+        self._wave(
+            rnd=np.zeros(n, dtype=np.int64),
+            snd=np.arange(n, dtype=np.int64),
+            intra=np.zeros(n, dtype=np.int64),
+            kind=np.full(n, _HELLO),
+            dist=np.full(n, r),
+            weight=self.ann_cnt,
+        )
         #: Walk position -> CSR slot (``None``: the table order already is
         #: the edge-key order).
-        self.walk = walk_order(ip, cache.ids, cache.dists)
+        self.walk = walk_order(ip, tbl.ids, tbl.dists)
         #: MOE cursor: first walk position of each row not yet known internal.
         self.cur = ip[:-1].copy()
         #: Slots the cursors examined, and cursor wakes (participants
@@ -454,54 +449,16 @@ class TurboPhaseEngine:
         self.cursor_steps = 0
         self.cursor_wakes = 0
         if self.tests:
-            self.rejected = np.zeros(len(cache.ids), dtype=bool)
-            self.dead = np.zeros(len(cache.ids), dtype=bool)
-
-    def cache_in_sync(self) -> bool:
-        """Whether the cache invariant holds (checked once per run, O(entries)).
-
-        Every slot within the announce radius is known and holds its
-        sender's current fragment id, and no slot beyond it is known.  A
-        HELLO at the radius leaves the cache so.
-        """
-        c = self.cache
-        m = self.ann_mask
-        sent = self._sent_fids()
-        if m is None:
-            return bool(c.known.all()) and np.array_equal(c.fid, sent[c.ids])
-        return np.array_equal(c.known, m) and np.array_equal(c.fid[m], sent[c.ids[m]])
+            self.rejected = np.zeros(len(tbl.ids), dtype=bool)
+            self.dead = np.zeros(len(tbl.ids), dtype=bool)
 
     def probes_ready(self) -> bool:
-        """The original-mode entry check.
-
-        The probe walk covers exactly the known slots, so every slot
-        within the radius must be known and none beyond it (a HELLO at
-        the radius leaves the cache so).  The run must start from
-        singleton fragments with nothing rejected and no passive node,
-        as ``run_ghs`` does.
-        """
-        c = self.cache
-        m = self.ann_mask
-        if not (c.known.all() if m is None else np.array_equal(c.known, m)):
-            return False
+        """The original-mode entry check: the run starts from singleton
+        fragments with nothing rejected and no passive node, as
+        ``run_ghs`` does."""
         if self.passive.any() or self.edge_chunks or self.edge_u:
             return False
         return not self.rejected.any()
-
-    def _write_cache(self) -> None:
-        """Derive ``cache.fid`` from ``fid``: each sender's last ANNOUNCE."""
-        c = self.cache
-        m = self.ann_mask
-        sent = self._sent_fids()
-        if m is None:
-            c.fid[:] = sent[c.ids]
-        else:
-            c.fid[m] = sent[c.ids[m]]
-
-    def _sent_fids(self) -> np.ndarray:
-        """``fid`` in the cache's slot dtype, so slot-sized gathers from it
-        stay in that dtype (``np.take`` would also widen the indices)."""
-        return self.fid.astype(self.cache.fid.dtype)
 
     #: Walk positions one cursor step examines per still-scanning node.
     _WINDOW = 8
@@ -518,8 +475,7 @@ class TurboPhaseEngine:
         A position is examined at most once per call, and each cursor
         only moves forward.
         """
-        c = self.cache
-        ids, walk, dead = c.ids, self.walk, self.dead
+        ids, walk, dead = self.tbl.ids, self.walk, self.dead
         fid, ends = self.fid, self.ann_ends
         out = pos.copy()
         last = len(ids) - 1
@@ -553,7 +509,8 @@ class TurboPhaseEngine:
     def _cursor_moe(
         self, parts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``FloodCache.moe_batch`` for the participants, by the MOE cursor.
+        """Each participant's modified-mode MOE, by the MOE cursor (what
+        ``FloodCache.moe_batch`` finds over a per-message cache).
 
         Walks each cursor past the slots whose neighbour shares the
         node's fragment; the MOE is the slot under it (the walk follows
@@ -562,7 +519,7 @@ class TurboPhaseEngine:
         lo, hi)``, ``cand = -1`` and ``dist = inf`` where no outgoing
         edge is in range.
         """
-        c = self.cache
+        tbl = self.tbl
         k = len(parts)
         cand = np.full(k, -1, dtype=np.int64)
         kdist = np.full(k, _INF)
@@ -572,9 +529,9 @@ class TurboPhaseEngine:
         pos, found = self._walk(parts, self.cur[parts])
         has = np.flatnonzero(found)
         j = self._slot(pos[has])
-        u, nb = parts[has], c.ids[j]
+        u, nb = parts[has], tbl.ids[j]
         cand[has] = nb
-        kdist[has] = c.dists[j]
+        kdist[has] = tbl.dists[j]
         klo[has] = np.minimum(u, nb)
         khi[has] = np.maximum(u, nb)
         return cand, kdist, klo, khi
@@ -719,7 +676,12 @@ class TurboPhaseEngine:
         counts = np.bincount(kind, minlength=len(_KIND_NAMES))
         esums = np.bincount(kind, weights=energies, minlength=len(_KIND_NAMES))
         stage = self.k.stage
-        led.energy_by_stage[stage] += float(energies.sum())
+        # A HELLO wave (one kind, never mixed) takes its sequential kind
+        # sum, as the per-message kernel's batched accumulator does;
+        # other waves reassociate (the ledger contract allows it).
+        led.energy_by_stage[stage] += float(
+            esums[_HELLO] if counts[_HELLO] else energies.sum()
+        )
         led.messages_by_stage[stage] += k
         for code in np.flatnonzero(counts).tolist():
             name = _KIND_NAMES[code]
@@ -799,10 +761,9 @@ class TurboPhaseEngine:
     def _apply_announces(self) -> int:
         """Plane delivery of the pending ANNOUNCEs: counted, not written.
 
-        Nothing in the engine reads the cache, and under the cache
-        invariant (module notes) ``_write_cache`` rebuilds on exit what
-        the writes would have left, so only the delivery count moves:
-        each sender's announce-row length.
+        The engine reads fragment membership off ``fid`` (module notes),
+        so only the delivery count moves: each sender's announce-row
+        length.
         """
         writers = self.pend_ann
         if writers is None:
@@ -881,12 +842,15 @@ class TurboPhaseEngine:
         return order, par, dep, up, deep
 
     def _wave(self, rnd, snd, intra, kind, dist, weight) -> None:
-        """Charge one tree wave and run its rounds.
+        """Charge one wave and run its rounds.
 
         The wave is the only traffic in flight.  Emission ``i`` is sent
         by ``snd[i]`` at round ``rnd[i]`` (0 = the wake that starts it) and
         delivered one round later; ``weight[i]`` is its delivery count
-        (1 for a unicast, the announce-row length for an ANNOUNCE).
+        (1 for a unicast, the announce-row length for a HELLO or an
+        ANNOUNCE).  A wave that delivers nothing (a HELLO with nobody in
+        range) is charged and advances no round, as the kernel's
+        ``step`` does not.
         Each sender runs at most one handler per round, so the
         per-message charge order is ``(round, sender, intra)``: one
         lexsort orders the whole wave, charged through the sequential
@@ -905,16 +869,21 @@ class TurboPhaseEngine:
         rounds = int(rnd[-1]) + 1
         delivered = np.bincount(rnd, weights=weight, minlength=rounds)
         delivered = delivered.astype(np.int64).tolist()
+        if not any(delivered):
+            rounds, delivered = 0, []
         e0, m0 = led.energy_total, led.messages_total
         counts = self._charge(snd, kind, energies)
         self._seq += len(snd)
         if perf.enabled:
-            perf.add("kernel.turbo_engine_rounds", rounds)
-            if counts[_ANNOUNCE]:
-                a = kind == _ANNOUNCE
-                perf.add("kernel.plane_sends", int(counts[_ANNOUNCE]))
-                perf.add("kernel.plane_batches", len(sorted_unique(rnd[a])))
-                perf.add("kernel.plane_deliveries", int(weight[a].sum()))
+            if rounds:
+                perf.add("kernel.turbo_engine_rounds", rounds)
+            if counts[_ANNOUNCE] or counts[_HELLO]:
+                a = (kind == _ANNOUNCE) | (kind == _HELLO)
+                perf.add("kernel.plane_sends", int(np.count_nonzero(a)))
+                a &= weight > 0  # a plane batch holds its non-empty rows
+                if a.any():
+                    perf.add("kernel.plane_batches", len(sorted_unique(rnd[a])))
+                    perf.add("kernel.plane_deliveries", int(weight[a].sum()))
         if not trace.enabled:
             for d in delivered:
                 kern._advance_round(d)
@@ -1085,10 +1054,9 @@ class TurboPhaseEngine:
     def _stage_b_wave(self, parts: np.ndarray, forest: tuple) -> None:
         """Stage B of a phase with no passive node, as one wave.
 
-        The MOE search reads cached fragment ids, which only stage A
-        changes here (no ABSORB re-labels a fragment), so every send is
-        fixed by the forest at the wake: node ``u`` sends
-        its REPORT at round ``h(u)``, its subtree height; the leader
+        The MOE search reads fragment ids, which only stage A changes
+        here (no ABSORB re-labels a fragment), so every send is fixed by
+        the forest at the wake: node ``u`` sends its REPORT at round ``h(u)``, its subtree height; the leader
         ``L`` of a fragment with an outgoing edge decides at ``h(L)``,
         and CHANGEROOT passes down the path to the fragment's MOE
         endpoint ``m``, each node ``a`` on it sending at ``h(L) +
@@ -1145,11 +1113,10 @@ class TurboPhaseEngine:
         self, em: _Emits, us: np.ndarray, k2: np.ndarray, pos: np.ndarray
     ) -> None:
         """One TEST per node of ``us``, at the slot under its cursor ``pos``."""
-        c = self.cache
         j = self._slot(pos)
         em.add_chunk(
             us, k2, np.zeros(len(us), dtype=np.int64), us,
-            np.full(len(us), _TEST, dtype=np.int64), c.dists[j], c.ids[j],
+            np.full(len(us), _TEST, dtype=np.int64), self.tbl.dists[j], self.tbl.ids[j],
             p1=j, p2=self.fid[us],
         )
 
@@ -1198,7 +1165,7 @@ class TurboPhaseEngine:
         dst, seq, src, kind, slot, pfid = (
             np.asarray(col, dtype=np.int64) for col in pend
         )
-        c = self.cache
+        tbl = self.tbl
         t = kind == _TEST
         tv = dst[t]
         marks = marks_at = marks_seq = None
@@ -1207,10 +1174,10 @@ class TurboPhaseEngine:
             same = pfid[t] == self.fid[tv]
             em.add_chunk(
                 tv, tq, np.zeros(len(tv), dtype=np.int64), tv,
-                np.where(same, _REJECT, _ACCEPT), c.dists[ts], src[t],
+                np.where(same, _REJECT, _ACCEPT), tbl.dists[ts], src[t],
             )
             if same.any():
-                marks = self.tbl.rev[ts[same]]
+                marks = tbl.rev[ts[same]]
                 marks_at, marks_seq = tv[same], tq[same]
         r = kind == _REJECT
         ru, rq = dst[r], seq[r]
@@ -1232,9 +1199,9 @@ class TurboPhaseEngine:
         au = dst[a]
         if len(au):
             j = self._slot(self.cur[au])
-            nb = c.ids[j]
+            nb = tbl.ids[j]
             self.cand_nb[au] = nb
-            self.cand_d[au] = c.dists[j]
+            self.cand_d[au] = tbl.dists[j]
             self.cand_lo[au] = np.minimum(au, nb)
             self.cand_hi[au] = np.maximum(au, nb)
             end_u = np.concatenate((end_u, au))
@@ -1410,16 +1377,15 @@ class TurboPhaseEngine:
     def run(self, start_phase: int = 1, max_phases: int | None = None) -> int:
         """The ``run_ghs_phases`` loop as array programs; returns phases run.
 
-        Raises :class:`ProtocolError` when the entry check fails
-        (:meth:`cache_in_sync`, or :meth:`probes_ready` in original
-        mode): there is no per-message state to fall back to.  On return
-        the tree CSR is final and, in modified mode, the cache holds what
-        the per-message loop's ANNOUNCE deliveries would have left.
+        Raises :class:`ProtocolError` before the first :meth:`hello`, or
+        when original mode's entry check (:meth:`probes_ready`) fails:
+        there is no per-message state to fall back to.  On return the
+        tree CSR is final.
         """
-        if not (self.probes_ready() if self.tests else self.cache_in_sync()):
+        if self.r is None or (self.tests and not self.probes_ready()):
             raise ProtocolError(
-                "whole-round engine entry check failed: the flood cache "
-                "does not match the fragment state"
+                "whole-round engine entry check failed: no HELLO yet, or "
+                "original-mode GHS not starting fresh"
             )
         if max_phases is None:
             max_phases = phase_budget(self.n)
@@ -1468,8 +1434,6 @@ class TurboPhaseEngine:
                     sizes=sizes,
                 )
         self._build_tree_csr()
-        if not self.tests:
-            self._write_cache()
         return executed
 
     def active_leaders(self) -> np.ndarray:

@@ -31,7 +31,7 @@ Determinism contract (what the scenario tests pin):
   every cycle is.
 
 Fault-free cycles on the fast kernel satisfy the whole-round phase
-engine's eligibility (:func:`repro.algorithms.ghs.turbo.engine_cache`):
+engine's eligibility (:func:`repro.algorithms.ghs.turbo.engine_eligible`):
 they start the engine from the seeded forest's arrays and build no node
 objects, so clean repair cycles run vectorized and still trace-diff
 clean against the legacy kernel's per-message path.

@@ -31,6 +31,9 @@ from repro.sim.kernel import SynchronousKernel
 #: Sort key restoring send order (a broadcast's recipients share one seq).
 _BY_SEQ = operator.itemgetter(3)
 
+#: (receiver, sender) pairs per block of the conflict-matrix pass.
+_PAIR_BLOCK = 1 << 20
+
 
 class ContentionKernel(SynchronousKernel):
     """Synchronous kernel with RBN contention resolution.
@@ -102,36 +105,10 @@ class ContentionKernel(SynchronousKernel):
                 by_msg[key] = []
                 order.append(item[1])
             by_msg[key].append(item)
-
-        # Conflict graph over transmissions.  Footprint of a transmission =
-        # every node within its radius of the sender (not just intended
-        # receivers): a unicast still radiates.
-        senders = np.array([m.src for m in order])
-        radii = np.array([m.radius for m in order])
-        receivers = [
-            np.array([t[0] for t in by_msg[id(m)]], dtype=np.int64)
-            for m in order
-        ]
+        groups = [by_msg[id(m)] for m in order]
+        color = self._color(order, groups)
         k = len(order)
-        conflicts: list[set[int]] = [set() for _ in range(k)]
-        pts = self.points
-        for i in range(k):
-            for j in range(i + 1, k):
-                if self._interferes(pts, senders, radii, receivers, i, j) or (
-                    self._interferes(pts, senders, radii, receivers, j, i)
-                ):
-                    conflicts[i].add(j)
-                    conflicts[j].add(i)
-
-        # Greedy coloring in arrival order: slot = smallest free color.
-        color = [-1] * k
-        for i in range(k):
-            used = {color[j] for j in conflicts[i] if color[j] >= 0}
-            c = 0
-            while c in used:
-                c += 1
-            color[i] = c
-        n_slots = max(color) + 1 if k else 0
+        n_slots = int(color.max()) + 1 if k else 0
         self.slots += n_slots
         self.max_slot_factor = max(self.max_slot_factor, n_slots)
 
@@ -142,9 +119,8 @@ class ContentionKernel(SynchronousKernel):
         fp = self.faults
         for slot in range(n_slots):
             batch: list[tuple[int, object, float, int]] = []
-            for i in range(k):
-                if color[i] == slot:
-                    batch.extend(by_msg[id(order[i])])
+            for i in np.flatnonzero(color == slot).tolist():
+                batch.extend(groups[i])
             batch.sort(key=lambda t: t[0])
             if fp is not None:
                 batch = self._apply_faults_list(batch)
@@ -155,13 +131,48 @@ class ContentionKernel(SynchronousKernel):
             self._advance_round(len(batch))
         return len(deliveries)
 
-    @staticmethod
-    def _interferes(pts, senders, radii, receivers, i: int, j: int) -> bool:
-        """Does transmission ``j``'s signal cover any intended receiver of
-        ``i`` (other than when j == i's own sender, excluded by caller)?"""
-        rec = receivers[i]
-        if len(rec) == 0:
-            return False
-        d = pts[rec] - pts[senders[j]]
-        dist2 = np.sum(d * d, axis=1)
-        return bool((dist2 <= radii[j] * radii[j] * (1 + 1e-12)).any())
+    def _color(self, order: list, groups: list) -> np.ndarray:
+        """Greedy slot colouring of one round's transmissions.
+
+        Two transmissions conflict when either one's signal covers an
+        intended receiver of the other.  The footprint of a transmission
+        is every node within its radius of the sender (not just its
+        intended receivers): a unicast still radiates.  The conflict
+        matrix comes from one array pass over (receiver, sender) pairs,
+        in blocks of senders so its scratch stays bounded; colours are
+        then given in arrival order, each transmission taking the
+        smallest colour none of its earlier neighbours holds.
+        """
+        k = len(order)
+        pts = self.points
+        px, py = pts[:, 0], pts[:, 1]
+        senders = np.array([m.src for m in order], dtype=np.int64)
+        radii = np.array([m.radius for m in order], dtype=float)
+        counts = np.array([len(g) for g in groups], dtype=np.int64)
+        rec = np.fromiter(
+            (t[0] for g in groups for t in g), dtype=np.int64, count=int(counts.sum())
+        )
+        rx, ry = px[rec], py[rec]
+        sx, sy = px[senders], py[senders]
+        lim = radii * radii * (1 + 1e-12)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        # covers[i, j]: transmission j's signal reaches a receiver of i.
+        covers = np.empty((k, k), dtype=bool)
+        block = max(1, _PAIR_BLOCK // max(len(rec), 1))
+        for j0 in range(0, k, block):
+            j1 = min(j0 + block, k)
+            dx = rx[:, None] - sx[j0:j1]
+            dy = ry[:, None] - sy[j0:j1]
+            dist2 = dx * dx + dy * dy
+            covers[:, j0:j1] = np.logical_or.reduceat(
+                dist2 <= lim[j0:j1], starts, axis=0
+            )
+        conflict = covers | covers.T
+        color = np.full(k, -1, dtype=np.int64)
+        for i in range(k):
+            used = set(color[:i][conflict[i, :i]].tolist())
+            c = 0
+            while c in used:
+                c += 1
+            color[i] = c
+        return color

@@ -49,11 +49,10 @@ Hot-path layout (see docs/performance.md for the full story):
 * **Flood planes** — some protocol stages are pure cache refreshes with
   no control flow: every sender broadcasts one integer (the GHS family's
   HELLO and ANNOUNCE floods), every receiver only overwrites a cache
-  entry.  :meth:`SynchronousKernel.broadcast_plane` (and the per-sender
-  :meth:`Context.plane_broadcast`) charge the senders exactly like
-  ``local_broadcast`` but skip :class:`~repro.sim.message.Message`
-  construction and per-recipient dispatch entirely: ``step`` expands the
-  plane's (sender, recipient) edges straight from the CSR table and
+  entry.  :meth:`Context.plane_broadcast` charges its sender exactly
+  like ``local_broadcast`` but skips :class:`~repro.sim.message.Message`
+  construction and per-recipient dispatch entirely: ``step`` expands
+  each kind's (sender, recipient) edges straight from the CSR table and
   hands the whole batch to one registered ``plane handler``
   (:meth:`set_plane_handler`) that applies the updates with numpy.
   Planes are *order-free by construction* — receivers only overwrite
@@ -61,9 +60,9 @@ Hot-path layout (see docs/performance.md for the full story):
   legacy kernel is that deliveries **within** a plane round are not
   interleaved per-message with that round's unicasts.  Energy totals,
   message counts, round counts and recipient sets stay bit-identical.
-* **Whole-round phase engine** — with the flood cache live and no
-  faults, the GHS family's Borůvka phases skip per-message dispatch
-  altogether: :mod:`repro.algorithms.ghs.turbo` runs each round as array
+* **Whole-round phase engine** — with a flood table and no faults, the
+  GHS family's runs skip per-message dispatch altogether, HELLOs
+  included: :mod:`repro.algorithms.ghs.turbo` runs each round as array
   programs over the same table and closes it through
   :meth:`_advance_round`, the one place every delivery path advances the
   clock.  This kernel (``"fast"``, alias ``"turbo"``) is the one
@@ -396,7 +395,7 @@ class SynchronousKernel:
     #: Whether flood planes (and so the whole-round phase engine) may run.
     #: Subclasses with per-message delivery semantics set it False:
     #: ``set_plane_handler`` refuses a handler, plane sends return False,
-    #: and :meth:`~repro.algorithms.ghs.plane.FloodCache.ensure` declines.
+    #: and :func:`~repro.algorithms.ghs.plane.flood_table` declines.
     planes = True
 
     def __init__(
@@ -446,12 +445,10 @@ class SynchronousKernel:
         self._n_pending = 0
         #: Flood-plane state: the vectorized delivery callback (None =
         #: planes unavailable), buffered single-sender registrations per
-        #: kind, batch descriptors from broadcast_plane, the table all of
-        #: this round's plane slices index into, and the pending
-        #: recipient count.
+        #: kind, the table all of this round's plane slices index into,
+        #: and the pending recipient count.
         self._plane_handler: Callable | None = None
         self._plane_singles: dict[str, list[tuple[int, int, int, int]]] = {}
-        self._plane_batches: list[tuple] = []
         self._plane_tbl: _NeighborTable | None = None
         self._n_plane_pending = 0
         #: Batched ledger accumulators: (kind, stage) -> [energy, count],
@@ -557,14 +554,14 @@ class SynchronousKernel:
         reference, contention) have strict per-message semantics;
         registering a handler on one is a caller bug and raises
         immediately rather than silently never delivering.
-        ``plane_broadcast`` / ``broadcast_plane`` on such kernels return
-        ``False`` (the documented per-message fallback) instead.
+        ``plane_broadcast`` on such kernels returns ``False`` (the
+        documented per-message fallback) instead.
         """
         if handler is not None and not self.planes:
             raise SimulationError(
                 "per-message kernel (planes = False) cannot take a "
                 "plane handler; use the per-message fallback (honor "
-                "broadcast_plane() returning False)"
+                "plane_broadcast() returning False)"
             )
         self._plane_handler = handler
 
@@ -578,80 +575,6 @@ class SynchronousKernel:
             return None
         return self._table()
 
-    def _plane_bind(self, tbl: "_NeighborTable") -> None:
-        """Pin this round's plane slices to one table generation."""
-        if self._plane_tbl is None:
-            self._plane_tbl = tbl
-        elif self._plane_tbl is not tbl:
-            raise SimulationError(
-                "flood plane spans a neighbor-table rebuild; deliver pending "
-                "planes (run a round) before changing the power cap"
-            )
-
-    def broadcast_plane(
-        self,
-        senders: Sequence[int] | np.ndarray,
-        radius: float,
-        kind: str,
-        payloads: Sequence[int] | np.ndarray,
-    ) -> bool:
-        """Batch ``local_broadcast`` for many senders at one radius.
-
-        Charges every sender exactly as ``local_broadcast(radius, kind,
-        payloads[i])`` would (same energy expression, same summation
-        order as per-sender sends), computes each sender's recipient
-        slice from the CSR table, and schedules one plane descriptor for
-        next round's vectorized delivery.  Returns ``False`` — sending
-        and charging nothing — when the plane fast path is unavailable
-        (per-message kernel, no handler registered, or the density
-        gate rejected the table); callers fall back to per-sender
-        ``local_broadcast``.
-        """
-        radius = float(radius)
-        if radius < 0:
-            raise GeometryError(
-                f"broadcast radius must be non-negative, got {radius}"
-            )
-        tbl = self._plane_table()
-        if tbl is None or radius > tbl.max_radius:
-            return False
-        senders = np.asarray(senders, dtype=np.intp)
-        payloads = np.asarray(payloads, dtype=np.int64)
-        if len(senders) != len(payloads):
-            raise SimulationError(
-                f"broadcast_plane got {len(senders)} senders but "
-                f"{len(payloads)} payloads"
-            )
-        if len(senders) == 0:
-            return True
-        self._check_power(int(senders[0]), radius)
-        self._plane_bind(tbl)
-        cost = self.power.energy(radius)
-        charge = self._charge_tx
-        for s in senders.tolist():
-            charge(s, kind, cost)
-        starts = tbl.indptr_arr[senders]
-        ends = tbl.indptr_arr[senders + 1]
-        if radius < tbl.max_radius:
-            # Same per-sender cutoff as _send_broadcast: distances are
-            # sorted within a row, side="right" keeps the closed ball.
-            dists = tbl.dists
-            ends = np.fromiter(
-                (
-                    s0 + int(np.searchsorted(dists[s0:e0], radius, side="right"))
-                    for s0, e0 in zip(starts.tolist(), ends.tolist())
-                ),
-                dtype=np.intp,
-                count=len(senders),
-            )
-        n_rcpt = int((ends - starts).sum())
-        if n_rcpt:
-            self._plane_batches.append((kind, tbl, senders, payloads, starts, ends))
-            self._n_plane_pending += n_rcpt
-        if perf.enabled:
-            perf.add("kernel.plane_sends", len(senders))
-        return True
-
     def _send_plane(self, src: int, radius: float, kind: str, payload: int) -> bool:
         """Single-sender plane registration (buffered per kind per round)."""
         radius = float(radius)
@@ -659,15 +582,17 @@ class SynchronousKernel:
             raise GeometryError(
                 f"broadcast radius must be non-negative, got {radius}"
             )
-        # Hot path: reuse the table already bound this round (many nodes
-        # announce in one round; only the first pays the lookup chain).
+        # Hot path: reuse the table this round's pending slices index into
+        # (many nodes flood in one round; only the first pays the lookup
+        # chain).  With nothing pending, look it up again: the cap may
+        # have been raised since a send that reached nobody.
         tbl = self._plane_tbl
-        if tbl is None:
+        if tbl is None or not self._n_plane_pending:
             tbl = self._plane_table()
-            if tbl is None or radius > tbl.max_radius:
+            if tbl is None:
                 return False
-            self._plane_bind(tbl)
-        elif radius > tbl.max_radius:
+            self._plane_tbl = tbl
+        if radius > tbl.max_radius:
             return False
         self._check_power(src, radius)
         self._charge_tx(src, kind, self.power.energy(radius))
@@ -682,32 +607,23 @@ class SynchronousKernel:
         return True
 
     def _deliver_planes(self) -> int:
-        """Expand and deliver all pending planes (one handler call each)."""
-        batches = self._plane_batches
+        """Expand and deliver all pending planes (one handler call per kind)."""
         singles = self._plane_singles
         tbl = self._plane_tbl
         delivered = self._n_plane_pending
-        self._plane_batches = []
         self._plane_singles = {}
         self._plane_tbl = None
         self._n_plane_pending = 0
-        for kind, entries in singles.items():
-            k = len(entries)
-            batches.append(
-                (
-                    kind,
-                    tbl,
-                    np.fromiter((t[0] for t in entries), dtype=np.intp, count=k),
-                    np.fromiter((t[1] for t in entries), dtype=np.int64, count=k),
-                    np.fromiter((t[2] for t in entries), dtype=np.intp, count=k),
-                    np.fromiter((t[3] for t in entries), dtype=np.intp, count=k),
-                )
-            )
         handler = self._plane_handler
         rx = self.rx_cost
         led = self._ledger
         fp = self.faults
-        for kind, btbl, senders, payloads, starts, ends in batches:
+        for kind, entries in singles.items():
+            k = len(entries)
+            senders = np.fromiter((t[0] for t in entries), dtype=np.intp, count=k)
+            payloads = np.fromiter((t[1] for t in entries), dtype=np.int64, count=k)
+            starts = np.fromiter((t[2] for t in entries), dtype=np.intp, count=k)
+            ends = np.fromiter((t[3] for t in entries), dtype=np.intp, count=k)
             counts = ends - starts
             edge_idx = concat_ranges(starts, ends)
             if fp is not None and len(edge_idx):
@@ -715,7 +631,7 @@ class SynchronousKernel:
                 # senders' charges (already taken) stand.
                 src_e = np.repeat(senders.astype(np.int64, copy=False), counts)
                 times, cm, dm, um = fp.times(
-                    src_e, btbl.ids[edge_idx], fp.kind_hash(kind), self.rounds
+                    src_e, tbl.ids[edge_idx], fp.kind_hash(kind), self.rounds
                 )
                 ncr, ndr, ndu = int(cm.sum()), int(dm.sum()), int(um.sum())
                 if ncr:
@@ -730,14 +646,14 @@ class SynchronousKernel:
                         seg, weights=times, minlength=len(senders)
                     ).astype(np.intp)
                     edge_idx = np.repeat(edge_idx, times)
-            handler(kind, btbl, senders, payloads, counts, edge_idx)
+            handler(kind, tbl, senders, payloads, counts, edge_idx)
             if rx:
                 # Scalar loop keeps rx totals bit-identical to the
                 # per-message path (same left-to-right summation).
-                for dst in btbl.ids[edge_idx].tolist():
+                for dst in tbl.ids[edge_idx].tolist():
                     led.charge_rx(dst, rx)
         if perf.enabled:
-            perf.add("kernel.plane_batches", len(batches))
+            perf.add("kernel.plane_batches", len(singles))
             perf.add("kernel.plane_deliveries", delivered)
         return delivered
 

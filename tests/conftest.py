@@ -42,18 +42,18 @@ def medium_points():
 def per_message_floods():
     """HELLO/ANNOUNCE as per-message floods on the fast kernel.
 
-    ``FloodCache.ensure`` declines, exactly as it does when the density
+    ``plane.flood_table`` declines, exactly as it does when the density
     gate rejects the neighbor table: nodes keep their dict caches and
     the whole-round phase engine stays off.
     """
-    from repro.algorithms.ghs.plane import FloodCache
+    from repro.algorithms.ghs import plane
 
-    ensure = FloodCache.__dict__["ensure"]
-    FloodCache.ensure = classmethod(lambda cls, kernel: None)
+    flood_table = plane.flood_table
+    plane.flood_table = lambda kernel: None
     try:
         yield
     finally:
-        FloodCache.ensure = ensure
+        plane.flood_table = flood_table
 
 
 def brute_force_mst_cost(points: np.ndarray) -> float:

@@ -94,7 +94,7 @@ class TestGHSCorrespondence:
         is not possible post-hoc, so instead rerun the driver phase by
         phase using the kernel directly."""
         from repro.algorithms.base import collect_tree_edges
-        from repro.algorithms.ghs.driver import hello_round
+        from repro.algorithms.ghs.driver import hello_round, search_moe
         from repro.algorithms.ghs.node import GHSNode
         from repro.geometry.radius import connectivity_radius
         from repro.sim.kernel import SynchronousKernel
@@ -122,7 +122,7 @@ class TestGHSCorrespondence:
             k.wake(leaders, "initiate", (phase,))
             k.run_until_quiescent()
             participants = [nd.id for nd in k.nodes if nd.cur_phase == phase]
-            k.wake(participants, "find_moe", (phase,))
+            search_moe(k, k.nodes, participants, phase)
             k.run_until_quiescent()
             now = {tuple(e) for e in
                    collect_tree_edges((nd.id, nd.tree_edges) for nd in k.nodes)}

@@ -4,9 +4,9 @@ Complements ``test_hotpath_equivalence.py`` (which pins end-to-end
 bit-identity of the plane path against the legacy kernel) with unit
 coverage of the moving parts: ``concat_ranges``, the reverse-edge
 permutation, plane registration/delivery semantics (zero-recipient
-sends, round accounting, flat-kernel refusal), the density gate at its
-exact threshold, and the batched MOE search against a brute-force
-oracle.
+sends, round accounting, flat-kernel refusal, a cap raised after a send
+that reached nobody), the density gate at its exact threshold, and the
+batched MOE search against a brute-force oracle.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ import math
 import numpy as np
 import pytest
 
+from repro.algorithms.ghs.driver import hello_round
 from repro.algorithms.ghs.node import NO_EDGE, GHSNode
 from repro.algorithms.ghs.plane import FloodCache
+from repro.errors import ProtocolError, SimulationError
 from repro.geometry.points import uniform_points
 from repro.sim import LegacyKernel, NodeProcess, SynchronousKernel
 from repro.sim.kernel import _NO_TABLE, concat_ranges
@@ -123,10 +125,7 @@ def test_zero_recipient_plane_charges_but_adds_no_round():
     kernel.set_plane_handler(cache.on_plane)
     for nd in kernel.nodes:
         nd.attach_cache(cache)
-    ok = kernel.broadcast_plane(
-        np.array([2], dtype=np.intp), 0.05, "HELLO", np.array([2], dtype=np.int64)
-    )
-    assert ok
+    assert kernel.nodes[2].ctx.plane_broadcast(0.05, "HELLO", 2)
     assert kernel.in_flight == 0
     before = kernel.rounds
     kernel.run_until_quiescent()
@@ -139,16 +138,12 @@ def test_zero_recipient_plane_charges_but_adds_no_round():
 def test_plane_refused_without_handler_or_on_flat_kernels():
     pts = uniform_points(40, seed=0)
     kernel = _ghs_kernel(pts, 0.3)
-    senders = np.arange(kernel.n, dtype=np.intp)
-    fids = np.arange(kernel.n, dtype=np.int64)
     # No handler registered: refuse (and charge nothing).
-    assert not kernel.broadcast_plane(senders, 0.3, "HELLO", fids)
+    assert not kernel.nodes[0].ctx.plane_broadcast(0.3, "HELLO", 0)
     assert kernel.stats().messages_total == 0
     # Flat-delivery kernels never take the plane path, and registering a
     # handler on one is a caller bug that fails loudly (the handler
     # would silently never fire otherwise).
-    from repro.errors import SimulationError
-
     legacy = LegacyKernel(pts, max_radius=0.3)
     legacy.add_nodes(
         lambda i, ctx: GHSNode(i, ctx, use_tests=False, announce=True)
@@ -157,22 +152,16 @@ def test_plane_refused_without_handler_or_on_flat_kernels():
     assert FloodCache.ensure(legacy) is None
     with pytest.raises(SimulationError):
         legacy.set_plane_handler(lambda *a: None)
-    assert not legacy.broadcast_plane(senders, 0.3, "HELLO", fids)
+    assert not legacy.nodes[0].ctx.plane_broadcast(0.3, "HELLO", 0)
 
 
 def test_plane_hello_fills_cache_like_messages():
     pts = uniform_points(80, seed=5)
     r = 0.2
-    # Plane path.
+    # Plane path: the driver's hello round attaches a cache to every node.
     k1 = _ghs_kernel(pts, r)
-    cache = FloodCache.ensure(k1)
-    k1.set_plane_handler(cache.on_plane)
-    for nd in k1.nodes:
-        nd.attach_cache(cache)
-        nd.radio_radius = r
-    fids = np.fromiter((nd.fid for nd in k1.nodes), dtype=np.int64, count=k1.n)
-    assert k1.broadcast_plane(np.arange(k1.n, dtype=np.intp), r, "HELLO", fids)
-    k1.run_until_quiescent()
+    hello_round(k1, r)
+    assert k1.nodes[0].cache is not None
     # Per-message path.
     k2 = _ghs_kernel(pts, r)
     k2.wake(range(k2.n), "hello", (r,))
@@ -259,7 +248,7 @@ def test_moe_batch_matches_bruteforce():
 def test_moe_tie_broken_by_edge_ids():
     # Unit square: node 0 sees 1 and 2 at exactly distance 1.  The edge
     # key (1.0, 0, 1) < (1.0, 0, 2) must pick neighbour 1 in both the
-    # batch and the per-node search.
+    # batch and the per-node dict search.
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     kernel = _ghs_kernel(pts, 1.45)
     cache = FloodCache.ensure(kernel)
@@ -271,5 +260,34 @@ def test_moe_tie_broken_by_edge_ids():
         np.array([0], dtype=np.intp), np.array([0], dtype=np.int64)
     )
     assert (int(cand[0]), float(kd[0]), int(klo[0]), int(khi[0])) == (1, 1.0, 0, 1)
-    nb, key = kernel.nodes[0]._search_cache()
-    assert (nb, key) == (1, (1.0, 0, 1))
+    # The per-node search scans the dict cache a per-message HELLO fills.
+    dict_kernel = _ghs_kernel(pts, 1.45)
+    dict_kernel.wake(range(4), "hello", (1.45,))
+    dict_kernel.run_until_quiescent()
+    nd = dict_kernel.nodes[0]
+    nd.nb_fragment = dict.fromkeys(nd.nb_fragment, 9)
+    nd._start_search()
+    assert (nd._cand_nb, nd._cand_key) == (1, (1.0, 0, 1))
+
+
+def test_find_moe_wake_in_cache_mode_raises():
+    # Cache-mode searches run batched in the driver (driver.search_moe);
+    # a node has no per-node scan over the cache to fall back to.
+    kernel = _ghs_kernel(uniform_points(30, seed=1), 0.4)
+    hello_round(kernel, 0.4)
+    with pytest.raises(ProtocolError, match="flood-cache mode"):
+        kernel.wake([0], "find_moe", (0,))
+
+
+def test_plane_send_after_cap_raise_uses_the_new_table():
+    # A HELLO that reaches nobody leaves nothing pending; after the cap
+    # rises (a new table), the next plane round slices the new table.
+    pts = np.array([[0.0, 0.0], [0.2, 0.0], [0.9, 0.9]])
+    kernel = _ghs_kernel(pts, 0.5)
+    hello_round(kernel, 0.05)
+    assert kernel.rounds == 0
+    kernel.set_max_radius(0.6)
+    hello_round(kernel, 0.3)
+    assert kernel.rounds == 1
+    assert dict(kernel.nodes[0].fragment_cache_items()) == {1: 1}
+    assert dict(kernel.nodes[1].fragment_cache_items()) == {0: 0}

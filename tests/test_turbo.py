@@ -6,17 +6,19 @@ backend).  This module pins the engine's supporting mechanisms in
 isolation:
 
 * the whole-round phase engine engages on eligible default-kernel runs
-  (and only then); its MOE cursor agrees with ``FloodCache.moe_batch``,
-  it leaves the same flood cache as the per-message phase loop, and a
-  stale cache fails its entry check, which raises;
+  (and only then) and builds no flood cache; its MOE cursor agrees with
+  ``FloodCache.moe_batch`` over the cache derived from its ``fid``,
+  which is the cache a per-message run ends with, and a run it cannot
+  start raises;
 * classical GHS runs its TEST/ACCEPT/REJECT probes on the engine with
   legacy-identical traces and ``rejected`` sets, same-round probe
   deliveries in per-message order, and each slot examined O(1) times;
 * the one-pass tree waves (stage A, modified-mode stage B, EOPT's size
   census and giant declaration) trace identically to the legacy kernel
   and charge its exact ordered sends, stage B leaves the wave only for
-  EOPT's phases with a passive giant, and an EOPT run leaves the engine
-  only for its two HELLO rounds;
+  EOPT's phases with a passive giant, every round of an EOPT run (its
+  HELLOs too) runs in the engine, and a HELLO that reaches nobody adds
+  no round;
 * engine runs (GHS, MGHS, EOPT, MAINT) build no node object, and MAINT's
   repair cycles start the engine from the seeded forest's arrays;
 * the kernel registry resolves modes, the ``turbo`` alias and
@@ -58,26 +60,29 @@ class TestPhaseEngine:
         assert counters.get("kernel.turbo_engine_rounds", 0) > 0
         assert counters.get(PEAK_RSS_COUNTER, 0) > 0  # sampled at rounds
 
-    def test_engine_runs_never_build_slot_edge_keys(self, monkeypatch):
-        """The engine keys each MOE by ``min``/``max(u, ids[j])``; the
-        cache's slot-sized ``lo``/``hi`` exist for the per-message path."""
+    def test_engine_runs_construct_no_flood_cache(self, monkeypatch):
+        """The engine counts its HELLO and ANNOUNCE deliveries and reads
+        fragment ids off ``fid``; a flood cache exists for the
+        per-message path only."""
         from repro.algorithms.ghs import turbo
         from repro.algorithms.ghs.plane import FloodCache
 
         built = []
-        real = FloodCache._edge_keys
+        real = FloodCache.__init__
 
-        def spy(cache):
-            built.append(cache._lohi is None)
-            return real(cache)
+        def spy(cache, table):
+            built.append(table)
+            real(cache, table)
 
-        monkeypatch.setattr(FloodCache, "_edge_keys", spy)
-        assert self._counters()["kernel.turbo_engine_rounds"] > 0
+        monkeypatch.setattr(FloodCache, "__init__", spy)
+        counters = self._counters()
+        assert counters["kernel.turbo_engine_rounds"] > 0
+        assert counters["kernel.plane_sends"] > 0  # its HELLO and ANNOUNCEs
         assert built == []
-        # The per-message phase loop over the same planes does build them.
-        monkeypatch.setattr(turbo, "engine_cache", lambda kernel: None)
+        # The per-message phase loop over the same planes does build one.
+        monkeypatch.setattr(turbo, "engine_eligible", lambda kernel: False)
         assert self._counters().get("kernel.turbo_engine_rounds", 0) == 0
-        assert built and built[0]
+        assert len(built) == 1
 
     def test_engine_disengages_under_faults(self):
         counters = self._counters(faults=FaultPlan(seed=1, drop_rate=0.05))
@@ -96,14 +101,28 @@ def _dyadic_lattice(side: int) -> np.ndarray:
 
 
 def _hello_engine(pts, r, max_radius=None, *, tests=False, fid=None):
-    """A fresh engine after its plane HELLO at ``r``, under power cap
-    (and table radius) ``max_radius``."""
-    from repro.algorithms.ghs.turbo import TurboPhaseEngine, engine_cache
+    """A fresh engine after its HELLO at ``r``, under power cap (and
+    table radius) ``max_radius``."""
+    from repro.algorithms.ghs.turbo import TurboPhaseEngine
 
     kernel = SynchronousKernel(pts, max_radius=max_radius or r)
-    eng = TurboPhaseEngine(kernel, engine_cache(kernel), tests=tests, fid=fid)
+    eng = TurboPhaseEngine(kernel, tests=tests, fid=fid)
     eng.hello(r)
     return eng
+
+
+def _oracle_cache(eng):
+    """The flood cache a per-message run would hold at the engine's
+    state: a fresh ``FloodCache(eng.tbl)`` that heard every sender's
+    current ``fid`` over its announce row."""
+    from repro.algorithms.ghs.plane import FloodCache
+
+    cache = FloodCache(eng.tbl)
+    ip = eng.tbl.indptr_arr
+    known = np.arange(len(cache.ids)) < np.repeat(eng.ann_ends, np.diff(ip))
+    cache.known[:] = known
+    cache.fid[known] = eng.fid[cache.ids[known]]
+    return cache
 
 
 def _node_view(eng, i: int) -> tuple:
@@ -117,9 +136,9 @@ def _node_view(eng, i: int) -> tuple:
 
 def _rejected_set(eng, i: int) -> set:
     """Node ``i``'s rejected neighbours, from the engine's slot mask."""
-    c = eng.cache
-    s, e = c.indptr[i], c.indptr[i + 1]
-    return set(c.ids[s:e][eng.rejected[s:e]].tolist())
+    tbl = eng.tbl
+    s, e = tbl.indptr_arr[i], tbl.indptr_arr[i + 1]
+    return set(tbl.ids[s:e][eng.rejected[s:e]].tolist())
 
 
 class TestMoeCursor:
@@ -136,11 +155,8 @@ class TestMoeCursor:
 
         def cursor_moe(self, parts):
             got = orig(self, parts)
-            cache = self.cache
-            saved = cache.fid.copy()
-            self._write_cache()
+            cache = _oracle_cache(self)
             want = cache.moe_batch(parts, self.fid[parts])
-            cache.fid[:] = saved
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
             # Participants whose MOE slot opens a run of exact ties.
@@ -195,34 +211,46 @@ class TestMoeCursor:
         s, e = tbl.indptr_arr[2], tbl.indptr_arr[3]
         assert tbl.ids[s:e].tolist() == [3, 4, 0, 1]
         assert set(tbl.dists[s:e].tolist()) == {0.25}
-        assert eng.cache_in_sync()
         parts = np.array([2])
         got = eng._cursor_moe(parts)
         assert [a.tolist() for a in got] == [[1], [0.25], [1], [2]]
         assert int(eng.cur[2]) == s + 1  # past the internal slot only
-        for g, w in zip(got, eng.cache.moe_batch(parts, eng.fid[parts])):
+        for g, w in zip(got, _oracle_cache(eng).moe_batch(parts, eng.fid[parts])):
             np.testing.assert_array_equal(g, w)
 
 
 class TestEngineCache:
-    """The engine derives the flood cache instead of receiving deliveries."""
+    """The flood cache a per-message run ends with is what the engine's
+    ``fid`` array implies: the reason the engine needs none."""
 
-    def _caches(self, monkeypatch, runner, pts, engine: bool):
+    @staticmethod
+    def _caches(monkeypatch, runner, pts, engine: bool):
+        """Per-message runs: every cache made; engine runs: the oracle
+        cache derived from the engine after each ``run``."""
         from repro.algorithms.ghs import turbo
         from repro.algorithms.ghs.plane import FloodCache
 
         made = []
-        orig = FloodCache.ensure.__func__
-
-        def ensure(cls, kernel):
-            cache = orig(cls, kernel)
-            made.append(cache)
-            return cache
-
         with monkeypatch.context() as mp:
-            mp.setattr(FloodCache, "ensure", classmethod(ensure))
-            if not engine:
-                mp.setattr(turbo, "engine_cache", lambda kernel: None)
+            if engine:
+                run = turbo.TurboPhaseEngine.run
+
+                def spy_run(self, *args, **kwargs):
+                    phases = run(self, *args, **kwargs)
+                    made.append(_oracle_cache(self))
+                    return phases
+
+                mp.setattr(turbo.TurboPhaseEngine, "run", spy_run)
+            else:
+                ensure = FloodCache.ensure.__func__
+
+                def spy_ensure(cls, kernel):
+                    cache = ensure(cls, kernel)
+                    made.append(cache)
+                    return cache
+
+                mp.setattr(FloodCache, "ensure", classmethod(spy_ensure))
+                mp.setattr(turbo, "engine_eligible", lambda kernel: False)
             perf.reset()
             perf.enable()
             try:
@@ -232,7 +260,7 @@ class TestEngineCache:
                 perf.disable()
                 perf.reset()
         assert (rounds > 0) == engine
-        return [c for c in made if c is not None]
+        return made
 
     @pytest.mark.parametrize("algorithm", ["MGHS", "EOPT"])
     @pytest.mark.parametrize("lattice", [False, True])
@@ -248,23 +276,6 @@ class TestEngineCache:
         for a, b in zip(on, off):
             np.testing.assert_array_equal(a.fid, b.fid)
             np.testing.assert_array_equal(a.known, b.known)
-
-    def test_stale_slot_makes_run_ineligible(self):
-        eng = _hello_engine(uniform_points(200, seed=2), 0.12, max_radius=0.2)
-        assert eng.cache_in_sync()
-        cache = eng.cache
-        inside = np.flatnonzero(cache.dists <= 0.12)
-        outside = np.flatnonzero(cache.dists > 0.12)
-        assert len(inside) and len(outside)
-        slot = int(inside[len(inside) // 2])
-        cache.fid[slot] += 1  # one in-radius slot holds a stale fid
-        assert not eng.cache_in_sync()
-        with pytest.raises(ProtocolError, match="entry check"):
-            eng.run(1, 100)  # no node objects to fall back to
-        cache.fid[slot] -= 1
-        assert eng.cache_in_sync()
-        cache.known[int(outside[0])] = True  # heard beyond the radius
-        assert not eng.cache_in_sync()
 
     def test_sorted_unique_matches_np_unique(self):
         from repro.algorithms.ghs.turbo import sorted_unique
@@ -346,7 +357,9 @@ class TestOriginalMode:
         phases = run_ghs_phases(off, off.nodes)  # the per-message loop
         r = connectivity_radius(len(pts), PAPER_GHS_RADIUS_CONST)
         eng = _hello_engine(pts, r, r * cap, tests=True)
-        assert (eng.ann_mask is not None) == (cap > 1.0)  # walks stop at the radius
+        # Walks stop at the radius.
+        short = eng.ann_cnt < np.diff(eng.tbl.indptr_arr)
+        assert bool(short.any()) == (cap > 1.0)
         assert eng.run(1, 100) == phases
         assert (eng.walk is not None) == lattice  # exact ties reorder the walk
         a, b = off.stats(), eng.k.stats()
@@ -359,10 +372,8 @@ class TestOriginalMode:
             assert (a.fid, a.tree_edges, a.parent, a.children) == _node_view(eng, i)
             marked += len(a.rejected)
         assert marked > 0
-        # Original mode leaves the cache as the HELLO flood wrote it.
-        np.testing.assert_array_equal(off.nodes[0].cache.fid, eng.cache.fid)
         # Forward-only: each slot is examined O(1) times per run.
-        assert eng.cursor_steps <= len(eng.cache.ids) + eng.cursor_wakes
+        assert eng.cursor_steps <= len(eng.tbl.ids) + eng.cursor_wakes
 
     def test_ineligible_unless_fresh(self):
         from repro.geometry.radius import PAPER_GHS_RADIUS_CONST, connectivity_radius
@@ -371,22 +382,20 @@ class TestOriginalMode:
         eng = _hello_engine(
             pts, connectivity_radius(200, PAPER_GHS_RADIUS_CONST), tests=True
         )
-        j = int(eng.cache.indptr[0])
-        nb = int(eng.cache.ids[j])
+        j = int(eng.tbl.indptr_arr[0])
+        nb = int(eng.tbl.ids[j])
         assert eng.probes_ready()
         # The engine only starts GHS from its initial state.
         eng.rejected[j] = True
         assert not eng.probes_ready()
+        with pytest.raises(ProtocolError, match="entry check"):
+            eng.run(1, 100)
         eng.rejected[j] = False
         eng._add_edge(0, nb)
         assert not eng.probes_ready()
         eng.edge_u.clear()
         eng.edge_v.clear()
         assert eng.probes_ready()
-        eng.cache.known[j] = False  # an in-radius neighbour never heard
-        assert not eng.probes_ready()
-        with pytest.raises(ProtocolError, match="entry check"):
-            eng.run(1, 100)
 
     @pytest.mark.parametrize("test_first", [True, False])
     def test_same_round_reject_and_test(self, test_first):
@@ -423,9 +432,9 @@ class TestOriginalMode:
         # The engine, from the same state.
         eng = _hello_engine(pts, 0.2, tests=True, fid=np.array(fids))
         assert eng.probes_ready()
-        ip = eng.cache.indptr
+        ip = eng.tbl.indptr_arr
         eng.cur[0] = ip[0]  # cursor on the slot of 1
-        w_slot = int(ip[2] + eng.cache.ids[ip[2] : ip[3]].tolist().index(0))
+        w_slot = int(ip[2] + eng.tbl.ids[ip[2] : ip[3]].tolist().index(0))
         rows = sorted(
             [(0, q_rej, 1, _REJECT, 0, 0), (0, q_test, 2, _TEST, w_slot, 0)],
             key=lambda t: t[1],
@@ -440,7 +449,7 @@ class TestOriginalMode:
             assert want == [("REJECT", 2), ("TEST", 3)]
         else:  # 0 walks on to 2, then rejects 2's probe
             assert want == [("TEST", 2), ("REJECT", 2)]
-        row = eng.cache.ids[ip[0] : ip[1]]
+        row = eng.tbl.ids[ip[0] : ip[1]]
         assert set(row[eng.rejected[ip[0] : ip[1]]].tolist()) == nd.rejected == {1, 2}
 
 
@@ -482,6 +491,10 @@ class TestTreeWaves:
         )
         assert a.messages_by_kind == b.messages_by_kind
         assert a.messages_by_stage == b.messages_by_stage
+        # A HELLO-only stage's energy is the per-message sequential sum,
+        # bit for bit (the engine's HELLO wave takes its kind sum).
+        hello = [s for s in a.energy_by_stage if s.endswith("hello")]
+        assert [a.energy_by_stage[s] for s in hello] == [b.energy_by_stage[s] for s in hello]
         assert np.array_equal(fast.tree_edges, legacy.tree_edges)
         return legacy, fast
 
@@ -541,17 +554,49 @@ class TestTreeWaves:
             childless += 1 in sizes[0]  # a leader that sends nothing
         assert no_giant and demoted and childless
 
-    def test_only_hello_rounds_leave_the_engine(self):
+    def test_every_round_runs_in_the_engine(self):
         from repro.algorithms import run_eopt
 
         res, events, counters = _traced_run(run_eopt, uniform_points(2000, seed=5))
         stages = [(e["round"], e["stage"]) for e in events if e["ev"] == "stage"]
         ends = [r for r, _ in stages[1:]] + [res.stats.rounds]
         per_stage = {s: end - r for (r, s), end in zip(stages, ends)}
-        hello = per_stage["step1:hello"] + per_stage["step2:hello"]
+        assert per_stage["step1:hello"] == per_stage["step2:hello"] == 1
         assert per_stage["step2:size"] > 0  # census and giant waves ran
         assert counters["kernel.rounds"] == res.stats.rounds
-        assert counters["kernel.rounds"] - counters["kernel.turbo_engine_rounds"] == hello
+        assert counters["kernel.turbo_engine_rounds"] == counters["kernel.rounds"]
+
+    @pytest.mark.parametrize("algorithm", ["GHS", "MGHS", "EOPT"])
+    def test_all_isolated_instance_matches_legacy(self, algorithm):
+        """Nobody hears anybody: every HELLO is charged, none is
+        delivered, and neither kernel adds a round."""
+        from functools import partial
+
+        from repro.algorithms import run_eopt
+        from repro.algorithms.ghs import run_ghs, run_modified_ghs
+        from repro.trace.diff import diff_traces, format_divergence
+
+        g = np.arange(4) / 3  # pitch 1/3: beyond every radius below
+        pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        if algorithm == "EOPT":
+            runner = partial(run_eopt, c1=0.5, c2=0.5)
+        else:
+            runner = partial(run_ghs if algorithm == "GHS" else run_modified_ghs, radius=0.3)
+        legacy, lt, _ = _traced_run(runner, pts, kernel_cls=LegacyKernel)
+        fast, ft, counters = _traced_run(runner, pts)
+        d = diff_traces(lt, ft)
+        assert d is None, format_divergence(d, "legacy", "fast")
+        a, b = legacy.stats, fast.stats
+        assert (a.energy_total, a.messages_total, a.rounds) == (
+            b.energy_total, b.messages_total, b.rounds
+        )
+        assert a.messages_by_kind == b.messages_by_kind == {"HELLO": len(pts) * (1 + (algorithm == "EOPT"))}
+        assert a.energy_by_stage == b.energy_by_stage
+        assert b.rounds == 0
+        assert counters["kernel.plane_sends"] == a.messages_total  # on the engine
+        assert "kernel.turbo_engine_rounds" not in counters
+        assert "kernel.plane_deliveries" not in counters
+        assert fast.extras["n_fragments_final"] == len(pts)
 
 
     @pytest.mark.parametrize("algorithm", ["MGHS", "EOPT", "MAINT"])
@@ -801,12 +846,11 @@ class TestArrayEntry:
         from repro.algorithms.ghs.turbo import TurboPhaseEngine
 
         pts = uniform_points(200, seed=4)
-        eng = _hello_engine(pts, 0.15)
-        eng.fid[7] = 8  # a fragment-id change the cache never heard
+        eng = TurboPhaseEngine(SynchronousKernel(pts, max_radius=0.15), tests=False)
         with pytest.raises(ProtocolError, match="entry check"):
-            eng.run(1, 100)
-        with pytest.raises(ProtocolError, match="no flood cache"):
-            TurboPhaseEngine(LegacyKernel(pts, max_radius=0.15), None, tests=False).hello(0.15)
+            eng.run(1, 100)  # no HELLO yet
+        with pytest.raises(ProtocolError, match="no flood table"):
+            TurboPhaseEngine(LegacyKernel(pts, max_radius=0.15), tests=False).hello(0.15)
 
     def test_fragment_histogram(self):
         from repro.algorithms.ghs.driver import fragment_histogram
