@@ -60,10 +60,12 @@ bench:
 bench-planes:
 	$(PY) benchmarks/bench_flood_planes.py
 
-# Scaling run: nodes/sec + peak RSS at n up to 10^6 through the chunked
-# instance layout, plus the fast-vs-legacy equivalence and >=10x gates.
-# Writes benchmarks/out/BENCH_scale.json.  The million-node cell takes
-# minutes; use `benchmarks/bench_scale.py --quick` for the n=10^4 cut.
+# Scaling run: MGHS nodes/sec, peak RSS and each run's neighbour-table
+# build at n up to 10^6, plus the fast-vs-legacy equivalence gate (MGHS,
+# GHS, EOPT, MAINT and an exact lattice), the n=10^4 golden stats and the
+# >=10x speedup gate.  Writes benchmarks/out/BENCH_scale.json.  The
+# million-node cell takes minutes; use `benchmarks/bench_scale.py --quick`
+# for the n=10^4 cut.
 bench-scale:
 	$(PY) benchmarks/bench_scale.py
 

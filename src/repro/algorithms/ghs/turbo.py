@@ -55,34 +55,33 @@ the engine reproduces those loops with sorted CSR rows.
 Design notes
 ------------
 
-Stage A (the INITIATE flood), modified-mode stage B in every phase
-without a passive node (all of MGHS, EOPT's step 1 and MAINT's repair
-cycles), the census and the giant declaration are *tree waves*: the
-only traffic in flight, each node's sends fixed by its depth and its
-subtree height (stage B: REPORT at the height, then the CHANGEROOT
-baton and the CONNECT at the leader's height plus the sender's depth).
-Each wave is one array pass: one C-level BFS over the fragment-tree CSR
-from a virtual root wired to the wave's roots, pointer jumping for
-depths and roots, one emission table sorted once by ``(round, sender,
-intra)`` and charged through the sequential energy chain; the kernel
-then advances the wave's rounds one by one with their exact delivery
-counts (with tracing on, the ledger is set to each round's partial sums
-before its event).
+Every stage is a *wave*: the only traffic in flight, each send fixed by
+its sender's place in the fragment forest.  A wave is one array pass:
+one C-level BFS over the fragment-tree CSR from a virtual root wired to
+the wave's roots, pointer jumping for depths, roots and subtree maxima,
+one emission table sorted once and charged through the sequential energy
+chain; the kernel then advances the wave's rounds one by one with their
+exact delivery counts (with tracing on, the ledger is set to each round's
+partial sums before its event).  Stage A (the INITIATE flood), the census
+and the giant declaration send at fixed depths.  Stage B is one wave per
+phase in both modes: participant ``u`` reports at ``t(u) = max(s(u),
+max over children c of t(c) + 1)``, where ``s(u)`` is the round its MOE
+search ends — 0 in modified mode, where the cursor reads the MOE at the
+wake, and in original mode the round its last TEST is answered, found by
+walking every participant's probes in lockstep; the CHANGEROOT baton and
+the CONNECT follow at the leader's decision round plus the sender's
+depth.  With a passive giant (EOPT's step 2) the ABSORB floods join the
+same wave: the fragments whose CONNECTs lead to the giant form a forest
+under it, so their absorption rounds follow from their CONNECT rounds
+and depths, one short loop step per fragment level.
 
-Two kinds of stage B still run round by round: original mode, whose
-search ends when a probe is answered, not at a depth; and phases with a
-passive node (EOPT's step 2), whose ABSORB floods depend on the order in
-which a CONNECT and an ABSORB reach a node.  That loop vectorizes the
-bulk kinds — the ``find_moe`` wake, the TEST/ACCEPT/REJECT probes (the
-MOE cursor below) and the REPORT converge-cast (segment counts and
-lexicographic segment-min per recipient) — while CONNECT / CHANGEROOT /
-ABSORB (O(fragments) per phase) stay scalar in ``(recipient, seq)``
-order, which sidesteps the same-round interleavings a vectorized merge
-would have to prove commutative.  Every emission carries its trigger
-key ``(recipient id, trigger seq, intra-handler index)``; one lexsort
-per round of that loop recovers the global charge order, and rounds of
-at most 64 emissions (16 REPORT rows or completions) run as plain
-Python loops with the same result.
+The charge order is ``(round, sender, intra)``: a round's deliveries
+run ascending by recipient, so its sends group by sender.  When one
+sender runs several handlers in a round (a probe answer beside its own
+TEST or REPORT, ABSORB replies), its sends follow the seqs of their
+triggering deliveries; those come from distinct senders, so their seq
+order is their senders' id order and the trigger's sender is a sort key
+(:func:`trigger_keys`).
 
 The MOE cursor: ``cur[i]`` is a position in node ``i``'s *walk* — its
 CSR row in ``(d, lo, hi)`` edge-key order, which is the table's
@@ -90,16 +89,15 @@ distance order with each run of exact ties reordered by ascending
 neighbour id.  Every position before the cursor is known to be internal
 for good (fragments only merge).  Modified mode moves the cursor past
 slots whose neighbour shares the node's fragment and reads the MOE
-under it.  Original mode moves it, at no charge, past the phase-start
-tree slots and the slots of a ``rejected`` mask over the CSR, then
-sends one TEST at the slot under it; the recipient answers from its
-fragment id, and a REJECT marks the edge on both sides (the recipient's
-slot through the table's ``rev`` permutation), exactly as the TEST
-handler does.  A REJECT recipient's next step sees only the marks of
-TESTs delivered to it earlier — at a lower seq — in the same round.
-Either way each cursor step is a fixed-width window over the nodes
-still scanning, and the phases cost O(table entries) per run, not
-O(entries × phases).
+under it.  Original mode moves it, at no charge, past the tree slots
+and the slots of a ``rejected`` mask over the CSR, then sends one TEST
+at the slot under it; the recipient answers from its fragment id, and a
+REJECT marks the edge on both sides (the recipient's slot through the
+table's ``rev`` permutation), exactly as the TEST handler does.  TESTs
+land at odd stage-B rounds and answers at even ones, so a walk sees the
+marks of every earlier TEST and of none in its own round.  Either way
+each cursor step is a fixed-width window over the nodes still scanning,
+and the phases cost O(table entries) per run, not O(entries × phases).
 """
 
 from __future__ import annotations
@@ -123,8 +121,7 @@ __all__ = [
     "seq_energy_accumulate",
 ]
 
-# Emission kind codes (column values in the emission tables).  The
-# probe kinds come last: ``_finalize`` splits them off as ``kind >= _TEST``.
+# Emission kind codes (column values in the emission tables).
 (
     _INITIATE, _ANNOUNCE, _REPORT, _CHANGEROOT, _CONNECT, _ABSORB,
     _SIZE_REQ, _SIZE_RESP, _GIANT, _HELLO, _TEST, _ACCEPT, _REJECT,
@@ -195,6 +192,41 @@ def walk_order(
     return np.lexsort((ids, dists, row))
 
 
+def trigger_keys(rnd, snd, intra, trig, dst, done, n: int) -> np.ndarray:
+    """Keys ``k`` under which ``(rnd, snd, k)`` is a wave's per-message
+    charge order, when a sender may run several handlers in one round.
+
+    One sender's sends in a round follow the seqs of the deliveries
+    that trigger them, then code order ``intra`` (>= 0).  ``trig[i]``
+    is the index of the emission whose delivery triggers emission ``i``,
+    -1 for the wake that starts the wave, or -2 for a completion (a
+    REPORT or a leader's decision), which fires at the last of its
+    sender's deliveries flagged ``done`` that round (its children's
+    REPORTs, the answer that ends its search).  In a stage-B wave no
+    node gets two such deliveries from one sender in one round: REPORTs
+    and CHANGEROOTs cross tree edges and probes do not; TESTs land at
+    odd rounds and answers at even ones; a CONNECT makes its recipient
+    send only when that is passive, in modified mode, where nothing
+    probes; and a fragment's first ABSORB comes after its whole wave
+    (``TurboPhaseEngine._absorb_rows``).  So the deliveries that
+    trigger one sender's sends come from distinct senders, and since a
+    round's sends are charged sender by sender, their seq order is
+    their senders' id order: the trigger's sender is the key, with no
+    per-round work.
+    """
+    by = np.where(trig >= 0, snd[np.maximum(trig, 0)], -1)
+    fire = np.flatnonzero(trig == -2)
+    if len(fire):
+        d = np.flatnonzero(done)
+        at = (rnd[d] + 1) * n + dst[d]  # (round delivered, recipient)
+        o = np.lexsort((snd[d], at))
+        at, last = at[o], snd[d][o]
+        tail = np.append(at[1:] != at[:-1], True)
+        at, last = at[tail], last[tail]
+        by[fire] = last[np.searchsorted(at, rnd[fire] * n + snd[fire])]
+    return (by + 1) * (int(intra.max(initial=0)) + 1) + intra
+
+
 def engine_eligible(kernel) -> bool:
     """Whether a GHS-family run over ``kernel`` may run on the engine.
 
@@ -209,99 +241,6 @@ def engine_eligible(kernel) -> bool:
     if kernel.faults is not None or kernel.rx_cost:
         return False
     return plane.flood_table(kernel) is not None
-
-
-class _Emits:
-    """One round's emission table, accumulated then lexsorted once.
-
-    Columns: trigger key ``(k1, k2, k3)`` = (recipient id / wake rank,
-    trigger seq, intra-handler index), sender ``node``, ``kind`` code,
-    transmission distance ``dist`` (the announce radius for ANNOUNCE),
-    recipient ``dst`` (-1 for ANNOUNCE), and payload columns ``pf``
-    (REPORT distance), ``p1`` (REPORT lo), ``p2`` (REPORT hi / fragment
-    id for CONNECT and ABSORB).
-    """
-
-    __slots__ = ("chunks", "k1", "k2", "k3", "node", "kind", "dist", "dst", "pf", "p1", "p2")
-
-    def __init__(self) -> None:
-        self.chunks: list[tuple] = []
-        self.k1: list[int] = []
-        self.k2: list[int] = []
-        self.k3: list[int] = []
-        self.node: list[int] = []
-        self.kind: list[int] = []
-        self.dist: list[float] = []
-        self.dst: list[int] = []
-        self.pf: list[float] = []
-        self.p1: list[int] = []
-        self.p2: list[int] = []
-
-    def add_chunk(self, k1, k2, k3, node, kind, dist, dst, pf=None, p1=None, p2=None) -> None:
-        """Append parallel emission arrays (already per-column numpy)."""
-        k = len(node)
-        if k == 0:
-            return
-        zf = np.zeros(k)
-        zi = np.zeros(k, dtype=np.int64)
-        self.chunks.append(
-            (
-                np.asarray(k1, dtype=np.int64),
-                np.asarray(k2, dtype=np.int64),
-                np.asarray(k3, dtype=np.int64),
-                np.asarray(node, dtype=np.int64),
-                np.asarray(kind, dtype=np.int64),
-                np.asarray(dist, dtype=np.float64),
-                np.asarray(dst, dtype=np.int64),
-                zf if pf is None else np.asarray(pf, dtype=np.float64),
-                zi if p1 is None else np.asarray(p1, dtype=np.int64),
-                zi if p2 is None else np.asarray(p2, dtype=np.int64),
-            )
-        )
-
-    def add(self, k1, k2, k3, node, kind, dist, dst, pf=0.0, p1=0, p2=0) -> None:
-        """Append one scalar emission row."""
-        self.k1.append(k1)
-        self.k2.append(k2)
-        self.k3.append(k3)
-        self.node.append(node)
-        self.kind.append(kind)
-        self.dist.append(dist)
-        self.dst.append(dst)
-        self.pf.append(pf)
-        self.p1.append(p1)
-        self.p2.append(p2)
-
-    def __len__(self) -> int:
-        return len(self.node) + sum(len(c[3]) for c in self.chunks)
-
-    def fold_chunks(self) -> None:
-        """Move the chunks into the scalar row lists, ahead of the rows
-        added one by one — the order :meth:`columns` concatenates in."""
-        if not self.chunks:
-            return
-        cols = (self.k1, self.k2, self.k3, self.node, self.kind,
-                self.dist, self.dst, self.pf, self.p1, self.p2)
-        for i, col in enumerate(cols):
-            col[:0] = [x for c in self.chunks for x in c[i].tolist()]
-        self.chunks = []
-
-    def columns(self) -> tuple | None:
-        """All emissions in global trigger order, or ``None`` if empty."""
-        chunks = self.chunks
-        if self.node:
-            self.add_chunk(
-                self.k1, self.k2, self.k3, self.node, self.kind,
-                self.dist, self.dst, self.pf, self.p1, self.p2,
-            )
-        if not chunks:
-            return None
-        if len(chunks) == 1:
-            cols = chunks[0]
-        else:
-            cols = tuple(np.concatenate([c[i] for c in chunks]) for i in range(10))
-        order = np.lexsort(cols[2::-1])  # (k3, k2, k1) -> sort by k1, k2, k3
-        return tuple(col[order] for col in cols)
 
 
 class TurboPhaseEngine:
@@ -338,62 +277,24 @@ class TurboPhaseEngine:
         self.leader = np.ones(n, dtype=bool) if leader is None else np.array(leader, dtype=bool)
         self.halted = np.zeros(n, dtype=bool)
         self.passive = np.zeros(n, dtype=bool)
-        self.cur_phase = np.zeros(n, dtype=np.int64)
         self.parent = np.full(n, -1, dtype=np.int64)
+        self.parent_dist = np.zeros(n)
         #: Directed tree-edge chunks (deduped at each CSR build).
         self.edge_chunks: list[np.ndarray] = []
         if edges is not None and len(edges):
             e = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
             self.edge_chunks.append(np.concatenate((e, e[::-1]), axis=1))
+        #: Directed tree edges added one at a time (:meth:`_add_edge`).
         self.edge_u: list[int] = []
         self.edge_v: list[int] = []
         #: Original mode: ``rejected`` marks same-fragment slots found by
-        #: probes, ``dead`` adds the phase-start tree slots — the slots a
-        #: cursor skips for free (both built by :meth:`hello`).
+        #: probes, ``dead`` adds the tree slots — the slots a cursor
+        #: skips for free (both built by :meth:`hello`).
         self.rejected: np.ndarray | None = None
         self.dead: np.ndarray | None = None
-        #: Slots (both directions) of this phase's CONNECT edges; they
-        #: join ``dead`` at the next phase start.
-        self.tree_new: list[int] = []
-        # -- per-phase scratch ---------------------------------------------
-        self.n_children = np.zeros(n, dtype=np.int64)
-        self.parent_dist = np.zeros(n)
-        self.reports_recv = np.zeros(n, dtype=np.int64)
-        self.reported = np.zeros(n, dtype=bool)
-        self.best_d = np.full(n, _INF)
-        self.best_lo = np.full(n, -1, dtype=np.int64)
-        self.best_hi = np.full(n, -1, dtype=np.int64)
-        self.best_child = np.full(n, -1, dtype=np.int64)
-        self.cand_nb = np.full(n, -1, dtype=np.int64)
-        self.cand_d = np.full(n, _INF)
-        self.cand_lo = np.full(n, -1, dtype=np.int64)
-        self.cand_hi = np.full(n, -1, dtype=np.int64)
-        self.final_d = np.full(n, _INF)
-        self.final_lo = np.full(n, -1, dtype=np.int64)
-        self.final_hi = np.full(n, -1, dtype=np.int64)
-        self.final_from = np.full(n, -1, dtype=np.int64)
-        self.sent_connect_to = np.full(n, -1, dtype=np.int64)
-        self.connects_in: dict[int, set[int]] = {}
-        self.search_done = np.zeros(n, dtype=bool)
-        #: Seq of the REPORT that completed each node's count while its
-        #: search was still running.  Seqs only grow, so a value left from
-        #: an earlier round is below every seq delivered now.
-        self.rep_seq = np.full(n, -1, dtype=np.int64)
-        #: Seq of each node's REJECT in the round being processed.
-        self.rej_at = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        #: This-phase tree adds per node, maintained only while a passive
-        #: node exists (= an ABSORB flood is possible; EOPT step 2).
-        self.extras: dict[int, list[int]] | None = None
         # -- per-phase fragment-tree CSR -----------------------------------
         self.t_indptr: np.ndarray | None = None
         self.t_adj: np.ndarray | None = None
-        # -- pending deliveries for the next round ---------------------------
-        self.pend_report: tuple | None = None
-        self.pend_misc: tuple | None = None
-        self.pend_probe: tuple | None = None
-        #: ANNOUNCE senders (array or list), delivered as a count.
-        self.pend_ann = None
-        self._seq = 0
 
     # -- HELLO ---------------------------------------------------------------
 
@@ -519,21 +420,22 @@ class TurboPhaseEngine:
         lo, hi)``, ``cand = -1`` and ``dist = inf`` where no outgoing
         edge is in range.
         """
-        tbl = self.tbl
-        k = len(parts)
-        cand = np.full(k, -1, dtype=np.int64)
-        kdist = np.full(k, _INF)
-        klo = np.full(k, -1, dtype=np.int64)
-        khi = np.full(k, -1, dtype=np.int64)
-        self.cursor_wakes += k
+        self.cursor_wakes += len(parts)
         pos, found = self._walk(parts, self.cur[parts])
-        has = np.flatnonzero(found)
-        j = self._slot(pos[has])
-        u, nb = parts[has], tbl.ids[j]
-        cand[has] = nb
-        kdist[has] = tbl.dists[j]
-        klo[has] = np.minimum(u, nb)
-        khi[has] = np.maximum(u, nb)
+        return self._moe_keys(parts, found, self._slot(pos[found]))
+
+    def _moe_keys(
+        self, parts: np.ndarray, has: np.ndarray, slots: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(cand, dist, lo, hi)`` of participants whose MOE is a slot
+        (``slots``, one per ``has``), and ``(-1, inf, -1, -1)`` for the rest."""
+        tbl = self.tbl
+        cand = np.full(len(parts), -1, dtype=np.int64)
+        kdist = np.full(len(parts), _INF)
+        cand[has] = tbl.ids[slots]
+        kdist[has] = tbl.dists[slots]
+        klo = np.where(has, np.minimum(parts, cand), -1)
+        khi = np.where(has, np.maximum(parts, cand), -1)
         return cand, kdist, klo, khi
 
     # -- geometry ----------------------------------------------------------
@@ -543,11 +445,6 @@ class TurboPhaseEngine:
         dx = self.px[u] - self.px[v]
         dy = self.py[u] - self.py[v]
         return np.sqrt(dx * dx + dy * dy)
-
-    def _dist1(self, u: int, v: int) -> float:
-        dx = self.px[u] - self.px[v]
-        dy = self.py[u] - self.py[v]
-        return math.sqrt(dx * dx + dy * dy)
 
     # -- fragment-tree CSR -------------------------------------------------
 
@@ -587,80 +484,11 @@ class TurboPhaseEngine:
         self.t_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(u, minlength=n), out=self.t_indptr[1:])
 
-    def _tree_row(self, u: int) -> list[int]:
-        """Node ``u``'s current tree neighbours, ascending (CSR + this-phase adds)."""
-        s, e = self.t_indptr[u], self.t_indptr[u + 1]
-        row = self.t_adj[s:e].tolist()
-        extra = self.extras.get(u) if self.extras is not None else None
-        if extra:
-            row = sorted(set(row).union(extra))
-        return row
-
     def _add_edge(self, u: int, v: int) -> None:
         self.edge_u.append(u)
         self.edge_v.append(v)
-        if self.extras is not None:
-            self.extras.setdefault(u, []).append(v)
 
-    # -- charging / round boundary -----------------------------------------
-
-    def _finalize(self, em: _Emits) -> int:
-        """Charge this block's emissions in trigger order; queue deliveries.
-
-        Returns the number of messages charged.  Mirrors what the
-        per-message handlers would have done: ``energy_total`` advances
-        through the exact per-message partial sums, per-kind/per-stage
-        counters take the same integer counts, and each send lands in
-        next round's pending set keyed ``(recipient, seq)``.
-        """
-        if len(em) <= 64:
-            em.fold_chunks()
-            return self._finalize_scalar(em)
-        cols = em.columns()
-        if cols is None:
-            self.pend_report = None
-            self.pend_misc = None
-            self.pend_probe = None
-            self.pend_ann = None
-            return 0
-        _, _, _, node, kind, dist, dst, pf, p1, p2 = cols
-        k = len(node)
-        counts = self._charge(node, kind, self.pw.energy_array(dist))
-        seqs = np.arange(self._seq, self._seq + k, dtype=np.int64)
-        self._seq += k
-        # Split into next round's pending sets.
-        m = kind == _ANNOUNCE
-        self.pend_ann = node[m] if counts[_ANNOUNCE] else None
-        # Deliveries are processed ascending (recipient, seq), exactly
-        # like the per-message kernel's delivery sort.  Seqs ascend with
-        # emission order, so a stable sort by recipient suffices.
-        m = kind == _REPORT
-        if counts[_REPORT]:
-            o = np.argsort(dst[m], kind="stable")
-            self.pend_report = (
-                dst[m][o], seqs[m][o], node[m][o], pf[m][o], p1[m][o], p2[m][o]
-            )
-        else:
-            self.pend_report = None
-        m = (kind == _CONNECT) | (kind == _CHANGEROOT) | (kind == _ABSORB)
-        if m.any():
-            o = np.argsort(dst[m], kind="stable")
-            self.pend_misc = (
-                dst[m][o], seqs[m][o], node[m][o], kind[m][o], p2[m][o]
-            )
-        else:
-            self.pend_misc = None
-        if counts[_TEST:].any():
-            m = kind >= _TEST
-            o = np.argsort(dst[m], kind="stable")
-            self.pend_probe = (
-                dst[m][o], seqs[m][o], node[m][o], kind[m][o], p1[m][o], p2[m][o]
-            )
-        else:
-            self.pend_probe = None
-        if perf.enabled and counts[_ANNOUNCE]:
-            perf.add("kernel.plane_sends", int(counts[_ANNOUNCE]))
-        return k
+    # -- charging ------------------------------------------------------------
 
     def _charge(self, node: np.ndarray, kind: np.ndarray, energies: np.ndarray) -> np.ndarray:
         """Charge emissions, given in charge order, to the ledger.
@@ -689,117 +517,18 @@ class TurboPhaseEngine:
             led.messages_by_kind[name] += int(counts[code])
         return counts
 
-    def _finalize_scalar(self, em: _Emits) -> int:
-        """Plain-Python ``_finalize`` for small rounds (most rounds of
-        the stage-B loop).
+    # -- waves: one array pass each ------------------------------------------
 
-        Bit-identical to the array path: Python's stable sort applies
-        the same (k1, k2, k3) order as the lexsort, ``energy`` matches
-        ``energy_array`` per element, and sequential ``+=`` is exactly
-        the seeded ``np.add.accumulate`` chain.  Pending sets are kept
-        as plain column tuples; the consumers dispatch on the type.
-        """
-        self.pend_report = None
-        self.pend_misc = None
-        self.pend_probe = None
-        self.pend_ann = None
-        k = len(em.node)
-        if k == 0:
-            return 0
-        order = sorted(range(k), key=lambda i: (em.k1[i], em.k2[i], em.k3[i]))
-        led = self.k._ledger
-        energy = self.pw.energy
-        by_node = led.energy_by_node
-        e_kind = led.energy_by_kind
-        m_kind = led.messages_by_kind
-        total = led.energy_total
-        stage_e = 0.0
-        base = self._seq
-        self._seq += k
-        rep_rows: list[tuple] = []
-        misc_rows: list[tuple] = []
-        probe_rows: list[tuple] = []
-        ann_w: list[int] = []
-        for j, i in enumerate(order):
-            kd = em.kind[i]
-            u = em.node[i]
-            e = energy(em.dist[i])
-            total += e
-            stage_e += e
-            by_node[u] += e
-            name = _KIND_NAMES[kd]
-            e_kind[name] += e
-            m_kind[name] += 1
-            if kd == _ANNOUNCE:
-                ann_w.append(u)
-            elif kd == _REPORT:
-                rep_rows.append((em.dst[i], base + j, u, em.pf[i], em.p1[i], em.p2[i]))
-            elif kd >= _TEST:
-                probe_rows.append((em.dst[i], base + j, u, kd, em.p1[i], em.p2[i]))
-            elif kd != _INITIATE:
-                misc_rows.append((em.dst[i], base + j, u, kd, em.p2[i]))
-        led.energy_total = total
-        led.messages_total += k
-        stage = self.k.stage
-        led.energy_by_stage[stage] += stage_e
-        led.messages_by_stage[stage] += k
-        if ann_w:
-            self.pend_ann = ann_w
-            if perf.enabled:
-                perf.add("kernel.plane_sends", len(ann_w))
-        if rep_rows:
-            rep_rows.sort(key=lambda t: t[0])  # stable: seq ascends per dst
-            self.pend_report = tuple(zip(*rep_rows))
-        if misc_rows:
-            misc_rows.sort(key=lambda t: t[0])
-            self.pend_misc = tuple(zip(*misc_rows))
-        if probe_rows:
-            probe_rows.sort(key=lambda t: t[0])
-            self.pend_probe = tuple(zip(*probe_rows))
-        return k
-
-    def _apply_announces(self) -> int:
-        """Plane delivery of the pending ANNOUNCEs: counted, not written.
-
-        The engine reads fragment membership off ``fid`` (module notes),
-        so only the delivery count moves: each sender's announce-row
-        length.
-        """
-        writers = self.pend_ann
-        if writers is None:
-            return 0
-        self.pend_ann = None
-        delivered = int(self.ann_cnt[writers].sum())
-        if perf.enabled:
-            perf.add("kernel.plane_batches")
-            perf.add("kernel.plane_deliveries", delivered)
-        return delivered
-
-    def _end_round(self, delivered: int) -> None:
-        if perf.enabled:
-            perf.add("kernel.turbo_engine_rounds")
-        self.k._advance_round(delivered)
-
-    @property
-    def _pending(self) -> bool:
-        return (
-            self.pend_report is not None
-            or self.pend_misc is not None
-            or self.pend_probe is not None
-            or self.pend_ann is not None
-        )
-
-    # -- tree waves: one array pass each ------------------------------------
-
-    def _forest(self, roots: np.ndarray, subtree: bool = False) -> tuple:
+    def _forest(self, roots: np.ndarray) -> tuple:
         """The fragment-tree forest hanging from ``roots``, by one BFS.
 
         One C-level breadth-first search over the tree CSR from a
         virtual root wired to ``roots``, then pointer jumping.  Returns
-        ``(order, par, dep, top)``: the reached nodes in BFS order and,
-        per node (length ``n``), its parent (-1 at a root and off the
-        forest), depth and root.  With ``subtree`` a fifth array follows:
-        each node's deepest descendant depth (its own depth at a leaf).
+        ``(order, par, dep, top, jumps)``: the reached nodes in BFS order
+        and, per node (length ``n``), its parent (-1 at a root and off the
+        forest), depth and root, and the jump tables (``jumps[k]`` is each
+        node's ``2^k``-th ancestor, clamped at its root) that
+        :meth:`_subtree_max` pushes values up along.
         """
         n = self.n
         ip, adj = self.t_indptr, self.t_adj
@@ -831,15 +560,20 @@ class TurboPhaseEngine:
                 break
             dep += dep[up]
             up = nxt
-        if not subtree:
-            return order, par, dep, up
-        # Deepest descendant, pushed up along the same jumps: after the
-        # push to 2^k-th ancestors a node holds the maximum over its
-        # descendants fewer than 2^(k+1) levels below it.
-        deep = dep.copy()
+        return order, par, dep, up, jumps
+
+    @staticmethod
+    def _subtree_max(vals: np.ndarray, jumps: list) -> np.ndarray:
+        """Each node's maximum of ``vals`` over its subtree in a forest.
+
+        Pushed up along :meth:`_forest`'s jumps: after the push to
+        ``2^k``-th ancestors a node holds the maximum over its
+        descendants fewer than ``2^(k+1)`` levels below it.
+        """
+        out = vals.copy()
         for anc in jumps:
-            np.maximum.at(deep, anc, deep.copy())
-        return order, par, dep, up, deep
+            np.maximum.at(out, anc, out.copy())
+        return out
 
     def _wave(self, rnd, snd, intra, kind, dist, weight) -> None:
         """Charge one wave and run its rounds.
@@ -851,39 +585,43 @@ class TurboPhaseEngine:
         ANNOUNCE).  A wave that delivers nothing (a HELLO with nobody in
         range) is charged and advances no round, as the kernel's
         ``step`` does not.
-        Each sender runs at most one handler per round, so the
-        per-message charge order is ``(round, sender, intra)``: one
-        lexsort orders the whole wave, charged through the sequential
-        energy chain.  Rounds then advance one at a time with their
-        exact delivery counts; with tracing on, the ledger holds each
-        round's partial sums when its event is emitted.
+        The per-message charge order is ``(round, sender, intra)``: a
+        round's deliveries run ascending by recipient, so its sends group
+        by sender, and ``intra`` orders one sender's sends — code order
+        within one handler, and across the handlers a sender runs in one
+        round the order of their triggering deliveries (the caller's
+        :func:`trigger_keys`).  One lexsort orders the whole wave,
+        charged through the sequential energy chain.  Rounds then advance
+        one at a time with their exact delivery counts; with tracing on,
+        the ledger holds each round's partial sums when its event is
+        emitted.
         """
         if len(snd) == 0:
             return
-        o = np.lexsort((intra, snd, rnd))
-        rnd, snd, kind, dist, weight = rnd[o], snd[o], kind[o], dist[o], weight[o]
+        o = np.lexsort((intra, rnd * self.n + snd))
         kern = self.k
         kern._flush_charges()
         led = kern._ledger
-        energies = self.pw.energy_array(dist)
-        rounds = int(rnd[-1]) + 1
+        rounds = int(rnd.max()) + 1
         delivered = np.bincount(rnd, weights=weight, minlength=rounds)
         delivered = delivered.astype(np.int64).tolist()
         if not any(delivered):
             rounds, delivered = 0, []
-        e0, m0 = led.energy_total, led.messages_total
-        counts = self._charge(snd, kind, energies)
-        self._seq += len(snd)
         if perf.enabled:
             if rounds:
                 perf.add("kernel.turbo_engine_rounds", rounds)
-            if counts[_ANNOUNCE] or counts[_HELLO]:
-                a = (kind == _ANNOUNCE) | (kind == _HELLO)
+            a = (kind == _ANNOUNCE) | (kind == _HELLO)
+            if a.any():
                 perf.add("kernel.plane_sends", int(np.count_nonzero(a)))
                 a &= weight > 0  # a plane batch holds its non-empty rows
                 if a.any():
                     perf.add("kernel.plane_batches", len(sorted_unique(rnd[a])))
                     perf.add("kernel.plane_deliveries", int(weight[a].sum()))
+        # Only the charge needs the order (and the trace, the rounds).
+        energies = self.pw.energy_array(dist[o])
+        snd, kind = snd[o], kind[o]
+        e0, m0 = led.energy_total, led.messages_total
+        counts = self._charge(snd, kind, energies)
         if not trace.enabled:
             for d in delivered:
                 kern._advance_round(d)
@@ -891,7 +629,7 @@ class TurboPhaseEngine:
         # Round t's event sees every emission charged at rounds <= t: the
         # ledger steps through those partial sums up to its final values.
         partial = np.add.accumulate(np.concatenate(([e0], energies)))
-        ends = np.searchsorted(rnd, np.arange(1, rounds + 1), side="right")
+        ends = np.searchsorted(rnd[o], np.arange(1, rounds + 1), side="right")
         mbk = led.messages_by_kind
         codes = np.flatnonzero(counts).tolist()
         kind0 = [mbk[_KIND_NAMES[c]] - int(counts[c]) for c in codes]
@@ -922,12 +660,10 @@ class TurboPhaseEngine:
         above = p[nonroot]
         changed = self.fid[ids] != top[ids]
         self.fid[ids] = top[ids]
-        self.cur_phase[ids] = phase
         self.leader[child] = False
         self.parent[ids] = p
         d = self._dist(child, above)
         self.parent_dist[child] = d
-        self.n_children[ids] = np.diff(self.t_indptr)[ids] - nonroot
         ann = ids[:0] if self.tests else ids[changed]
         na = len(ann)
         self._wave(
@@ -942,135 +678,212 @@ class TurboPhaseEngine:
 
     # -- stage B: MOE search, converge-cast, merging -----------------------
 
-    def _complete(self, em: _Emits, ids: np.ndarray, k1, k2) -> None:
-        """``_try_report`` firing for ``ids``: decide final key, report or act.
+    def _probe_walks(self, parts: np.ndarray, out: list) -> tuple:
+        """Original mode's MOE search: every participant's TEST walk, in
+        lockstep.
 
-        ``k1``/``k2`` are the trigger-key columns (wake rank / recipient
-        and triggering seq) for any emissions.  Leaders are handled
-        scalar (they route CONNECT/CHANGEROOT and may halt).
+        Round 0 is the ``find_moe`` wake.  A walk sends its TESTs at
+        even rounds and each answer lands two rounds later, so TESTs land
+        only at odd rounds and ACCEPT/REJECT only at even ones: no node
+        holds a TEST and a REJECT in one round.  Fragment ids are fixed
+        in stage B (no passive node, so no ABSORB), so a probe's answer
+        is known when it is sent — REJECT within the fragment, which
+        marks the edge on both sides (the recipient's slot through the
+        table's ``rev``).  A walk at round ``t`` therefore sees the marks
+        of exactly the TESTs sent before ``t``: one :meth:`_walk` step
+        for all walkers per TEST round.
+
+        Returns the round each participant's search ends and its MOE
+        keys (:meth:`_moe_keys`, from the ACCEPTed slot).  Appends the
+        TESTs, then their answers, to ``out`` as one block of emission
+        rows (see :meth:`_stage_b_wave`): a TEST's trigger is the REJECT
+        of its sender's previous TEST, an answer's its TEST, and an
+        answer flagged ``done`` ends its recipient's search.
         """
-        if len(ids) <= 16:
-            k1a = np.asarray(k1)
-            k2a = np.asarray(k2)
-            for i, u in enumerate(np.asarray(ids).tolist()):
-                self._complete_one(em, u, int(k1a[i]), int(k2a[i]))
-            return
-        self.reported[ids] = True
-        cd, bd = self.cand_d[ids], self.best_d[ids]
-        clo, blo = self.cand_lo[ids], self.best_lo[ids]
-        chi, bhi = self.cand_hi[ids], self.best_hi[ids]
-        le = (cd < bd) | (
-            (cd == bd) & ((clo < blo) | ((clo == blo) & (chi <= bhi)))
-        )
-        self.final_d[ids] = np.where(le, cd, bd)
-        self.final_lo[ids] = np.where(le, clo, blo)
-        self.final_hi[ids] = np.where(le, chi, bhi)
-        self.final_from[ids] = np.where(le, -1, self.best_child[ids])
-        pmask = self.parent[ids] >= 0
-        rep = ids[pmask]
-        em.add_chunk(
-            np.asarray(k1)[pmask],
-            np.asarray(k2)[pmask],
-            np.zeros(len(rep), dtype=np.int64),
-            rep,
-            np.full(len(rep), _REPORT, dtype=np.int64),
-            self.parent_dist[rep],
-            self.parent[rep],
-            pf=self.final_d[rep],
-            p1=self.final_lo[rep],
-            p2=self.final_hi[rep],
-        )
-        lead = ids[~pmask]
-        if len(lead):
-            lk1 = np.asarray(k1)[~pmask].tolist()
-            lk2 = np.asarray(k2)[~pmask].tolist()
-            for i, u in enumerate(lead.tolist()):
-                if self.final_d[u] == _INF:
-                    self.halted[u] = True  # no outgoing edge: fragment final
-                    continue
-                self.leader[u] = False  # re-established at the core
-                self._route(em, u, lk1[i], lk2[i])
-
-    def _complete_one(self, em: _Emits, u: int, k1: int, k2: int) -> None:
-        """Scalar ``_complete`` for one node — same decision, no arrays."""
-        self.reported[u] = True
-        cd, bd = float(self.cand_d[u]), float(self.best_d[u])
-        clo, blo = int(self.cand_lo[u]), int(self.best_lo[u])
-        chi, bhi = int(self.cand_hi[u]), int(self.best_hi[u])
-        if cd < bd or (cd == bd and (clo < blo or (clo == blo and chi <= bhi))):
-            fd, flo, fhi, ffrom = cd, clo, chi, -1
-        else:
-            fd, flo, fhi, ffrom = bd, blo, bhi, int(self.best_child[u])
-        self.final_d[u] = fd
-        self.final_lo[u] = flo
-        self.final_hi[u] = fhi
-        self.final_from[u] = ffrom
-        p = int(self.parent[u])
-        if p >= 0:
-            em.add(
-                k1, k2, 0, u, _REPORT, float(self.parent_dist[u]), p,
-                pf=fd, p1=flo, p2=fhi,
+        if self.passive.any():
+            raise ProtocolError(
+                "passive node in original-mode GHS: fragment ids could "
+                "change while TESTs are in flight"
             )
-        elif fd == _INF:
-            self.halted[u] = True  # no outgoing edge: fragment final
-        else:
-            self.leader[u] = False  # re-established at the core
-            self._route(em, u, k1, k2)
+        tbl, fid = self.tbl, self.fid
+        k = len(parts)
+        s = np.zeros(k, dtype=np.int64)
+        hit = np.full(k, -1, dtype=np.int64)
+        self.cursor_wakes += k
+        none = np.zeros(0, dtype=np.int64)
+        steps = [(none, none, none, none, none.astype(bool))]
+        ends = [none]  # TESTs whose answer ends their sender's search
+        idx = np.arange(k)  # the walkers, as positions in parts
+        prev = np.full(k, -1, dtype=np.int64)
+        pos = self.cur[parts]
+        t = sent = 0
+        while len(idx):
+            pos, found = self._walk(parts[idx], pos)
+            s[idx[~found]] = t
+            ends.append(prev[~found])
+            idx, prev, j = idx[found], prev[found], self._slot(pos[found])
+            same = fid[tbl.ids[j]] == fid[parts[idx]]
+            steps.append((np.full(len(idx), t), idx, j, prev, same))
+            gi = np.arange(sent, sent + len(idx))
+            sent += len(idx)
+            acc = ~same
+            s[idx[acc]] = t + 2
+            hit[idx[acc]] = j[acc]
+            ends.append(gi[acc])
+            rj = j[same]
+            for slots in (rj, tbl.rev[rj]):
+                self.rejected[slots] = True
+                self.dead[slots] = True
+            idx, prev = idx[same], gi[same]
+            pos = self.cur[parts[idx]] + 1
+            t += 2
+        tt, ti, tj, tprev, rejected = (np.concatenate(c) for c in zip(*steps))
+        e = np.concatenate(ends)
+        done = np.zeros(2 * sent, dtype=bool)
+        done[sent + e[e >= 0]] = True
+        tu, tv = parts[ti], tbl.ids[tj].astype(np.int64)
+        out.append((
+            np.concatenate((tt, tt + 1)),
+            np.concatenate((tu, tv)),
+            np.concatenate((tv, tu)),
+            np.concatenate((np.full(sent, _TEST), np.where(rejected, _REJECT, _ACCEPT))),
+            np.concatenate((tbl.dists[tj], tbl.dists[tj])),
+            np.ones(2 * sent, dtype=np.int64),
+            np.concatenate((np.where(tprev >= 0, sent + tprev, -1), np.arange(sent))),
+            done,
+        ))
+        return s, self._moe_keys(parts, hit >= 0, hit[hit >= 0])
 
-    def _route(self, em: _Emits, u: int, k1: int, k2: int) -> None:
-        """``_route_connect``: connect over the candidate or pass the baton."""
-        fr = int(self.final_from[u])
-        if fr < 0:
-            nb = int(self.cand_nb[u])
-            if nb < 0:
-                raise ProtocolError(f"node {u}: CHANGEROOT with no candidate")
-            self.sent_connect_to[u] = nb
-            self._add_edge(u, nb)
-            if self.dead is not None:
-                j = int(self._slot(self.cur[u]))
-                self.tree_new += (j, int(self.tbl.rev[j]))
-            em.add(k1, k2, 0, u, _CONNECT, float(self.cand_d[u]), nb, p2=int(self.fid[u]))
-            # The reciprocal CONNECT may already have arrived this phase.
-            if u > nb and nb in self.connects_in.get(u, ()):
-                self.leader[u] = True
-        else:
-            em.add(k1, k2, 0, u, _CHANGEROOT, self._dist1(u, fr), fr)
+    def _absorb_rows(self, m, nb, land, conn, base: int) -> tuple | None:
+        """The ABSORB floods of a phase with a passive giant, as a block
+        of emission rows (see :meth:`_stage_b_wave`).
 
-    def _stage_b_wake(self, parts: np.ndarray) -> None:
-        """Batched MOE search + ``apply_moe`` for every participant."""
-        cand, kdist, klo, khi = self._cursor_moe(parts)
-        self.search_done[parts] = True
-        self.cand_nb[parts] = cand
-        self.cand_d[parts] = kdist
-        self.cand_lo[parts] = klo
-        self.cand_hi[parts] = khi
-        em = _Emits()
-        # Childless participants complete immediately, in wake order
-        # (ascending ids — the same order the driver applies MOEs).
-        ready = parts[self.n_children[parts] == 0]
-        self._complete(em, ready, ready, np.zeros(len(ready), dtype=np.int64))
-        self._finalize(em)
+        Fragment ``f``'s CONNECT, emission ``conn[f]``, goes from ``m[f]``
+        to ``nb[f]`` and lands at round ``land[f]``; the rows are numbered
+        from ``base`` on.  ``None`` when no CONNECT lands on a passive
+        node.
+
+        A fragment has one CONNECT and the giant none, so the fragments
+        whose CONNECTs lead to the giant form a forest under it, and an
+        ABSORB reaches such a fragment first at ``m`` (from its children
+        only after it is absorbed itself): after the fragment's whole
+        stage-B wave.  ``nb`` sends it at the later of the CONNECT's
+        landing (``nb`` passive by then: a reply) and ``nb``'s own
+        absorption (a flood over the landed edge).  From ``m`` the flood
+        follows the phase-start tree, so a node ``d`` levels below ``m``
+        is absorbed ``d`` rounds later: one short loop step per fragment
+        level.  A child's CONNECT that lands in the round its endpoint is
+        absorbed lands first, and so joins the flood, iff its sender's id
+        is lower than the ABSORB's (a round's sends are charged sender by
+        sender); otherwise the endpoint replies.  Absorbed nodes take the
+        giant's id, go passive and halt.
+        """
+        passive = self.passive
+        gnb = passive[nb]
+        if not gnb.any():
+            return None
+        n = self.n
+        nf = len(m)
+        order, par, dep, top, _ = self._forest(m)
+        frag = np.full(n, -1, dtype=np.int64)
+        frag[m] = np.arange(nf)
+        tgt = np.where(gnb, -1, frag[top[nb]])  # the fragment ``nb`` is in
+        at = np.full(nf, -1, dtype=np.int64)  # round m's ABSORB lands
+        gfid = np.full(nf, -1, dtype=np.int64)
+        at[gnb] = land[gnb] + 1
+        gfid[gnb] = self.fid[nb[gnb]]
+        lvl = gnb
+        on = tgt >= 0
+        while lvl.any():
+            nxt = np.zeros(nf, dtype=bool)
+            nxt[on] = lvl[tgt[on]]
+            f = np.flatnonzero(nxt)
+            at[f] = np.maximum(land[f], at[tgt[f]] + dep[nb[f]]) + 1
+            gfid[f] = gfid[tgt[f]]
+            lvl = nxt
+        ys = order[at[frag[top[order]]] >= 0]
+        fy = frag[top[ys]]
+        ay = np.full(n, -1, dtype=np.int64)  # each node's absorption round
+        ay[ys] = at[fy] + dep[ys]
+        src = par.copy()  # where each absorbed node's ABSORB comes from
+        src[m] = nb
+        # ABSORB rows: floods down the trees, then over or back along the
+        # CONNECT edges of absorbed fragments.
+        kids = ys[par[ys] >= 0]
+        f = np.flatnonzero(on & (at >= 0))
+        y = nb[f]
+        joins = (land[f] < ay[y]) | ((land[f] == ay[y]) & (m[f] < src[y]))
+        g = np.flatnonzero(gnb)
+        snd = np.concatenate((par[kids], y, nb[g]))
+        dst = np.concatenate((kids, m[f], m[g]))
+        rnd = np.concatenate((ay[kids] - 1, np.where(joins, ay[y], land[f]), land[g]))
+        flood = np.concatenate(
+            (np.ones(len(kids), dtype=bool), joins, np.zeros(len(g), dtype=bool))
+        )
+        into = np.full(n, -1, dtype=np.int64)  # the ABSORB each node takes
+        into[dst] = base + np.arange(len(dst))
+        reply = np.concatenate((np.full(len(kids), -1, dtype=np.int64), conn[f], conn[g]))
+        trig = np.where(flood, into[snd], reply)
+        self.fid[ys] = gfid[fy]
+        self.passive[ys] = True
+        self.leader[ys] = False
+        self.halted[ys] = True
+        na = len(ys)
+        return (
+            np.concatenate((rnd, ay[ys])),
+            np.concatenate((snd, ys)),
+            np.concatenate((dst, np.full(na, -1, dtype=np.int64))),
+            np.concatenate((np.full(len(dst), _ABSORB), np.full(na, _ANNOUNCE))),
+            np.concatenate((self._dist(snd, dst), np.full(na, self.r))),
+            np.concatenate((np.ones(len(dst), dtype=np.int64), self.ann_cnt[ys])),
+            np.concatenate((trig, into[ys])),
+            np.zeros(len(dst) + na, dtype=bool),
+        )
 
     def _stage_b_wave(self, parts: np.ndarray, forest: tuple) -> None:
-        """Stage B of a phase with no passive node, as one wave.
+        """Stage B of one phase, as one wave: the MOE search, the REPORT
+        converge-cast, the CHANGEROOT baton, the CONNECTs and, with a
+        passive giant, the ABSORB floods.
 
-        The MOE search reads fragment ids, which only stage A changes
-        here (no ABSORB re-labels a fragment), so every send is fixed by
-        the forest at the wake: node ``u`` sends its REPORT at round ``h(u)``, its subtree height; the leader
-        ``L`` of a fragment with an outgoing edge decides at ``h(L)``,
-        and CHANGEROOT passes down the path to the fragment's MOE
-        endpoint ``m``, each node ``a`` on it sending at ``h(L) +
-        dep(a)``, until ``m`` sends its CONNECT at ``h(L) + dep(m)``.
-        ``m`` is the participant of least candidate key: an outgoing
-        edge has one endpoint inside the fragment, so the keys are
-        unique there and the REPORT minima lead to it.  Each node sends
-        at most once a round, so ``(round, sender)`` is the charge order.
-        No CONNECT meets an ABSORB, so the merge is order-free: both
+        Participant ``u``'s search ends at round ``s(u)``: 0 in modified
+        mode (the cursor reads the MOE at the wake), the round its last
+        probe is answered in original mode (:meth:`_probe_walks`).  It
+        reports once its search is over and every child has reported,
+        at ``t(u) = max(s(u), max over children c of t(c) + 1)`` — the
+        maximum of ``s(w) + dep(w)`` over its subtree minus ``dep(u)``,
+        one :meth:`_subtree_max` pass.  The leader ``L`` of a fragment
+        with an outgoing edge decides at ``t(L)``, and CHANGEROOT passes
+        down the path to the fragment's MOE endpoint ``m``, each node
+        ``a`` on it sending at ``t(L) + dep(a)``, until ``m`` sends its
+        CONNECT at ``t(L) + dep(m)``.  ``m`` is the participant of least
+        candidate key: an outgoing edge has one endpoint inside the
+        fragment, so the keys are unique there and the REPORT minima
+        lead to it.  No ABSORB changes any of these sends
+        (:meth:`_absorb_rows`), so the merge is order-free: both
         directions of every CONNECT edge join the tree, and the higher
         id of each reciprocal pair leads.
+
+        In modified mode without a passive node every sender runs at
+        most one handler a round and ``(round, sender)`` is the charge
+        order; probe answers and ABSORBs can meet another handler's sends
+        at one sender, and :func:`trigger_keys` orders those by trigger.
+        The emission table is then built from blocks of rows, columns
+        ``(rnd, snd, dst, kind, dist, weight, trig, done)`` as
+        :func:`trigger_keys` reads them, ``trig`` indexing the whole
+        table: the probes' block (:meth:`_probe_walks`), the REPORTs,
+        batons and CONNECTs, and the ABSORBs' (:meth:`_absorb_rows`).
         """
-        _, par, dep, top, deep = forest
-        cand, kdist, klo, khi = self._cursor_moe(parts)
+        _, par, dep, top, jumps = forest
+        tbl = self.tbl
+        blocks: list[tuple] = []
+        if self.tests:
+            s, (cand, kdist, klo, khi) = self._probe_walks(parts, blocks)
+            reach = dep.copy()
+            reach[parts] += s
+        else:
+            cand, kdist, klo, khi = self._cursor_moe(parts)
+            reach = dep
+        reach = self._subtree_max(reach, jumps)  # t(u) + dep(u)
         # Each fragment's least candidate key (roots ascending).
         ptop = top[parts]
         o = np.lexsort((khi, klo, kdist, ptop))
@@ -1093,286 +906,55 @@ class TurboPhaseEngine:
         a = par[b]
         rep = parts[par[parts] >= 0]
         snd = np.concatenate((rep, a, m))
-        self._wave(
-            rnd=np.concatenate(
-                (deep[rep] - dep[rep], deep[top[a]] + dep[a], deep[top[m]] + dep[m])
-            ),
-            snd=snd,
-            intra=np.zeros(len(snd), dtype=np.int64),
-            kind=np.repeat([_REPORT, _CHANGEROOT, _CONNECT], (len(rep), len(a), len(m))),
-            dist=np.concatenate((self.parent_dist[rep], self._dist(a, b), cdist)),
-            weight=np.ones(len(snd), dtype=np.int64),
+        rnd = np.concatenate(
+            (reach[rep] - dep[rep], reach[top[a]] + dep[a], reach[top[m]] + dep[m])
         )
-        ends = np.stack((np.concatenate((m, nb)), np.concatenate((nb, m))))
-        self.edge_chunks.append(ends)
+        kind = np.repeat([_REPORT, _CHANGEROOT, _CONNECT], (len(rep), len(a), len(m)))
+        dist = np.concatenate((self.parent_dist[rep], self._dist(a, b), cdist))
+        k = len(snd)
+        off = len(blocks[0][0]) if blocks else 0  # index of the first REPORT
+        post = None
+        if not self.tests:  # no probe block: the CONNECTs end the table
+            conn = np.arange(k - len(m), k)
+            post = self._absorb_rows(m, nb, rnd[conn] + 1, conn, k)
+        if blocks or post is not None:
+            # Triggers: a REPORT or a leader's decision fires at the last
+            # of its sender's ``done`` deliveries that round (-2; at the
+            # wake, round 0: -1); below the leader the baton and the
+            # CONNECT go at the CHANGEROOT taken.
+            into = np.full(self.n, -1, dtype=np.int64)
+            into[b] = off + len(rep) + np.arange(len(b))
+            fires = np.concatenate((np.ones(len(rep), dtype=bool), par[a] < 0, par[m] < 0))
+            blocks.append((
+                rnd, snd, np.concatenate((par[rep], b, nb)), kind, dist,
+                np.ones(k, dtype=np.int64),
+                np.where(fires, np.where(rnd == 0, -1, -2), into[snd]),
+                np.arange(k) < len(rep),  # the REPORTs are done deliveries
+            ))
+            if post is not None:
+                blocks.append(post)
+            rnd, snd, dst, kind, dist, weight, trig, done = (
+                np.concatenate(c) for c in zip(*blocks)
+            )
+            blocks.clear()
+            # An ABSORB flood goes out in tree-row order after its ANNOUNCE.
+            intra = np.where(kind == _ABSORB, 1 + dst, 0)
+            intra = trigger_keys(rnd, snd, intra, trig, dst, done, self.n)
+        else:
+            weight = np.ones(k, dtype=np.int64)
+            intra = np.zeros(k, dtype=np.int64)
+        self._wave(rnd=rnd, snd=snd, intra=intra, kind=kind, dist=dist, weight=weight)
+        self.edge_chunks.append(np.stack((np.append(m, nb), np.append(nb, m))))
         to = np.full(self.n, -1, dtype=np.int64)
         to[m] = nb
         self.leader[m[(to[nb] == m) & (m > nb)]] = True  # core: higher id leads
-
-    def _emit_tests(
-        self, em: _Emits, us: np.ndarray, k2: np.ndarray, pos: np.ndarray
-    ) -> None:
-        """One TEST per node of ``us``, at the slot under its cursor ``pos``."""
-        j = self._slot(pos)
-        em.add_chunk(
-            us, k2, np.zeros(len(us), dtype=np.int64), us,
-            np.full(len(us), _TEST, dtype=np.int64), self.tbl.dists[j], self.tbl.ids[j],
-            p1=j, p2=self.fid[us],
-        )
-
-    def _probe_wake(self, parts: np.ndarray) -> None:
-        """Original-mode ``find_moe`` wake: each participant's first TEST.
-
-        A participant whose walk finds no live slot has searched; a
-        childless one of those reports (or, as a leader, acts) at once.
-        Original-mode runs have no passive node (only EOPT's step 2
-        declares a giant, in modified mode), so no ABSORB re-labels a
-        fragment while TESTs are in flight; checked, not assumed.
-        """
-        if self.passive.any():
-            raise ProtocolError(
-                "passive node in original-mode GHS: fragment ids could "
-                "change while TESTs are in flight"
-            )
-        self.cursor_wakes += len(parts)
-        pos, found = self._walk(parts, self.cur[parts])
-        zeros = np.zeros(len(parts), dtype=np.int64)
-        em = _Emits()
-        self._emit_tests(em, parts[found], zeros[found], pos[found])
-        done = parts[~found]
-        self.search_done[done] = True
-        ready = done[self.n_children[done] == 0]
-        self._complete(em, ready, ready, zeros[: len(ready)])
-        self._finalize(em)
-
-    def _mark(self, slots: np.ndarray) -> None:
-        self.rejected[slots] = True
-        self.dead[slots] = True
-
-    def _proc_probes(self, em: _Emits, pend: tuple) -> int:
-        """One round's TEST/ACCEPT/REJECT deliveries (original mode).
-
-        TEST: the recipient answers from its fragment id (ACCEPT when it
-        differs from the probe's), and a same-fragment probe marks the
-        edge at the recipient, whose slot is ``rev`` of the sender's.
-        REJECT: the recipient marks the slot under its cursor and walks
-        on, sending its next TEST or ending its search; its walk sees a
-        same-round mark only if that TEST reached it first (lower seq).
-        ACCEPT: the slot under the cursor is the node's candidate.
-        A search that ends here reports at the later of this delivery
-        and the node's last REPORT (``_try_report``).
-        """
-        dst, seq, src, kind, slot, pfid = (
-            np.asarray(col, dtype=np.int64) for col in pend
-        )
-        tbl = self.tbl
-        t = kind == _TEST
-        tv = dst[t]
-        marks = marks_at = marks_seq = None
-        if len(tv):
-            tq, ts = seq[t], slot[t]
-            same = pfid[t] == self.fid[tv]
-            em.add_chunk(
-                tv, tq, np.zeros(len(tv), dtype=np.int64), tv,
-                np.where(same, _REJECT, _ACCEPT), tbl.dists[ts], src[t],
-            )
-            if same.any():
-                marks = tbl.rev[ts[same]]
-                marks_at, marks_seq = tv[same], tq[same]
-        r = kind == _REJECT
-        ru, rq = dst[r], seq[r]
-        end_u, end_q = ru[:0], rq[:0]
-        if len(ru):
-            self._mark(self._slot(self.cur[ru]))
-            if marks is not None:
-                self.rej_at[ru] = rq
-                early = marks_seq < self.rej_at[marks_at]
-                self.rej_at[ru] = np.iinfo(np.int64).max
-                self._mark(marks[early])
-                marks = marks[~early]
-            pos, found = self._walk(ru, self.cur[ru] + 1)
-            self._emit_tests(em, ru[found], rq[found], pos[found])
-            end_u, end_q = ru[~found], rq[~found]
-        if marks is not None:
-            self._mark(marks)
-        a = kind == _ACCEPT
-        au = dst[a]
-        if len(au):
-            j = self._slot(self.cur[au])
-            nb = tbl.ids[j]
-            self.cand_nb[au] = nb
-            self.cand_d[au] = tbl.dists[j]
-            self.cand_lo[au] = np.minimum(au, nb)
-            self.cand_hi[au] = np.maximum(au, nb)
-            end_u = np.concatenate((end_u, au))
-            end_q = np.concatenate((end_q, seq[a]))
-        if len(end_u):
-            self.search_done[end_u] = True
-            ready = (~self.reported[end_u]) & (
-                self.reports_recv[end_u] >= self.n_children[end_u]
-            )
-            ids = end_u[ready]
-            self._complete(em, ids, ids, np.maximum(end_q[ready], self.rep_seq[ids]))
-        return len(dst)
-
-    def _proc_reports(self, em: _Emits, pend: tuple) -> int:
-        """One round's REPORT deliveries: segment counts + segment-min."""
-        dst, seq, src, d, lo, hi = pend
-        if not isinstance(dst, np.ndarray) or len(dst) <= 16:
-            return self._proc_reports_scalar(em, pend)
-        uds, first = np.unique(dst, return_index=True)
-        cnt = np.diff(np.append(first, len(dst)))
-        self.reports_recv[uds] += cnt
-        # Per-recipient lexicographic min over (d, lo, hi): sort by
-        # (dst, d, lo, hi) and take each group's first row.
-        ord3 = np.lexsort((hi, lo, d, dst))
-        ds = dst[ord3]
-        lead_row = np.empty(len(ds), dtype=bool)
-        lead_row[0] = True
-        lead_row[1:] = ds[1:] != ds[:-1]
-        mi = ord3[lead_row]  # one per unique dst, ascending
-        nd_d, nd_lo, nd_hi = d[mi], lo[mi], hi[mi]
-        bd, blo, bhi = self.best_d[uds], self.best_lo[uds], self.best_hi[uds]
-        lt = (nd_d < bd) | (
-            (nd_d == bd) & ((nd_lo < blo) | ((nd_lo == blo) & (nd_hi < bhi)))
-        )
-        upd = uds[lt]
-        self.best_d[upd] = nd_d[lt]
-        self.best_lo[upd] = nd_lo[lt]
-        self.best_hi[upd] = nd_hi[lt]
-        self.best_child[upd] = src[mi[lt]]
-        # Completions fire on the last report (children report exactly
-        # once per phase, so the count reaches len(children) on this
-        # round's final delivery — deliveries are (dst, seq)-sorted) if
-        # the search is done.  Probes are processed after reports, so a
-        # search done by now ended in an earlier round; one still running
-        # fires at its end, at the later of its seq and ``rep_seq``.
-        last_seq = seq[first + cnt - 1]
-        self.rep_seq[uds] = last_seq
-        comp = (
-            (~self.reported[uds])
-            & self.search_done[uds]
-            & (self.reports_recv[uds] >= self.n_children[uds])
-        )
-        ids = uds[comp]
-        self._complete(em, ids, ids, last_seq[comp])
-        return len(dst)
-
-    def _proc_reports_scalar(self, em: _Emits, pend: tuple) -> int:
-        """Per-delivery REPORT processing, already (recipient, seq)-sorted.
-
-        Sequential strict-less-than updates pick the same best as the
-        array path's stable segment-min (first row among equal keys),
-        and a node's count fills exactly at its last delivery — children
-        report once per phase — so the completion trigger seq matches
-        the array path's ``last_seq``.
-        """
-        dst, seq, src, d, lo, hi = pend
-        recv = self.reports_recv
-        for i in range(len(dst)):
-            u = int(dst[i])
-            recv[u] += 1
-            nd_d, nd_lo, nd_hi = float(d[i]), int(lo[i]), int(hi[i])
-            bd, blo = float(self.best_d[u]), int(self.best_lo[u])
-            bhi = int(self.best_hi[u])
-            if nd_d < bd or (
-                nd_d == bd and (nd_lo < blo or (nd_lo == blo and nd_hi < bhi))
-            ):
-                self.best_d[u] = nd_d
-                self.best_lo[u] = nd_lo
-                self.best_hi[u] = nd_hi
-                self.best_child[u] = int(src[i])
-            if not self.reported[u] and recv[u] >= self.n_children[u]:
-                if self.search_done[u]:
-                    self._complete_one(em, u, u, int(seq[i]))
-                else:
-                    self.rep_seq[u] = int(seq[i])
-        return len(dst)
-
-    def _proc_misc(self, em: _Emits, pend: tuple) -> int:
-        """One round's CONNECT/CHANGEROOT/ABSORB deliveries, scalar.
-
-        These kinds are O(fragments) per phase; processing them one by
-        one in ``(recipient, seq)`` order reproduces the per-message
-        kernel's same-round interleavings (a CONNECT and an ABSORB
-        reaching one node in the same round are order-sensitive: the
-        ABSORB's forward set depends on whether the CONNECT's tree edge
-        landed first).
-        """
-        dst, seq, src, kind, p2 = pend
-        fid = self.fid
-        for i in range(len(dst)):
-            u, s, kd = int(dst[i]), int(src[i]), int(kind[i])
-            q = int(seq[i])
-            if kd == _CONNECT:
-                self._add_edge(u, s)
-                if self.passive[u]:
-                    # Giant (or already-absorbed) side: accept and absorb.
-                    em.add(u, q, 0, u, _ABSORB, self._dist1(u, s), s, p2=int(fid[u]))
-                    continue
-                self.connects_in.setdefault(u, set()).add(s)
-                if self.sent_connect_to[u] == s and u > s:
-                    self.leader[u] = True  # core edge; higher id leads
-            elif kd == _CHANGEROOT:
-                self._route(em, u, u, q)
-            else:  # ABSORB
-                pfid = int(p2[i])
-                if self.passive[u] and fid[u] == pfid:
-                    continue  # already absorbed into this giant
-                fid[u] = pfid
-                self.passive[u] = True
-                self.leader[u] = False
-                self.halted[u] = True
-                if not self.tests:
-                    em.add(u, q, 0, u, _ANNOUNCE, self.r, -1)
-                row = self._tree_row(u)
-                for j, e in enumerate(row):
-                    if e != s:
-                        em.add(u, q, 1 + j, u, _ABSORB, self._dist1(u, e), e, p2=pfid)
-        return len(dst)
-
-    def _stage_b_rounds(self) -> None:
-        while self._pending:
-            rep, misc, probe = self.pend_report, self.pend_misc, self.pend_probe
-            self.pend_report = self.pend_misc = self.pend_probe = None
-            delivered = self._apply_announces()
-            em = _Emits()
-            # Reports before probes (see _proc_reports).  Completions
-            # route before the round's CONNECTs land: whichever comes
-            # first, the core endpoint with the higher id leads (_route).
-            if rep is not None:
-                delivered += self._proc_reports(em, rep)
-            if probe is not None:
-                delivered += self._proc_probes(em, probe)
-            if misc is not None:
-                delivered += self._proc_misc(em, misc)
-            self._finalize(em)
-            self._end_round(delivered)
+        if self.dead is not None:
+            # The CONNECT edges are tree slots from the next phase on.
+            j = self._slot(self.cur[m])
+            self.dead[j] = True
+            self.dead[tbl.rev[j]] = True
 
     # -- the phase loop ----------------------------------------------------
-
-    def _reset_phase_arrays(self) -> None:
-        self.reports_recv.fill(0)
-        self.reported.fill(False)
-        self.best_d.fill(_INF)
-        self.best_lo.fill(-1)
-        self.best_hi.fill(-1)
-        self.best_child.fill(-1)
-        self.cand_nb.fill(-1)
-        self.cand_d.fill(_INF)
-        self.cand_lo.fill(-1)
-        self.cand_hi.fill(-1)
-        self.final_d.fill(_INF)
-        self.final_lo.fill(-1)
-        self.final_hi.fill(-1)
-        self.final_from.fill(-1)
-        self.sent_connect_to.fill(-1)
-        self.connects_in = {}
-        self.search_done.fill(False)
-        if self.tree_new:
-            self.dead[self.tree_new] = True  # now phase-start tree slots
-            self.tree_new = []
-        self.extras = {} if bool(self.passive.any()) else None
 
     def run(self, start_phase: int = 1, max_phases: int | None = None) -> int:
         """The ``run_ghs_phases`` loop as array programs; returns phases run.
@@ -1411,19 +993,8 @@ class TurboPhaseEngine:
                     active=len(leaders),
                 )
             self._build_tree_csr()
-            self._reset_phase_arrays()
-            # Without a passive node, modified-mode stage B is a tree wave.
-            wave = not (self.tests or self.passive.any())
-            forest = self._forest(leaders, subtree=wave)
-            parts = self._stage_a(phase, forest)
-            if wave:
-                self._stage_b_wave(parts, forest)
-            else:
-                if self.tests:
-                    self._probe_wake(parts)
-                else:
-                    self._stage_b_wake(parts)
-                self._stage_b_rounds()
+            forest = self._forest(leaders)
+            self._stage_b_wave(self._stage_a(phase, forest), forest)
             if trace.enabled:
                 fragments, sizes = fragment_histogram(self.fid)
                 trace.emit(
@@ -1463,7 +1034,8 @@ class TurboPhaseEngine:
         ascend; ``sizes`` are their fragments' node counts.
         """
         leaders = np.flatnonzero(self.leader)
-        order, par, dep, top, deep = self._forest(leaders, subtree=True)
+        order, par, dep, top, jumps = self._forest(leaders)
+        deep = self._subtree_max(dep, jumps)
         child = order[par[order] >= 0]
         above = par[child]
         d = self._dist(child, above)
@@ -1486,7 +1058,7 @@ class TurboPhaseEngine:
         ascending order.  Every member goes passive and joins the giant,
         ``g`` halts and the others stop leading.
         """
-        order, par, dep, _ = self._forest(np.array([g], dtype=np.int64))
+        order, par, dep, _, _ = self._forest(np.array([g], dtype=np.int64))
         child = order[par[order] >= 0]
         above = par[child]
         self._wave(

@@ -113,10 +113,6 @@ class CellGrid:
         s, e = self._bucket_indptr[flat], self._bucket_indptr[flat + 1]
         return self._bucket_order[s:e]
 
-    def occupied_mask(self, threshold: int = 1) -> np.ndarray:
-        """Boolean ``(m, m)`` mask of cells with ``count >= threshold``."""
-        return self.counts >= threshold
-
     def neighbors4(self, i: int, j: int) -> Iterator[tuple[int, int]]:
         """Von-Neumann (4-) neighbours of cell ``(i, j)`` inside the grid."""
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):

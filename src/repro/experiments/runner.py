@@ -67,10 +67,6 @@ class EnergySweep:
         """Seed-mean energy per n for ``alg``."""
         return self.energy[alg].mean(axis=1)
 
-    def mean_messages(self, alg: str) -> np.ndarray:
-        """Seed-mean message count per n for ``alg``."""
-        return self.messages[alg].mean(axis=1)
-
 
 def sweep_specs(
     config: SweepConfig | None = None,

@@ -11,14 +11,15 @@ isolation:
   which is the cache a per-message run ends with, and a run it cannot
   start raises;
 * classical GHS runs its TEST/ACCEPT/REJECT probes on the engine with
-  legacy-identical traces and ``rejected`` sets, same-round probe
-  deliveries in per-message order, and each slot examined O(1) times;
-* the one-pass tree waves (stage A, modified-mode stage B, EOPT's size
-  census and giant declaration) trace identically to the legacy kernel
-  and charge its exact ordered sends, stage B leaves the wave only for
-  EOPT's phases with a passive giant, every round of an EOPT run (its
-  HELLOs too) runs in the engine, and a HELLO that reaches nobody adds
-  no round;
+  legacy-identical traces and ``rejected`` sets, and each slot examined
+  O(1) times; the legacy kernel never delivers a TEST and a REJECT to
+  one node in one round, which its lockstep walks rest on;
+* the one-pass waves (stage A, stage B of both modes, with or without
+  a passive giant, EOPT's size census and giant declaration) trace
+  identically to the legacy kernel and charge its exact ordered sends,
+  every phase is two waves (no round loop), every round of an EOPT run
+  (its HELLOs too) runs in the engine, and a HELLO that reaches nobody
+  adds no round;
 * engine runs (GHS, MGHS, EOPT, MAINT) build no node object, and MAINT's
   repair cycles start the engine from the seeded forest's arrays;
 * the kernel registry resolves modes, the ``turbo`` alias and
@@ -330,15 +331,15 @@ class TestOriginalMode:
         assert np.array_equal(fast.tree_edges, legacy.tree_edges)
 
     @staticmethod
-    def _hello(pts, cap: float):
-        """GHS nodes after a plane HELLO at the connectivity radius, under
-        a power cap (and table) ``cap`` times wider."""
+    def _hello(pts, cap: float, kernel_cls=SynchronousKernel):
+        """GHS nodes after a HELLO at the connectivity radius, under a
+        power cap (and table) ``cap`` times wider."""
         from repro.algorithms.ghs import GHSNode
         from repro.algorithms.ghs.driver import hello_round
         from repro.geometry.radius import PAPER_GHS_RADIUS_CONST, connectivity_radius
 
         r = connectivity_radius(len(pts), PAPER_GHS_RADIUS_CONST)
-        kernel = SynchronousKernel(pts, max_radius=r * cap)
+        kernel = kernel_cls(pts, max_radius=r * cap)
         kernel.add_nodes(lambda i, ctx: GHSNode(i, ctx, use_tests=True, announce=False))
         kernel.start()
         hello_round(kernel, r)
@@ -397,60 +398,61 @@ class TestOriginalMode:
         eng.edge_v.clear()
         assert eng.probes_ready()
 
-    @pytest.mark.parametrize("test_first", [True, False])
-    def test_same_round_reject_and_test(self, test_first):
-        """Node 0 holds a TEST out to 1; 1's REJECT and 2's TEST reach it
-        in one round.  0's next probe skips 2 only if 2's TEST came first."""
-        from repro.algorithms.ghs import GHSNode
-        from repro.algorithms.ghs.driver import hello_round
-        from repro.algorithms.ghs.turbo import _REJECT, _TEST, _KIND_NAMES, _Emits
+    @pytest.mark.parametrize(
+        "instance, cap",
+        [("u600", 1.0), ("u2000", 1.0), ("lattice33", 1.0), ("uniform", 1.3)],
+    )
+    def test_no_node_holds_a_test_and_a_reject_in_one_round(
+        self, monkeypatch, instance, cap
+    ):
+        """Under the synchronous ``find_moe`` wake TESTs land only at odd
+        stage-B rounds and their answers only at even ones, so a walk
+        never sees a mark made in its own round: what lets the engine
+        walk every participant in lockstep.  Checked on the legacy
+        kernel, on the instances above and the ``cap=1.3`` one of
+        :meth:`test_rejected_sets_and_cursor_bound`."""
+        from repro.algorithms.ghs.driver import run_ghs_phases
 
-        pts = np.array([[0.5, 0.5], [0.55, 0.5], [0.5, 0.57], [0.41, 0.5]])
-        fids = [0, 0, 0, 3]  # 0, 1 and 2 share a fragment; 3 is outside
-        q_test, q_rej = (5, 7) if test_first else (7, 5)
+        if instance == "lattice33":
+            pts = _dyadic_lattice(33)
+        elif instance == "uniform":
+            pts = uniform_points(800, seed=6)
+        else:
+            pts = uniform_points(int(instance[1:]), seed=3)
+        held, triggers = _spy_deliveries(monkeypatch)
+        kernel = self._hello(pts, cap, LegacyKernel)
+        run_ghs_phases(kernel, kernel.nodes)
+        kinds = kernel.stats().messages_by_kind
+        assert kinds["TEST"] > 0 and kinds["REJECT"] > 0
+        assert [k for k, v in held.items() if {"TEST", "REJECT"} <= v] == []
+        # The engine's charge order also rests on this: the deliveries
+        # that make one node send in one round come from distinct senders.
+        assert max(triggers.values()) == 1
 
-        def kernel():
-            k = SynchronousKernel(pts, max_radius=0.2)
-            k.add_nodes(lambda i, ctx: GHSNode(i, ctx, use_tests=True, announce=False))
-            k.start()
-            hello_round(k, 0.2)
-            for nd, f in zip(k.nodes, fids):
-                nd.fid = f
-            return k
 
-        # Per-message handlers, in seq order.
-        k = kernel()
-        nd = k.nodes[0]
-        assert nd.nb_ids.tolist() == [1, 2, 3]  # by distance
-        nd._reset_phase(1)
-        nd._test_queue, nd._test_idx = [1, 2, 3], 1  # TEST to 1 in flight
-        msgs = [(q_rej, "REJECT", 1, ()), (q_test, "TEST", 2, (0,))]
-        for _, kind, src, payload in sorted(msgs):
-            nd._dispatch(kind, src, payload, nd._dist_to(src))
-        want = [(m.kind, dst) for dst, m, _, _ in k._uni]
+def _spy_deliveries(monkeypatch):
+    """Record per-message deliveries: the kinds each node receives per
+    round, ``{(round, node): kinds}``, and how often each sender's
+    deliveries make a node send, ``{(round, node, sender): count}``."""
+    from collections import Counter
 
-        # The engine, from the same state.
-        eng = _hello_engine(pts, 0.2, tests=True, fid=np.array(fids))
-        assert eng.probes_ready()
-        ip = eng.tbl.indptr_arr
-        eng.cur[0] = ip[0]  # cursor on the slot of 1
-        w_slot = int(ip[2] + eng.tbl.ids[ip[2] : ip[3]].tolist().index(0))
-        rows = sorted(
-            [(0, q_rej, 1, _REJECT, 0, 0), (0, q_test, 2, _TEST, w_slot, 0)],
-            key=lambda t: t[1],
-        )
-        em = _Emits()
-        eng._proc_probes(em, tuple(np.array(c) for c in zip(*rows)))
-        cols = em.columns()
-        got = [(_KIND_NAMES[kd], int(d)) for kd, d in zip(cols[4], cols[6])]
+    from repro.algorithms.ghs import GHSNode
 
-        assert got == want
-        if test_first:  # 2 is marked before 0 walks on: 0 skips it
-            assert want == [("REJECT", 2), ("TEST", 3)]
-        else:  # 0 walks on to 2, then rejects 2's probe
-            assert want == [("TEST", 2), ("REJECT", 2)]
-        row = eng.tbl.ids[ip[0] : ip[1]]
-        assert set(row[eng.rejected[ip[0] : ip[1]]].tolist()) == nd.rejected == {1, 2}
+    held: dict[tuple[int, int], set] = {}
+    triggers: Counter = Counter()
+    on_message = GHSNode.on_message
+
+    def spy(self, msg, distance):
+        kern = self.ctx._kernel
+        key = (kern.rounds, self.id)
+        held.setdefault(key, set()).add(msg.kind)
+        before = kern._ledger.messages_total
+        on_message(self, msg, distance)
+        if kern._ledger.messages_total > before:
+            triggers[key + (msg.src,)] += 1
+
+    monkeypatch.setattr(GHSNode, "on_message", spy)
+    return held, triggers
 
 
 def _traced_run(runner, pts, **kwargs):
@@ -599,7 +601,7 @@ class TestTreeWaves:
         assert fast.extras["n_fragments_final"] == len(pts)
 
 
-    @pytest.mark.parametrize("algorithm", ["MGHS", "EOPT", "MAINT"])
+    @pytest.mark.parametrize("algorithm", ["GHS", "MGHS", "EOPT", "MAINT"])
     @pytest.mark.parametrize("instance", ["u600", "lattice33"])
     def test_wave_charge_order_matches_legacy(self, monkeypatch, algorithm, instance):
         """Every tree wave charges the per-message kernel's exact ordered
@@ -607,7 +609,7 @@ class TestTreeWaves:
         sends is pinned — ``energy_total`` alone may not see a reorder.
         ``MAINT`` is its repair cycle, which starts from a seeded forest."""
         from repro.algorithms import run_eopt
-        from repro.algorithms.ghs import run_modified_ghs, turbo
+        from repro.algorithms.ghs import run_ghs, run_modified_ghs, turbo
         from repro.applications import maintenance
         from repro.mst.delaunay import euclidean_mst
         from repro.sim.energy import EnergyLedger
@@ -660,11 +662,15 @@ class TestTreeWaves:
                 res = maintenance.repair_after_failures(pts, tree, failed)
                 assert 1 < res.extras["initial_fragments"] < res.n
         else:
-            runner = run_modified_ghs if algorithm == "MGHS" else run_eopt
+            runner = {"GHS": run_ghs, "MGHS": run_modified_ghs, "EOPT": run_eopt}[algorithm]
         runner(pts, kernel_cls=LegacyKernel)
         runner(pts)
         kinds = {kind for _, _, log in waves for _, kind, _ in log}
-        assert {"INITIATE", "ANNOUNCE"} <= kinds
+        assert "INITIATE" in kinds
+        if algorithm == "GHS":  # original mode probes and never announces
+            assert {"TEST", "ACCEPT", "REJECT"} <= kinds
+        else:
+            assert "ANNOUNCE" in kinds
         assert {"REPORT", "CONNECT"} <= kinds  # stage B
         if instance == "u600":
             assert "CHANGEROOT" in kinds
@@ -673,39 +679,58 @@ class TestTreeWaves:
         for r0, r1, log in waves:
             assert log == charges[marks[r0] : marks[r1]], (r0, r1)
 
-    @pytest.mark.parametrize("algorithm", ["MGHS", "MAINT", "EOPT"])
-    def test_round_loop_only_with_passive_nodes(self, monkeypatch, algorithm):
-        """Modified-mode stage B runs as one wave per phase: the round
-        loop never runs in MGHS or MAINT runs, and in EOPT runs only in
-        the phases after ``declare_giant`` (whose ABSORBs depend on
-        delivery order)."""
+    @pytest.mark.parametrize("algorithm", ["GHS", "MGHS", "MAINT", "EOPT"])
+    def test_every_phase_is_two_waves(self, monkeypatch, algorithm):
+        """Stage B is one wave in both modes, with or without a passive
+        giant: each phase charges exactly two waves (stage A, stage B),
+        and every round the engine runs advances inside a wave.  No GHS,
+        MGHS or MAINT run, and no EOPT run before or after its giant,
+        enters a round loop."""
         from repro.algorithms import run_eopt
-        from repro.algorithms.ghs import run_modified_ghs, turbo
+        from repro.algorithms.ghs import run_ghs, run_modified_ghs, turbo
         from repro.applications.maintenance import run_maintenance
         from repro.scenario.mobility import churn_plan
 
-        calls = {"wave": 0, "loop": 0, "loop_before_giant": 0}
+        calls = {"waves": 0, "stage_b": 0, "phases": 0, "outside": 0, "giant_phases": 0}
+        inside = [False]
         eng = turbo.TurboPhaseEngine
-        wave, loop, giant = eng._stage_b_wave, eng._stage_b_rounds, eng.declare_giant
+        wave, stage_b, run = eng._wave, eng._stage_b_wave, eng.run
+        advance = SynchronousKernel._advance_round
 
-        def stage_b_wave(self, *args):
-            calls["wave"] += 1
-            return wave(self, *args)
+        def wave_spy(self, *args, **kwargs):
+            calls["waves"] += 1
+            inside[0] = True
+            try:
+                return wave(self, *args, **kwargs)
+            finally:
+                inside[0] = False
 
-        def stage_b_rounds(self):
-            calls["loop"] += 1
-            calls["loop_before_giant"] += not getattr(self, "_giant", False)
-            return loop(self)
+        def stage_b_spy(self, *args):
+            before = calls["waves"]
+            stage_b(self, *args)
+            assert calls["waves"] == before + 1
+            calls["stage_b"] += 1
+            calls["giant_phases"] += bool(self.passive.any())
 
-        def declare_giant(self, g):
-            self._giant = True
-            return giant(self, g)
+        def run_spy(self, *args, **kwargs):
+            before = calls["waves"]
+            phases = run(self, *args, **kwargs)
+            assert calls["waves"] == before + 2 * phases
+            calls["phases"] += phases
+            return phases
 
-        monkeypatch.setattr(eng, "_stage_b_wave", stage_b_wave)
-        monkeypatch.setattr(eng, "_stage_b_rounds", stage_b_rounds)
-        monkeypatch.setattr(eng, "declare_giant", declare_giant)
+        def advance_spy(self, delivered):
+            calls["outside"] += not inside[0]
+            return advance(self, delivered)
+
+        monkeypatch.setattr(eng, "_wave", wave_spy)
+        monkeypatch.setattr(eng, "_stage_b_wave", stage_b_spy)
+        monkeypatch.setattr(eng, "run", run_spy)
+        monkeypatch.setattr(SynchronousKernel, "_advance_round", advance_spy)
         pts = uniform_points(600, seed=3)
-        if algorithm == "MGHS":
+        if algorithm == "GHS":
+            run_ghs(pts)
+        elif algorithm == "MGHS":
             run_modified_ghs(pts)
         elif algorithm == "MAINT":
             plan = churn_plan(len(pts), seed=5, crashes_per_cycle=6, transient_rate=0.0)
@@ -713,9 +738,45 @@ class TestTreeWaves:
         else:
             res = run_eopt(pts)
             assert res.extras["giant_found"]
-        assert calls["wave"] > 0
-        assert calls["loop_before_giant"] == 0
-        assert (calls["loop"] > 0) == (algorithm == "EOPT")
+            assert res.stats.messages_by_kind["ABSORB"] > 0
+        assert calls["phases"] > 0
+        assert calls["stage_b"] == calls["phases"]
+        assert (calls["giant_phases"] > 0) == (algorithm == "EOPT")
+        assert calls["outside"] == 0
+
+    @pytest.mark.parametrize(
+        "n, seed, c1, beta",
+        [
+            # A child's CONNECT lands at a node in the round an ABSORB
+            # does, from a lower sender id: the edge joins the flood.
+            (467, 276, 0.8722579345310187, 0.5947535484507367),
+            # The same meeting from a higher sender id: the node, passive
+            # by then, answers the CONNECT with its own ABSORB.
+            (559, 237, 0.9007035160082018, 0.4697090982679431),
+        ],
+    )
+    def test_absorb_meets_connect_matches_legacy(self, n, seed, c1, beta):
+        from functools import partial
+
+        from repro.algorithms import run_eopt
+
+        runner = partial(run_eopt, c1=c1, beta=beta)
+        _, fast = self._assert_like_legacy(runner, uniform_points(n, seed=seed))
+        assert fast.extras["giant_found"]
+        assert fast.stats.messages_by_kind["ABSORB"] > 0
+
+    @pytest.mark.parametrize("n", [600, 2000])
+    def test_absorb_triggers_come_from_distinct_senders(self, monkeypatch, n):
+        """With a passive giant too, the deliveries that make one node
+        send in one round come from distinct senders (legacy kernel), so
+        the trigger's sender orders one sender's sends."""
+        from repro.algorithms import run_eopt
+
+        _, triggers = _spy_deliveries(monkeypatch)
+        res = run_eopt(uniform_points(n, seed=3), kernel_cls=LegacyKernel)
+        assert res.extras["giant_found"]
+        assert res.stats.messages_by_kind["ABSORB"] > 0
+        assert max(triggers.values()) == 1
 
     def test_disconnected_instance_matches_legacy(self, monkeypatch):
         """A hand-placed instance whose fragments halt at different
