@@ -3,7 +3,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify loc lint perf-smoke bench bench-planes bench-scale chaos trace-smoke spec-smoke scenario-smoke cache-smoke serve-smoke fuzz-smoke fuzz-deep golden-regen
+.PHONY: verify loc report-hashes lint perf-smoke bench bench-planes bench-scale chaos trace-smoke spec-smoke scenario-smoke cache-smoke serve-smoke fuzz-smoke fuzz-deep golden-regen
 
 # Tier 1: lint gate plus the full unit/property suite (must stay green),
 # plus the run-cache smoke so a cache regression cannot land silently,
@@ -38,6 +38,13 @@ fuzz-deep:
 # ROADMAP north star and simplicity changes report.
 loc:
 	@find src -name '*.py' -exec cat {} + | wc -l
+
+# sha256 of execute(spec).to_json() over a fixed spec set (GHS, MGHS,
+# EOPT, MAINT mixed; fast and legacy; n 300 and 1000; clean, drop+dup,
+# crash window, rx cost; traced and untraced), one "sha256  cell" line
+# each.  Diff the output of two checkouts to see which reports moved.
+report-hashes:
+	$(PY) tools/report_hashes.py
 
 # Lint: ruff (configured in pyproject.toml) when installed, an AST
 # fallback (syntax errors + unused imports) otherwise.

@@ -87,7 +87,8 @@ def _run_once(alg: str, pts, planes: bool):
     """One instrumented run: (result, wall_s, flood_s, plane_sends).
 
     ``planes=False`` is the per-message baseline: the flood table is
-    refused for this run only, so nodes keep their dict caches.
+    refused for this run only, so every HELLO and ANNOUNCE arrives as a
+    message and writes its receiver's flood-cache slot.
     """
     flood_table = plane.flood_table
     if not planes:

@@ -52,7 +52,7 @@ import numpy as np
 from repro.errors import ProtocolError
 from repro.algorithms.base import collect_tree_edges
 from repro.algorithms.ghs.node import GHSNode
-from repro.algorithms.ghs.plane import FloodCache
+from repro.algorithms.ghs import plane
 from repro.sim.kernel import SynchronousKernel
 from repro.trace import trace
 
@@ -129,8 +129,9 @@ class GHSRecovery:
 
     One instance is shared by :func:`hello_round` and
     :func:`run_ghs_phases` for a run; it owns no protocol state, only
-    repair bookkeeping (the current flood radius and a per-radius
-    neighbour-pair cache for dict-mode repair).
+    repair bookkeeping (the current flood radius).  Flood repair scans
+    the run's one neighbour store, the HELLO round's flood cache, on
+    every kernel.
 
     ``verify_fids`` selects the staleness criterion for flood repair:
     modified-mode runs (no TEST probes) require every in-range cache
@@ -141,7 +142,7 @@ class GHSRecovery:
     TEST/ACCEPT at probe time.
     """
 
-    __slots__ = ("kernel", "nodes", "verify_fids", "audit_every", "max_iters", "_radius", "_pairs")
+    __slots__ = ("kernel", "nodes", "verify_fids", "audit_every", "max_iters", "_radius")
 
     def __init__(
         self,
@@ -158,21 +159,8 @@ class GHSRecovery:
         self.audit_every = audit
         self.max_iters = max_iters
         self._radius = 0.0
-        self._pairs: dict[float, np.ndarray] = {}
 
     # -- repair primitives -------------------------------------------------
-
-    def _pair_array(self, radius: float) -> np.ndarray:
-        """All (u, v) node pairs within ``radius`` (dict-mode repair)."""
-        pairs = self._pairs.get(radius)
-        if pairs is None:
-            tree = self.kernel._tree
-            if tree is None:
-                pairs = np.empty((0, 2), dtype=np.intp)
-            else:
-                pairs = tree.query_pairs(radius, output_type="ndarray")
-            self._pairs[radius] = pairs
-        return pairs
 
     def _stale_floods(self, rnd: int) -> tuple[list[int], bool]:
         """Senders whose HELLO/ANNOUNCE some receiver is missing.
@@ -193,45 +181,25 @@ class GHSRecovery:
         nodes = self.nodes
         n = len(nodes)
         cache = nodes[0].cache
-        if cache is not None:
-            # Plane/cache mode: one vectorized scan over the CSR slots.
-            senders_all = cache.ids
-            recv_all = np.repeat(
-                np.arange(n, dtype=np.intp), np.diff(cache.indptr)
-            )
-            bad = ~cache.known
-            if self.verify_fids:
-                bad |= cache.fid != node_fids(nodes)[senders_all]
-            bad &= cache.dists <= radius * (1.0 + 1e-12)
-            idx = np.flatnonzero(bad)
-            if len(idx) == 0:
-                return [], False
-            s_ids = senders_all[idx].astype(np.intp, copy=False)
-            r_ids = recv_all[idx]
-            keep = ~(fp.gone_mask(s_ids, rnd) | fp.gone_mask(r_ids, rnd))
-            s_ids, r_ids = s_ids[keep], r_ids[keep]
-            if len(s_ids) == 0:
-                return [], False
-            waiting = fp.crashed_mask(s_ids, rnd) | fp.crashed_mask(r_ids, rnd)
-            ready = np.unique(s_ids[~waiting])
-            return ready.tolist(), bool(waiting.any())
-        # Dict mode: walk the geometric pair list.
-        ready: set[int] = set()
-        blocked = False
-        verify = self.verify_fids
-        for u, v in self._pair_array(radius):
-            for s, r in ((int(u), int(v)), (int(v), int(u))):
-                nd = nodes[r]
-                cached = nd.nb_fragment.get(s)
-                if cached is not None and not (verify and cached != nodes[s].fid):
-                    continue
-                if fp.gone_forever(s, rnd) or fp.gone_forever(r, rnd):
-                    continue
-                if fp.crashed(s, rnd) or fp.crashed(r, rnd):
-                    blocked = True
-                else:
-                    ready.add(s)
-        return sorted(ready), blocked
+        # One vectorized scan over the cache's CSR slots.
+        senders_all = cache.ids
+        recv_all = np.repeat(np.arange(n, dtype=np.intp), np.diff(cache.indptr))
+        bad = ~cache.known
+        if self.verify_fids:
+            bad |= cache.fid != node_fids(nodes)[senders_all]
+        bad &= cache.dists <= radius * (1.0 + 1e-12)
+        idx = np.flatnonzero(bad)
+        if len(idx) == 0:
+            return [], False
+        s_ids = senders_all[idx].astype(np.intp, copy=False)
+        r_ids = recv_all[idx]
+        keep = ~(fp.gone_mask(s_ids, rnd) | fp.gone_mask(r_ids, rnd))
+        s_ids, r_ids = s_ids[keep], r_ids[keep]
+        if len(s_ids) == 0:
+            return [], False
+        waiting = fp.crashed_mask(s_ids, rnd) | fp.crashed_mask(r_ids, rnd)
+        ready = np.unique(s_ids[~waiting])
+        return ready.tolist(), bool(waiting.any())
 
     def _unsearched(self, phase: int, rnd: int) -> tuple[list[int], bool]:
         """Phase participants whose ``find_moe`` wake a crash swallowed.
@@ -425,20 +393,20 @@ def search_moe(
 ) -> None:
     """Start the MOE search of ``participants`` (alive, woken in order).
 
-    Modified-mode runs over the flood cache search in one masked
+    Modified-mode runs search their flood cache in one masked
     segment-min for all of them (:meth:`FloodCache.moe_batch`), applied
-    in the order ``wake`` would visit them so report traffic is
-    identical; every other run wakes them with ``find_moe``.  Stage B's
-    search and the settle loop's straggler re-wake both start here.
+    in the order ``wake`` would visit them so report traffic is what
+    per-node scans would send; original-mode runs wake them with
+    ``find_moe`` to start their TEST probes.  Stage B's search and the
+    settle loop's straggler re-wake both start here.
     """
-    cache = nodes[0].cache if nodes else None
-    if cache is None or nodes[0].use_tests:
-        kernel.wake(participants, "find_moe", (phase,))
-        return
     if not participants:
         return
+    if nodes[0].use_tests:
+        kernel.wake(participants, "find_moe", (phase,))
+        return
     pids = np.asarray(participants, dtype=np.intp)
-    cand, kdist, klo, khi = cache.moe_batch(pids, node_fids(nodes)[pids])
+    cand, kdist, klo, khi = nodes[0].cache.moe_batch(pids, node_fids(nodes)[pids])
     cand_l = cand.tolist()
     kd_l = kdist.tolist()
     klo_l = klo.tolist()
@@ -750,25 +718,26 @@ def hello_round_steps(
     each from its own ``hello`` wake (a crashed node's wake is skipped;
     recovery re-floods it on restart).
 
-    When the kernel has a flood table (:meth:`FloodCache.ensure`), a
-    fresh cache is attached to every node and each HELLO goes out as a
-    single-sender plane (``ctx.plane_broadcast``), all of them delivered
-    as one vectorized cache update.  Otherwise — legacy/contention
-    kernels or density-gated tables — nodes broadcast per message and
-    keep their dict caches.
+    Every round attaches a fresh flood cache (:meth:`FloodCache.ensure`)
+    to every node: the run's one neighbour store, on every kernel.
+    Where :func:`~repro.algorithms.ghs.plane.flood_table` allows it, each
+    HELLO goes out as a single-sender plane (``ctx.plane_broadcast``),
+    all of them delivered as one vectorized cache update; otherwise —
+    legacy/contention kernels or density-gated tables — nodes broadcast
+    per message and each receiver writes its own slot.
     """
     nodes = kernel.nodes
     r = float(radius)
-    # No plane/cache-mode field here: whether the flood plane engages
-    # depends on the kernel flavor, and equivalent legacy/fast runs must
-    # emit identical traces.
+    # No plane field here: whether the flood plane engages depends on
+    # the kernel flavor, and equivalent legacy/fast runs must emit
+    # identical traces.
     if trace.enabled:
         trace.emit("hello", round=kernel.rounds, radius=r)
-    ghs = [nd for nd in nodes if isinstance(nd, GHSNode)]
-    cache = FloodCache.ensure(kernel) if ghs and len(ghs) == len(nodes) else None
-    kernel.set_plane_handler(None if cache is None else cache.on_plane)
-    for nd in ghs:
-        nd.attach_cache(cache)
+    cache = plane.FloodCache.ensure(kernel)
+    planes = plane.flood_table(kernel) is not None
+    kernel.set_plane_handler(cache.on_plane if planes else None)
+    for nd in nodes:
+        cache.attach(nd)
         # Pre-assign the radius: a node crashed through this wake still
         # needs it for recovery re-floods.
         nd.radio_radius = r

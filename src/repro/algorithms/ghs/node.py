@@ -11,7 +11,7 @@ Sec. V-A of the paper:
    *original* mode probes incident edges in increasing weight order with
    ``TEST``/``ACCEPT``/``REJECT`` (a rejected edge — same fragment — is
    marked dead on both sides forever); *modified* mode just scans its
-   neighbour cache.
+   neighbour cache (the driver scans every participant's at once).
 3. **REPORT** — candidates converge up the tree; each node forwards the
    minimum of its own candidate and its children's reports.
 4. **CHANGEROOT / CONNECT** — the leader routes authority to the node
@@ -30,13 +30,17 @@ announce — "small fragments change their ids" so the giant never does).
 Edge weights are compared by the globally consistent key
 ``(distance, min_id, max_id)``, so every fragment has a *unique* MOE and
 Borůvka merging is well-defined even under (measure-zero) distance ties.
+
+A node's neighbour knowledge lives in one store on every kernel: its row
+of the run's :class:`~repro.algorithms.ghs.plane.FloodCache`, which each
+HELLO round builds afresh and attaches.  HELLO and ANNOUNCE floods write
+it — in bulk through the kernel's flood planes where they run, otherwise
+one delivered message at a time through the node's own id→slot map.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from repro.errors import ProtocolError
 from repro.sim.faults import RetryBuffer
@@ -62,17 +66,14 @@ class GHSNode(NodeProcess):
         "radio_radius",
         "reliable",
         "retry",
-        # durable knowledge
-        "neighbors",      # id -> distance (learned from HELLO/ANNOUNCE deliveries)
-        "nb_fragment",    # id -> fragment id (modified mode caches)
-        # flood-cache views (plane fast path; None = dict mode)
-        "cache",          # shared FloodCache, or None
+        # durable knowledge: views of the shared flood cache (None
+        # until the first HELLO round attaches one)
+        "cache",          # shared FloodCache
         "nb_ids",         # this node's CSR row: neighbor ids (by distance)
         "nb_dist",        # ... their distances
         "nb_fid",         # ... last-heard fragment ids (-1 = never)
-        "nb_known",       # ... heard-from bits (dict membership)
-        "nb_lo",          # ... min(self.id, nb) per slot
-        "nb_hi",          # ... max(self.id, nb) per slot
+        "nb_known",       # ... heard-from bits
+        "nb_slot",        # neighbor id -> slot in the row (built on first use)
         "fid",
         "leader",
         "halted",
@@ -116,11 +117,9 @@ class GHSNode(NodeProcess):
         self.reliable = reliable
         self.retry = RetryBuffer(ctx) if reliable else None
         self.radio_radius = 0.0
-        self.neighbors: dict[int, float] = {}
-        self.nb_fragment: dict[int, int] = {}
         self.cache = None
         self.nb_ids = self.nb_dist = self.nb_fid = None
-        self.nb_known = self.nb_lo = self.nb_hi = None
+        self.nb_known = self.nb_slot = None
         self.fid = node_id
         self.leader = True
         self.halted = False
@@ -167,55 +166,43 @@ class GHSNode(NodeProcess):
         # (two fragments could then join over two different edges — a cycle).
         self._phase_tree: frozenset[int] = frozenset(self.tree_edges)
 
-    def attach_cache(self, cache) -> None:
-        """Bind (or clear, with ``None``) the shared flood cache's views.
-
-        In cache mode the ``neighbors``/``nb_fragment`` dicts go unused:
-        neighbour knowledge lives in the table-aligned numpy views and is
-        refreshed by the next HELLO flood.  Rebinding at every hello
-        round is equivalent to keeping the dicts because the power cap
-        never *lowers* and a full hello refreshes every in-range entry.
-        """
-        self.cache = cache
-        if cache is None:
-            self.nb_ids = self.nb_dist = self.nb_fid = None
-            self.nb_known = self.nb_lo = self.nb_hi = None
-        else:
-            cache.attach(self)
-
     def _cache_slot(self, nb: int) -> int:
-        slots = np.flatnonzero(self.nb_ids == nb)
-        if len(slots) == 0:
+        slot_of = self.nb_slot
+        if slot_of is None:
+            slot_of = self.nb_slot = {v: j for j, v in enumerate(self.nb_ids.tolist())}
+        try:
+            return slot_of[nb]
+        except KeyError:
             raise ProtocolError(
                 f"node {self.id}: flood cache has no slot for neighbor {nb} "
                 "(stale cache after a power-cap change?)"
-            )
-        return int(slots[0])
+            ) from None
 
     def _cache_learn(self, src: int, fid: int) -> None:
-        """Per-message HELLO/ANNOUNCE in cache mode (plane fallback path)."""
+        """A HELLO/ANNOUNCE delivered as a message: write ``src``'s slot."""
         j = self._cache_slot(src)
         self.nb_fid[j] = fid
         self.nb_known[j] = True
 
     def _dist_to(self, nb: int) -> float:
-        """Distance to a heard-from neighbour, whichever cache is live."""
-        if self.cache is None:
-            return self.neighbors[nb]
+        """Distance to a heard-from neighbour."""
         return float(self.nb_dist[self._cache_slot(nb)])
 
     def fragment_cache_items(self):
-        """(neighbor id, cached fragment id) pairs, mode-agnostic (audit)."""
-        if self.cache is None:
-            return self.nb_fragment.items()
+        """(neighbor id, cached fragment id) pairs of heard-from neighbours (audit)."""
         k = self.nb_known
         return zip(self.nb_ids[k].tolist(), self.nb_fid[k].tolist())
 
+    def _flood(self, kind: str) -> None:
+        """Broadcast ``kind(fid)`` at the radio radius: as a plane where
+        the kernel runs them, else as one message."""
+        r = self.radio_radius
+        if not self.ctx.plane_broadcast(r, kind, self.fid):
+            self.ctx.local_broadcast(r, kind, self.fid)
+
     def _maybe_announce(self, changed: bool) -> None:
         if changed and self.announce:
-            r = self.radio_radius
-            if self.cache is None or not self.ctx.plane_broadcast(r, "ANNOUNCE", self.fid):
-                self.ctx.local_broadcast(r, "ANNOUNCE", self.fid)
+            self._flood("ANNOUNCE")
 
     def _send(self, dst: int, kind: str, *payload) -> None:
         """Protocol unicast, routed through the reliable layer if enabled."""
@@ -230,9 +217,7 @@ class GHSNode(NodeProcess):
         if signal == "hello":
             (radius,) = payload
             self.radio_radius = float(radius)
-            r = self.radio_radius
-            if self.cache is None or not self.ctx.plane_broadcast(r, "HELLO", self.fid):
-                self.ctx.local_broadcast(r, "HELLO", self.fid)
+            self._flood("HELLO")
         elif signal == "initiate":
             (phase,) = payload
             self._wake_initiate(int(phase))
@@ -252,9 +237,7 @@ class GHSNode(NodeProcess):
         elif signal == "rehello":
             # Recovery re-flood: same HELLO the node would send on "hello",
             # at the radius the driver already assigned.
-            r = self.radio_radius
-            if self.cache is None or not self.ctx.plane_broadcast(r, "HELLO", self.fid):
-                self.ctx.local_broadcast(r, "HELLO", self.fid)
+            self._flood("HELLO")
         else:
             raise ProtocolError(f"unknown wake signal {signal!r}")
 
@@ -311,21 +294,11 @@ class GHSNode(NodeProcess):
                 raise ProtocolError(f"node {self.id}: ACK received in unreliable mode")
             self.retry.on_ack(src, payload[0])
             return
-        self._dispatch(kind, src, payload, distance)
+        self._dispatch(kind, src, payload)
 
-    def _dispatch(self, kind: str, src: int, payload: tuple, distance: float) -> None:
-        if kind == "HELLO":
-            if self.cache is not None:
-                self._cache_learn(src, payload[0])
-            else:
-                self.neighbors[src] = distance
-                self.nb_fragment[src] = payload[0]
-        elif kind == "ANNOUNCE":
-            if self.cache is not None:
-                self._cache_learn(src, payload[0])
-            else:
-                self.neighbors.setdefault(src, distance)
-                self.nb_fragment[src] = payload[0]
+    def _dispatch(self, kind: str, src: int, payload: tuple) -> None:
+        if kind == "HELLO" or kind == "ANNOUNCE":
+            self._cache_learn(src, payload[0])
         elif kind == "INITIATE":
             fid, phase = payload
             self._on_initiate(src, fid, phase)
@@ -387,59 +360,29 @@ class GHSNode(NodeProcess):
     # -- phase stage B: MOE search -------------------------------------------
 
     def _start_search(self) -> None:
-        if self.use_tests:
-            if self.cache is not None:
-                k = self.nb_known
-                pairs = zip(self.nb_ids[k].tolist(), self.nb_dist[k].tolist())
-                # Edge keys are unique, so sorting (key, nb) pairs gives
-                # the same queue order as the dict path's stable sort.
-                keyed = [
-                    (self._edge_key(nb, d), nb)
-                    for nb, d in pairs
-                    if nb not in self._phase_tree and nb not in self.rejected
-                ]
-                keyed.sort()
-                cands = [nb for _, nb in keyed]
-            else:
-                cands = [
-                    nb
-                    for nb in self.neighbors
-                    if nb not in self._phase_tree and nb not in self.rejected
-                ]
-                cands.sort(key=lambda nb: self._edge_key(nb, self.neighbors[nb]))
-            self._test_queue = cands
-            self._test_idx = 0
-            self._continue_tests()
-        elif self.cache is not None:
+        if not self.use_tests:
             raise ProtocolError(
-                f"node {self.id}: find_moe wake in flood-cache mode; the "
-                "driver searches cache runs in one batch (driver.search_moe)"
+                f"node {self.id}: find_moe wake in modified mode; the driver "
+                "searches every participant in one batch (driver.search_moe)"
             )
-        else:
-            best_nb, best_key = None, NO_EDGE
-            fid = self.fid
-            me = self.id
-            neighbors = self.neighbors
-            for nb, nb_fid in self.nb_fragment.items():
-                if nb_fid == fid:
-                    continue
-                # Inlined _edge_key: this scan runs once per node per phase
-                # over the whole neighbour cache — the algorithm-side hot loop.
-                d = neighbors[nb]
-                key = (d, me, nb) if me < nb else (d, nb, me)
-                if key < best_key:
-                    best_key, best_nb = key, nb
-            self._cand_nb = best_nb
-            self._cand_key = best_key
-            self._search_done = True
-            self._try_report()
+        k = self.nb_known
+        pairs = zip(self.nb_ids[k].tolist(), self.nb_dist[k].tolist())
+        # Edge keys are unique, so sorting (key, nb) pairs fixes the order.
+        keyed = [
+            (self._edge_key(nb, d), nb)
+            for nb, d in pairs
+            if nb not in self._phase_tree and nb not in self.rejected
+        ]
+        keyed.sort()
+        self._test_queue = [nb for _, nb in keyed]
+        self._test_idx = 0
+        self._continue_tests()
 
     def apply_moe(self, nb: int, dist: float, lo: int, hi: int) -> None:
         """Accept a driver-computed MOE (batched modified-mode search).
 
-        ``nb < 0`` means no outgoing edge.  The flood-cache counterpart
-        of the ``find_moe`` dict scan, applied in the driver's wake
-        order so report traffic is identical.
+        ``nb < 0`` means no outgoing edge.  Applied in the driver's wake
+        order, so report traffic is what per-node scans would send.
         """
         if nb < 0:
             self._cand_nb, self._cand_key = None, NO_EDGE

@@ -1,39 +1,44 @@
-"""Index-aligned flood cache for the GHS family's per-message plane path.
+"""Index-aligned flood cache: every per-message GHS node's neighbour store.
 
-The kernel's flood planes (see ``repro.sim.kernel`` — "Flood planes")
-deliver HELLO/ANNOUNCE floods as arrays of CSR edge indices instead of
-per-recipient :class:`~repro.sim.message.Message` dispatch.  This module
-holds the receiving side: one :class:`FloodCache` shared by every node,
-aligned slot-for-slot with the kernel's neighbor table, and
-:func:`flood_table`, the one place that decides whether a kernel has
-such a table at all.
+Each HELLO round of the per-message phase loop builds one
+:class:`FloodCache`, shared by every node and aligned slot-for-slot
+with a neighbor table at the kernel's power cap: the kernel's own
+table, or, where the density gate declined one, a table built here.
+:func:`flood_table` is the one place that decides whether a kernel's
+table can also carry flood planes.
 
 Layout: the neighbor table's CSR row for node ``i`` lists ``i``'s
 neighbors sorted by distance; slot ``j`` in that row is the edge
 ``(i, ids[j])``.  The cache keeps, per slot,
 
 * ``fid[j]``   — the fragment id ``i`` last heard from ``ids[j]``
-  (``-1`` = never heard, the numpy stand-in for "absent from the dict"),
-  in the table's slot dtype (a fragment id is a node id);
-* ``known[j]`` — whether ``i`` has heard from ``ids[j]`` at all (the
-  dict-membership bit: a HELLO at radius ``r < max_radius`` only reaches
-  a prefix of each row);
-* ``lo[j]`` / ``hi[j]`` — ``min``/``max`` of the edge's endpoint ids,
-  so the globally consistent edge key ``(distance, lo, hi)`` is a
-  gather away.
+  (``-1`` = never heard), in the table's slot dtype (a fragment id is
+  a node id);
+* ``known[j]`` — whether ``i`` has heard from ``ids[j]`` at all (a
+  HELLO at radius ``r`` below the cap only reaches a prefix of each
+  row).
 
-Delivery (:meth:`FloodCache.on_plane`) maps the plane's sender-major edge
-indices through the table's reverse permutation to recipient-side slots
-and overwrites ``fid``/``known`` in bulk — planes are order-free because
-that overwrite is all a HELLO/ANNOUNCE receiver ever does.  Modified-mode
-MOE search (:meth:`FloodCache.moe_batch`) is one masked segment-min
-over the participants' rows instead of a per-node Python scan.
+The globally consistent edge key ``(distance, lo, hi)`` of slot ``j``
+is ``dists[j]`` with the min/max of ``i`` and ``ids[j]``.
 
-A cache serves the per-message phase loop only (fault plans, reception
-costs), where every node holds views of it (:meth:`FloodCache.attach`).
-The whole-round phase engine (``repro.algorithms.ghs.turbo``) keeps no
-cache: it counts its HELLO and ANNOUNCE deliveries and reads fragment
-membership off its own ``fid`` array and the kernel's table.
+HELLO and ANNOUNCE floods fill the cache two ways.  Where
+:func:`flood_table` allows planes, the kernel delivers a round's floods
+as arrays of CSR edge indices (see ``repro.sim.kernel`` — "Flood
+planes") and :meth:`FloodCache.on_plane` maps them through the table's
+reverse permutation to recipient-side slots, overwriting ``fid``/``known``
+in bulk — planes are order-free because that overwrite is all a
+HELLO/ANNOUNCE receiver ever does.  Elsewhere (the legacy reference,
+contention, density-gated tables) each flood arrives as a message and
+the node writes its own slot.  Modified-mode MOE search
+(:meth:`FloodCache.moe_batch`) is one masked segment-min over the
+participants' rows, on every kernel.
+
+A cache serves the per-message phase loop (fault plans, reception
+costs, kernels without flood planes), where every node holds views of
+it (:meth:`FloodCache.attach`).  The whole-round phase engine
+(``repro.algorithms.ghs.turbo``) keeps no cache: it counts its HELLO
+and ANNOUNCE deliveries and reads fragment membership off its own
+``fid`` array and the kernel's table.
 
 This module deliberately does not import ``repro.algorithms.ghs.node``
 (nodes hold cache views by duck-typing), so either side can be loaded
@@ -45,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.kernel import concat_ranges
+from repro.sim.kernel import NeighborTable, concat_ranges, neighbor_csr_arrays
 
 #: Plane kinds this cache accepts — the pure cache-refresh floods.
 PLANE_KINDS = ("HELLO", "ANNOUNCE")
@@ -57,9 +62,9 @@ def flood_table(kernel):
     ``None`` means no plane path: kernels without planes (the legacy
     reference, contention) keep the bit-exact per-message order, an
     empty instance has nothing to flood, and the density gate may have
-    rejected the table outright.  The per-message flood cache
-    (:meth:`FloodCache.ensure`) and the whole-round engine's eligibility
-    both ask this one function.
+    rejected the table outright.  The per-message HELLO round (whether
+    its floods go out as planes) and the whole-round engine's
+    eligibility both ask this one function.
     """
     if not kernel.planes or kernel.n == 0:
         return None
@@ -69,7 +74,7 @@ def flood_table(kernel):
 class FloodCache:
     """Shared, table-aligned neighbour/fragment cache for all nodes."""
 
-    __slots__ = ("table", "indptr", "ids", "dists", "fid", "known", "lo", "hi")
+    __slots__ = ("table", "indptr", "ids", "dists", "fid", "known")
 
     def __init__(self, table) -> None:
         self.table = table
@@ -78,18 +83,20 @@ class FloodCache:
         self.dists = table.dists
         self.fid = np.full(len(ids), -1, dtype=ids.dtype)
         self.known = np.zeros(len(ids), dtype=bool)
-        src = np.repeat(
-            np.arange(len(self.indptr) - 1, dtype=ids.dtype), np.diff(self.indptr)
-        )
-        self.lo = np.minimum(src, ids)
-        self.hi = np.maximum(src, ids)
 
     @classmethod
-    def ensure(cls, kernel) -> "FloodCache | None":
-        """A fresh cache over ``kernel``'s :func:`flood_table`, or ``None``
-        (callers fall back to per-message HELLOs)."""
-        tbl = flood_table(kernel)
-        return None if tbl is None else cls(tbl)
+    def ensure(cls, kernel) -> "FloodCache":
+        """A fresh cache over ``kernel``'s neighbor table at its cap.
+
+        Where the density gate declined the kernel a table, one is built
+        here at the cap: it holds the entries the nodes' HELLOs fill
+        anyway.
+        """
+        tbl = kernel.neighbor_table()
+        if tbl is None:
+            r = kernel.max_radius
+            tbl = NeighborTable(r, *neighbor_csr_arrays(kernel.points, r))
+        return cls(tbl)
 
     def attach(self, node) -> None:
         """Bind ``node``'s cache views to its CSR row (zero-copy slices)."""
@@ -100,8 +107,7 @@ class FloodCache:
         node.nb_dist = self.dists[s:e]
         node.nb_fid = self.fid[s:e]
         node.nb_known = self.known[s:e]
-        node.nb_lo = self.lo[s:e]
-        node.nb_hi = self.hi[s:e]
+        node.nb_slot = None
 
     # -- plane delivery ---------------------------------------------------------
 
@@ -142,7 +148,9 @@ class FloodCache:
 
         Distances are compared first and tie-broken by ``(lo, hi)``;
         distance ties are measure-zero for random instances but the
-        tie-break keeps the key globally consistent regardless.
+        tie-break keeps the key globally consistent regardless.  This is
+        the per-message MOE search on every kernel, and the reference
+        the whole-round engine's cursor is checked against.
         """
         node_ids = np.asarray(node_ids, dtype=np.intp)
         fids = np.asarray(fids, dtype=np.int64)
@@ -181,12 +189,13 @@ class FloodCache:
             right = np.searchsorted(seg_hits, uniq, side="right")
             for ui in np.flatnonzero(right - left > 1):
                 tied = pos[left[ui] : right[ui]]
-                ei = edge_idx[tied]
-                best = int(np.lexsort((self.hi[ei], self.lo[ei]))[0])
+                u, v = node_ids[uniq[ui]], self.ids[edge_idx[tied]]
+                best = int(np.lexsort((np.maximum(u, v), np.minimum(u, v)))[0])
                 chosen[ui] = tied[best]
-        ce = edge_idx[chosen]
-        cand[uniq] = self.ids[ce]
+        u = node_ids[uniq]
+        v = self.ids[edge_idx[chosen]]
+        cand[uniq] = v
         kdist[uniq] = d[chosen]
-        klo[uniq] = self.lo[ce]
-        khi[uniq] = self.hi[ce]
+        klo[uniq] = np.minimum(u, v)
+        khi[uniq] = np.maximum(u, v)
         return cand, kdist, klo, khi

@@ -112,7 +112,6 @@ from repro.errors import ProtocolError
 from repro.algorithms.ghs.driver import fragment_histogram, phase_budget
 from repro.algorithms.ghs import plane
 from repro.perf import perf
-from repro.sim._jit import HAVE_NUMBA, njit
 from repro.trace import trace
 
 __all__ = [
@@ -134,27 +133,16 @@ _KIND_NAMES = (
 _INF = math.inf
 
 
-@njit(cache=True)
-def _seq_sum_jit(total: float, energies: np.ndarray) -> float:
-    total = float(total)
-    for i in range(energies.shape[0]):
-        total += energies[i]
-    return total
-
-
 def seq_energy_accumulate(total: float, energies: np.ndarray) -> float:
     """``total`` advanced by every element of ``energies``, *in order*.
 
     The ledger total must move through the exact left-to-right partial
     sums the per-message kernel's ``+=`` loop produces, so
-    pairwise/compensated summation is off the table.  Under Numba this
-    is the jitted scalar loop itself; without it, a seeded
-    ``np.add.accumulate`` chain — ufunc accumulation is defined as
-    sequential application, so the two paths are bit-identical (pinned
-    by ``tests/test_turbo.py`` with and without ``REPRO_NO_NUMBA=1``).
+    pairwise/compensated summation is off the table.  A seeded
+    ``np.add.accumulate`` chain is exactly that: ufunc accumulation is
+    defined as sequential application (pinned bit for bit against the
+    scalar loop by ``tests/test_turbo.py``).
     """
-    if HAVE_NUMBA:
-        return float(_seq_sum_jit(float(total), np.ascontiguousarray(energies)))
     return float(np.add.accumulate(np.concatenate(([total], energies)))[-1])
 
 
@@ -284,9 +272,6 @@ class TurboPhaseEngine:
         if edges is not None and len(edges):
             e = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
             self.edge_chunks.append(np.concatenate((e, e[::-1]), axis=1))
-        #: Directed tree edges added one at a time (:meth:`_add_edge`).
-        self.edge_u: list[int] = []
-        self.edge_v: list[int] = []
         #: Original mode: ``rejected`` marks same-fragment slots found by
         #: probes, ``dead`` adds the tree slots — the slots a cursor
         #: skips for free (both built by :meth:`hello`).
@@ -357,7 +342,7 @@ class TurboPhaseEngine:
         """The original-mode entry check: the run starts from singleton
         fragments with nothing rejected and no passive node, as
         ``run_ghs`` does."""
-        if self.passive.any() or self.edge_chunks or self.edge_u:
+        if self.passive.any() or self.edge_chunks:
             return False
         return not self.rejected.any()
 
@@ -448,22 +433,8 @@ class TurboPhaseEngine:
 
     # -- fragment-tree CSR -------------------------------------------------
 
-    def _flush_edges(self) -> None:
-        if self.edge_u:
-            self.edge_chunks.append(
-                np.stack(
-                    [
-                        np.array(self.edge_u, dtype=np.int64),
-                        np.array(self.edge_v, dtype=np.int64),
-                    ]
-                )
-            )
-            self.edge_u = []
-            self.edge_v = []
-
     def _build_tree_csr(self) -> None:
         """(Re)build the sorted fragment-tree adjacency for this phase."""
-        self._flush_edges()
         n = self.n
         if not self.edge_chunks:
             self.t_indptr = np.zeros(n + 1, dtype=np.int64)
@@ -483,10 +454,6 @@ class TurboPhaseEngine:
         self.t_adj = keys % n
         self.t_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(u, minlength=n), out=self.t_indptr[1:])
-
-    def _add_edge(self, u: int, v: int) -> None:
-        self.edge_u.append(u)
-        self.edge_v.append(v)
 
     # -- charging ------------------------------------------------------------
 

@@ -7,7 +7,7 @@ operation is O(alpha(n)) (inverse Ackermann), effectively constant.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class UnionFind:
@@ -105,11 +105,3 @@ class UnionFind:
         comps = self.components()
         best_root = max(sorted(comps), key=lambda r: len(comps[r]))
         return comps[best_root]
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "UnionFind":
-        """Build a union-find with all ``edges`` already merged."""
-        uf = cls(n)
-        for u, v in edges:
-            uf.union(u, v)
-        return uf

@@ -74,13 +74,6 @@ class GeometricGraph:
         d = self.points[u] - self.points[v]
         return float(np.sqrt(d @ d))
 
-    def subgraph_radius(self, r: float) -> "GeometricGraph":
-        """The graph restricted to edges of length ``<= r`` (same nodes)."""
-        if r < 0:
-            raise GeometryError(f"radius must be non-negative, got {r}")
-        keep = self.lengths <= r
-        return _assemble(self.points, float(r), self.edges[keep], self.lengths[keep])
-
     def to_networkx(self):
         """Export to a :class:`networkx.Graph` with ``weight`` = length."""
         import networkx as nx

@@ -152,9 +152,6 @@ class ScenarioPlan:
         """True when the plan schedules nothing."""
         return not self.events
 
-    def n_joins(self) -> int:
-        return sum(1 for ev in self.events if ev.kind == "join")
-
     def max_node(self) -> int:
         """Largest node id referenced by any event (-1 if none)."""
         return max((ev.node for ev in self.events), default=-1)

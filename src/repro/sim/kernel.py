@@ -60,6 +60,10 @@ Hot-path layout (see docs/performance.md for the full story):
   legacy kernel is that deliveries **within** a plane round are not
   interleaved per-message with that round's unicasts.  Energy totals,
   message counts, round counts and recipient sets stay bit-identical.
+  The slots are the same either way: the GHS family keeps one
+  table-aligned flood cache on every kernel
+  (:class:`~repro.algorithms.ghs.plane.FloodCache`), which planes fill
+  in bulk and per-message HELLO/ANNOUNCE deliveries fill slot by slot.
 * **Whole-round phase engine** — with a flood table and no faults, the
   GHS family's runs skip per-message dispatch altogether, HELLOs
   included: :mod:`repro.algorithms.ghs.turbo` runs each round as array
@@ -285,7 +289,7 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return out
 
 
-class _NeighborTable:
+class NeighborTable:
     """CSR adjacency of every pair within ``max_radius``, sorted by distance.
 
     ``ids``/``dists`` are the CSR payload arrays (``searchsorted`` radius
@@ -435,7 +439,7 @@ class SynchronousKernel:
         self.stage = "main"
         self._tree = cKDTree(pts) if self.n else None
         #: Cached neighbor table: None = not built, _NO_TABLE = too dense.
-        self._nbr_table: _NeighborTable | None | object = None
+        self._nbr_table: NeighborTable | None | object = None
         #: Pending unicasts for the next round: (dst, msg, dist, seq).
         self._uni: list[tuple[int, Message, float, int]] = []
         #: Pending broadcast descriptors: (msg, ids view, dists view, seq).
@@ -449,7 +453,7 @@ class SynchronousKernel:
         #: and the pending recipient count.
         self._plane_handler: Callable | None = None
         self._plane_singles: dict[str, list[tuple[int, int, int, int]]] = {}
-        self._plane_tbl: _NeighborTable | None = None
+        self._plane_tbl: NeighborTable | None = None
         self._n_plane_pending = 0
         #: Batched ledger accumulators: (kind, stage) -> [energy, count],
         #: plus per-node energy partial sums; flushed by _flush_charges.
@@ -498,7 +502,7 @@ class SynchronousKernel:
 
     # -- neighbor table --------------------------------------------------------
 
-    def _build_neighbor_table(self) -> "_NeighborTable | object":
+    def _build_neighbor_table(self) -> "NeighborTable | object":
         """Build the CSR neighbor table at the current ``max_radius``.
 
         Returns :data:`_NO_TABLE` when the expected table size blows the
@@ -512,7 +516,7 @@ class SynchronousKernel:
                 perf.add("kernel.nbr_table_fallbacks")
             return _NO_TABLE
         with perf.timed("kernel.nbr_table_build"):
-            table = _NeighborTable(
+            table = NeighborTable(
                 r, *neighbor_csr_arrays(self.points, r, tree=self._tree)
             )
         if perf.enabled:
@@ -520,7 +524,7 @@ class SynchronousKernel:
             perf.add("kernel.nbr_table_entries", len(table.ids))
         return table
 
-    def _table(self) -> "_NeighborTable | None":
+    def _table(self) -> "NeighborTable | None":
         """The cached neighbor table, building it on first use (or None)."""
         tbl = self._nbr_table
         if tbl is None:
@@ -528,7 +532,7 @@ class SynchronousKernel:
             self._nbr_table = tbl
         return None if tbl is _NO_TABLE else tbl
 
-    def neighbor_table(self) -> "_NeighborTable | None":
+    def neighbor_table(self) -> "NeighborTable | None":
         """The CSR neighbor table at the current cap (``None`` = too dense).
 
         Public accessor for plane clients (e.g. the GHS flood cache)
@@ -565,7 +569,7 @@ class SynchronousKernel:
             )
         self._plane_handler = handler
 
-    def _plane_table(self) -> "_NeighborTable | None":
+    def _plane_table(self) -> "NeighborTable | None":
         """The table plane sends may slice, or ``None`` if planes are off.
 
         Planes need a kernel that allows them (:attr:`planes`), a

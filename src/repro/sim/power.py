@@ -61,9 +61,3 @@ class PathLossModel:
         return np.array(
             [self.a * d**self.alpha for d in distances.tolist()], dtype=np.float64
         )
-
-    def range_for_energy(self, energy: float) -> float:
-        """Inverse model: the distance reachable with ``energy``."""
-        if energy < 0:
-            raise GeometryError(f"energy must be non-negative, got {energy}")
-        return (energy / self.a) ** (1.0 / self.alpha)

@@ -24,10 +24,6 @@ class FitResult:
     intercept: float
     r_squared: float
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the fitted line."""
-        return self.intercept + self.slope * np.asarray(x, dtype=float)
-
 
 def _linfit(x: np.ndarray, y: np.ndarray) -> FitResult:
     if len(x) != len(y):

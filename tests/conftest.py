@@ -43,8 +43,9 @@ def per_message_floods():
     """HELLO/ANNOUNCE as per-message floods on the fast kernel.
 
     ``plane.flood_table`` declines, exactly as it does when the density
-    gate rejects the neighbor table: nodes keep their dict caches and
-    the whole-round phase engine stays off.
+    gate rejects the neighbor table: every HELLO and ANNOUNCE arrives as
+    a message that writes its receiver's flood-cache slot, and the
+    whole-round phase engine stays off.
     """
     from repro.algorithms.ghs import plane
 

@@ -5,8 +5,9 @@ bit-identity of the plane path against the legacy kernel) with unit
 coverage of the moving parts: ``concat_ranges``, the reverse-edge
 permutation, plane registration/delivery semantics (zero-recipient
 sends, round accounting, flat-kernel refusal, a cap raised after a send
-that reached nobody), the density gate at its exact threshold, and the
-batched MOE search against a brute-force oracle.
+that reached nobody), the one flood cache filled alike by planes and by
+per-message floods on either kernel, the density gate at its exact
+threshold, and the batched MOE search against a brute-force oracle.
 """
 
 from __future__ import annotations
@@ -16,13 +17,15 @@ import math
 import numpy as np
 import pytest
 
-from repro.algorithms.ghs.driver import hello_round
+from repro.algorithms.ghs import plane
+from repro.algorithms.ghs.driver import hello_round, search_moe
 from repro.algorithms.ghs.node import NO_EDGE, GHSNode
 from repro.algorithms.ghs.plane import FloodCache
 from repro.errors import ProtocolError, SimulationError
 from repro.geometry.points import uniform_points
 from repro.sim import LegacyKernel, NodeProcess, SynchronousKernel
 from repro.sim.kernel import _NO_TABLE, concat_ranges
+from tests.conftest import per_message_floods
 
 
 class _Recorder(NodeProcess):
@@ -105,10 +108,10 @@ def test_reverse_permutation_is_involution_and_pairs_edges():
 # ------------------------------------------------------- plane registration
 
 
-def _ghs_kernel(pts, r):
-    kernel = SynchronousKernel(pts, max_radius=r)
+def _ghs_kernel(pts, r, kernel_cls=SynchronousKernel, *, use_tests=False):
+    kernel = kernel_cls(pts, max_radius=r)
     kernel.add_nodes(
-        lambda i, ctx: GHSNode(i, ctx, use_tests=False, announce=True)
+        lambda i, ctx: GHSNode(i, ctx, use_tests=use_tests, announce=not use_tests)
     )
     kernel.start()
     return kernel
@@ -121,10 +124,9 @@ def test_zero_recipient_plane_charges_but_adds_no_round():
     pts = np.array([[0.0, 0.0], [0.01, 0.0], [0.9, 0.9]])
     kernel = _ghs_kernel(pts, 0.05)
     cache = FloodCache.ensure(kernel)
-    assert cache is not None
     kernel.set_plane_handler(cache.on_plane)
     for nd in kernel.nodes:
-        nd.attach_cache(cache)
+        cache.attach(nd)
     assert kernel.nodes[2].ctx.plane_broadcast(0.05, "HELLO", 2)
     assert kernel.in_flight == 0
     before = kernel.rounds
@@ -143,13 +145,11 @@ def test_plane_refused_without_handler_or_on_flat_kernels():
     assert kernel.stats().messages_total == 0
     # Flat-delivery kernels never take the plane path, and registering a
     # handler on one is a caller bug that fails loudly (the handler
-    # would silently never fire otherwise).
-    legacy = LegacyKernel(pts, max_radius=0.3)
-    legacy.add_nodes(
-        lambda i, ctx: GHSNode(i, ctx, use_tests=False, announce=True)
-    )
-    legacy.start()
-    assert FloodCache.ensure(legacy) is None
+    # would silently never fire otherwise).  Their nodes still keep the
+    # one flood cache, over the kernel's table, filled per message.
+    legacy = _ghs_kernel(pts, 0.3, LegacyKernel)
+    assert plane.flood_table(legacy) is None
+    assert FloodCache.ensure(legacy).table is legacy.neighbor_table()
     with pytest.raises(SimulationError):
         legacy.set_plane_handler(lambda *a: None)
     assert not legacy.nodes[0].ctx.plane_broadcast(0.3, "HELLO", 0)
@@ -158,20 +158,24 @@ def test_plane_refused_without_handler_or_on_flat_kernels():
 def test_plane_hello_fills_cache_like_messages():
     pts = uniform_points(80, seed=5)
     r = 0.2
-    # Plane path: the driver's hello round attaches a cache to every node.
+    # Plane path: the driver's hello round attaches a cache to every node
+    # and registers its plane handler.
     k1 = _ghs_kernel(pts, r)
     hello_round(k1, r)
-    assert k1.nodes[0].cache is not None
-    # Per-message path.
-    k2 = _ghs_kernel(pts, r)
-    k2.wake(range(k2.n), "hello", (r,))
-    k2.run_until_quiescent()
-    for a, b in zip(k1.nodes, k2.nodes):
-        assert dict(a.fragment_cache_items()) == dict(b.fragment_cache_items())
-    s1, s2 = k1.stats(), k2.stats()
-    assert s1.energy_total == s2.energy_total
-    assert s1.messages_by_kind == s2.messages_by_kind
-    assert s1.rounds == s2.rounds
+    assert k1._plane_handler is not None
+    s1 = k1.stats()
+    # Per-message floods, on either kernel, fill the same cache slot by slot.
+    for kernel_cls in (SynchronousKernel, LegacyKernel):
+        k2 = _ghs_kernel(pts, r, kernel_cls)
+        with per_message_floods():
+            hello_round(k2, r)
+        assert k2._plane_handler is None
+        for a, b in zip(k1.nodes, k2.nodes):
+            assert dict(a.fragment_cache_items()) == dict(b.fragment_cache_items())
+        s2 = k2.stats()
+        assert s1.energy_total == s2.energy_total
+        assert s1.messages_by_kind == s2.messages_by_kind
+        assert s1.rounds == s2.rounds
 
 
 # ------------------------------------------------------- density gate edge
@@ -211,12 +215,12 @@ def test_density_gate_threshold_paths_identical():
 
 
 def _brute_moe(node, fid):
-    """Oracle: scan the node's cache views exactly like the dict path."""
+    """Oracle: scan the node's cache views one slot at a time."""
     best_nb, best_key = -1, NO_EDGE
     for j in range(len(node.nb_ids)):
         if not node.nb_known[j] or node.nb_fid[j] == fid:
             continue
-        key = (float(node.nb_dist[j]), int(node.nb_lo[j]), int(node.nb_hi[j]))
+        key = node._edge_key(int(node.nb_ids[j]), float(node.nb_dist[j]))
         if key < best_key:
             best_key, best_nb = key, int(node.nb_ids[j])
     return best_nb, best_key
@@ -227,7 +231,7 @@ def test_moe_batch_matches_bruteforce():
     kernel = _ghs_kernel(pts, 0.25)
     cache = FloodCache.ensure(kernel)
     for nd in kernel.nodes:
-        nd.attach_cache(cache)
+        cache.attach(nd)
     # Random-ish cache state: nodes spread over 7 fragments, a sprinkle
     # of unheard entries.
     rng = np.random.default_rng(99)
@@ -247,35 +251,39 @@ def test_moe_batch_matches_bruteforce():
 
 def test_moe_tie_broken_by_edge_ids():
     # Unit square: node 0 sees 1 and 2 at exactly distance 1.  The edge
-    # key (1.0, 0, 1) < (1.0, 0, 2) must pick neighbour 1 in both the
-    # batch and the per-node dict search.
+    # key (1.0, 0, 1) < (1.0, 0, 2) must pick neighbour 1 in the batch,
+    # in the driver's search over a cache per-message HELLOs filled, and
+    # first in an original-mode node's TEST queue.
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     kernel = _ghs_kernel(pts, 1.45)
     cache = FloodCache.ensure(kernel)
     for nd in kernel.nodes:
-        nd.attach_cache(cache)
+        cache.attach(nd)
     cache.known[:] = True
     cache.fid[:] = 9  # everyone reports a foreign fragment
     cand, kd, klo, khi = cache.moe_batch(
         np.array([0], dtype=np.intp), np.array([0], dtype=np.int64)
     )
     assert (int(cand[0]), float(kd[0]), int(klo[0]), int(khi[0])) == (1, 1.0, 0, 1)
-    # The per-node search scans the dict cache a per-message HELLO fills.
-    dict_kernel = _ghs_kernel(pts, 1.45)
-    dict_kernel.wake(range(4), "hello", (1.45,))
-    dict_kernel.run_until_quiescent()
-    nd = dict_kernel.nodes[0]
-    nd.nb_fragment = dict.fromkeys(nd.nb_fragment, 9)
-    nd._start_search()
+    legacy = _ghs_kernel(pts, 1.45, LegacyKernel)
+    hello_round(legacy, 1.45)
+    nd = legacy.nodes[0]
+    nd.nb_fid[:] = 9
+    search_moe(legacy, legacy.nodes, [0], nd.cur_phase)
     assert (nd._cand_nb, nd._cand_key) == (1, (1.0, 0, 1))
+    probing = _ghs_kernel(pts, 1.45, LegacyKernel, use_tests=True)
+    hello_round(probing, 1.45)
+    nd = probing.nodes[0]
+    nd._start_search()
+    assert nd._test_queue == [1, 2, 3]
 
 
 def test_find_moe_wake_in_cache_mode_raises():
-    # Cache-mode searches run batched in the driver (driver.search_moe);
+    # Modified-mode searches run batched in the driver (driver.search_moe);
     # a node has no per-node scan over the cache to fall back to.
     kernel = _ghs_kernel(uniform_points(30, seed=1), 0.4)
     hello_round(kernel, 0.4)
-    with pytest.raises(ProtocolError, match="flood-cache mode"):
+    with pytest.raises(ProtocolError, match="modified mode"):
         kernel.wake([0], "find_moe", (0,))
 
 

@@ -124,6 +124,65 @@ def test_registered_backends_match_reference(mode, planes, faulty):
     assert (engine_rounds > 0) == (planes and not faulty)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_faulted_eopt_kernels_agree(seed):
+    """EOPT's step 2 runs a second HELLO at the raised radius; under
+    drops, the neighbour store that HELLO starts from decides which
+    floods recovery repeats.  Every kernel starts it from a fresh flood
+    cache, so fast (planes), per-message floods and legacy agree
+    exactly, event for event."""
+    from repro.algorithms.eopt import run_eopt
+    from repro.trace import trace
+    from repro.trace.diff import diff_traces, format_divergence
+
+    pts = uniform_points(300, seed=seed)
+    faults = FaultPlan(seed=seed, drop_rate=0.05)
+
+    def traced(**kwargs):
+        trace.reset()
+        trace.enable()
+        try:
+            return run_eopt(pts, faults=faults, **kwargs), trace.snapshot()
+        finally:
+            trace.disable()
+            trace.reset()
+
+    ref, legacy = traced(kernel_cls=LegacyKernel)
+    res, fast = traced()
+    with per_message_floods():
+        off, flat = traced()
+    _assert_same_result(ref, res)
+    _assert_same_result(ref, off)
+    for name, events in (("fast", fast), ("per-message", flat)):
+        d = diff_traces(legacy, events)
+        assert d is None, format_divergence(d, "legacy", name)
+
+
+def test_density_gated_table_matches_legacy():
+    """Above the density gate the fast kernel has no neighbor table, so
+    neither flood planes nor the engine run: the per-message HELLO round
+    builds its flood cache over a table of its own and must match the
+    legacy kernel exactly."""
+    from repro.sim.kernel import table_within_budget
+
+    n, r = 300, 0.5
+    assert not table_within_budget(n, r)
+    pts = uniform_points(n, seed=3)
+    ref = run_modified_ghs(pts, radius=r, kernel_cls=LegacyKernel)
+    perf.reset()
+    perf.enable()
+    try:
+        res = run_modified_ghs(pts, radius=r)
+        counters = dict(perf.counters)
+    finally:
+        perf.disable()
+        perf.reset()
+    assert counters.get("kernel.nbr_table_fallbacks", 0) > 0
+    assert counters.get("kernel.turbo_engine_rounds", 0) == 0
+    assert counters.get("kernel.plane_sends", 0) == 0
+    _assert_same_result(ref, res)
+
+
 def test_trace_streams_identical_with_triage_on_failure():
     """The trace plane doubles as the equivalence suite's triage tool:
     run legacy and fast kernels with tracing on and diff the event

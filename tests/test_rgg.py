@@ -83,13 +83,6 @@ class TestBuild:
         g = build_rgg(pts, 1.0)
         assert g.distance(0, 1) == pytest.approx(0.5)
 
-    def test_subgraph_radius(self):
-        pts = uniform_points(100, seed=4)
-        g = build_rgg(pts, 0.3)
-        sub = g.subgraph_radius(0.1)
-        direct = build_rgg(pts, 0.1)
-        assert set(map(tuple, sub.edges)) == set(map(tuple, direct.edges))
-
     def test_to_networkx(self):
         g = build_rgg(uniform_points(30, seed=5), 0.3)
         nxg = g.to_networkx()

@@ -102,7 +102,6 @@ class TestScenarioPlan:
             )
         )
         assert not plan.is_null
-        assert plan.n_joins() == 1
         assert plan.max_node() == 7
 
     def test_presets_generate_valid_plans(self):

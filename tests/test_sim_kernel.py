@@ -59,10 +59,6 @@ class TestPathLoss:
         m = PathLossModel(a=2.0, alpha=3.0)
         assert m.energy(0.5) == pytest.approx(2.0 * 0.125)
 
-    def test_inverse(self):
-        m = PathLossModel(a=3.0, alpha=4.0)
-        assert m.range_for_energy(m.energy(0.37)) == pytest.approx(0.37)
-
     def test_validation(self):
         with pytest.raises(GeometryError):
             PathLossModel(a=0)

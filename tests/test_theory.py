@@ -123,11 +123,6 @@ class TestScaling:
         fit = fit_power_law(ns, 5.0 * ns**1.5)
         assert fit.slope == pytest.approx(1.5)
 
-    def test_predict(self):
-        ns = np.array([100, 1000])
-        fit = fit_power_law(ns, ns.astype(float))
-        assert fit.predict(np.log([100.0]))[0] == pytest.approx(np.log(100.0))
-
     def test_validation(self):
         with pytest.raises(ExperimentError):
             fit_loglog_slope(np.array([2, 10]), np.array([1.0, 2.0]))  # n <= e

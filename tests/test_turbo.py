@@ -392,10 +392,9 @@ class TestOriginalMode:
         with pytest.raises(ProtocolError, match="entry check"):
             eng.run(1, 100)
         eng.rejected[j] = False
-        eng._add_edge(0, nb)
+        eng.edge_chunks.append(np.array([[0, nb], [nb, 0]], dtype=np.int64))
         assert not eng.probes_ready()
-        eng.edge_u.clear()
-        eng.edge_v.clear()
+        eng.edge_chunks.clear()
         assert eng.probes_ready()
 
     @pytest.mark.parametrize(
@@ -958,13 +957,13 @@ class TestKernelRegistry:
             assert name in str(ei.value)
 
 
-# -- jitted sequential energy accumulation ------------------------------------
+# -- sequential energy accumulation -------------------------------------------
 
 
 class TestSeqEnergyAccumulate:
     """The whole-round engine folds per-message energies into the ledger through
     :func:`seq_energy_accumulate`; it must be bit-identical to the scalar
-    ``total += e`` loop whether or not numba is present."""
+    ``total += e`` loop."""
 
     def _reference(self, total, energies):
         total = float(total)
@@ -983,8 +982,8 @@ class TestSeqEnergyAccumulate:
             assert got == self._reference(total, energies)  # exact, not approx
 
     def test_no_numba_env_pins_report_bytes(self):
-        """A subprocess with REPRO_NO_NUMBA=1 must emit the same report
-        JSON as this process — the fallback path may not drift."""
+        """A fresh subprocess must emit the same report JSON as this
+        process: the accumulation may not drift with process state."""
         import os
         import subprocess
         import sys
@@ -999,7 +998,7 @@ class TestSeqEnergyAccumulate:
             "spec = RunSpec.from_dict(json.loads(sys.argv[1]))\n"
             "sys.stdout.write(execute(spec).to_json(indent=None))\n"
         )
-        env = dict(os.environ, REPRO_NO_NUMBA="1", PYTHONPATH="src")
+        env = dict(os.environ, PYTHONPATH="src")
         out = subprocess.run(
             [sys.executable, "-c", code, spec.to_json()],
             capture_output=True, text=True, env=env, cwd=os.getcwd(), check=True,

@@ -78,11 +78,6 @@ class TestBasics:
         uf.union(4, 5)
         assert uf.largest_component() == [0, 1, 2]
 
-    def test_from_edges(self):
-        uf = UnionFind.from_edges(5, [(0, 1), (1, 2)])
-        assert uf.connected(0, 2)
-        assert uf.n_components == 3
-
 
 class TestProperties:
     @given(
